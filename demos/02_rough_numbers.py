@@ -6,13 +6,7 @@ Wide spread in opinion produces wide intervals; unanimity collapses the
 interval to a point.
 """
 
-from rdematel.rough import (
-    JudgmentSet,
-    RoughNumber,
-    average_rough,
-    crisp_convert,
-    rough_bounds,
-)
+from rdematel.rough import JudgmentSet, average_rough, crisp_convert, rough_bounds
 
 # Four experts rate the same influence: 0, 1, 1 and 3.
 judgments = JudgmentSet((0, 1, 1, 3))
@@ -29,15 +23,8 @@ agreed = JudgmentSet((2, 2, 2, 2))
 print("\nunanimous judgments:", agreed.values)
 print("  rough form of 2:", rough_bounds(agreed, 2))
 
-# Interval arithmetic works componentwise.
-a = RoughNumber(1.0, 2.0)
-b = RoughNumber(0.5, 1.5)
-print("\ninterval arithmetic:")
-print(f"  {a} + {b} = {a + b}")
-print(f"  {a} * {b} = {a * b}")
-print(f"  {a} scaled by 0.1 = {a * 0.1}")
-
-# Crisp conversion normalizes a family of intervals to [0, 1], blends each
-# pair of bounds by the interval's own relative width, and maps back.
-family = [RoughNumber(0.0, 1.0), RoughNumber(1.0, 2.0)]
-print("\ncrisp conversion of {[0,1], [1,2]}:", [round(v, 4) for v in crisp_convert(family)])
+# Crisp conversion takes a family of intervals as lower and upper bound
+# arrays, normalizes them to [0, 1], blends each pair of bounds by the
+# interval's own relative width, and maps back.
+crisp = crisp_convert([0.0, 1.0], [1.0, 2.0])
+print("\ncrisp conversion of {[0,1], [1,2]}:", [round(v, 4) for v in crisp.tolist()])

@@ -8,26 +8,16 @@ thresholded influence network.
 
 from .crisp import CrispScores, average_expert_matrices, crisp_scores, normalize_crisp, solve_total_relation
 from .ingest import CriterionMeta, RespondentMeta, StudyBundle, parse_expert_csv, parse_study_bundle, write_bundle
-from .network import (
-    CausalPoint,
-    Edge,
-    InfluenceNetwork,
-    causal_diagram,
-    crispify_total,
-    extract_network,
-    threshold,
-)
+from .network import Edge, InfluenceNetwork, crispify_total, extract_network, threshold
 from .pipeline import (
     AnalysisResult,
     ExpertMatrix,
-    GroupJudgments,
     RoughAnalysis,
     RoughMatrix,
     RoughScores,
     Scale,
     analyze_rough,
     classify,
-    collect_group,
     normalize_rough,
     prominence_relation,
     rough_group_matrix,
@@ -42,12 +32,7 @@ from .rough import (
     average_rough,
     crisp_convert,
     lower_approximation,
-    rough_add,
     rough_bounds,
-    rough_div,
-    rough_mul,
-    rough_scale,
-    rough_sub,
     upper_approximation,
 )
 

@@ -92,9 +92,6 @@ def solve_total_relation(d: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), d.T, trans=1).T
 
 
-total_relation_crisp = solve_total_relation
-
-
 def crisp_scores(t: np.ndarray) -> CrispScores:
     t = np.asarray(t, dtype=float)
     return CrispScores(r=t.sum(axis=1), d=t.sum(axis=0))

@@ -17,10 +17,6 @@ class IntervalOrderError(RDematelError):
     """An operation produced (or was given) an interval with lower > upper."""
 
 
-class DivisionByZeroError(RDematelError, ZeroDivisionError):
-    pass
-
-
 class DegenerateInputError(RDematelError, ValueError):
     pass
 

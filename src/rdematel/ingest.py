@@ -173,10 +173,22 @@ def _validate_bundle_dict(doc: dict) -> tuple[StudyBundle | None, list[str]]:
                 errors.append(f"matrices: no matrix for respondent {r.id}")
         for rid, grid in raw.items():
             try:
-                arr = np.asarray(grid, dtype=int)
+                arr = np.asarray(grid)
                 if arr.shape != (n, n):
                     errors.append(f"matrices[{rid}]: shape {arr.shape} does not match {n} criteria")
                     continue
+                # numpy reads JSON true/false as the ints 1/0, so bools need a look at the cells
+                if arr.dtype.kind != "i" or any(bool in map(type, row) for row in grid):
+                    bad = next(
+                        ((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if type(v) is not int),
+                        None,
+                    )
+                    if bad is not None:
+                        i, j, v = bad
+                        errors.append(
+                            f"matrices[{rid}]: non-integer cell ({criteria[i].id},{criteria[j].id}) {json.dumps(v)}"
+                        )
+                        continue
                 matrices[rid] = ExpertMatrix(expert_id=str(rid), values=arr, scale=scale)
             except Exception as exc:
                 errors.append(f"matrices[{rid}]: {exc}")
@@ -184,11 +196,16 @@ def _validate_bundle_dict(doc: dict) -> tuple[StudyBundle | None, list[str]]:
     rough_group: RoughMatrix | None = None
     if has_agg:
         try:
-            arr = np.asarray(doc["rough_group"], dtype=float)
-            if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+            arr = np.asarray(doc["rough_group"])
+            if arr.dtype.kind not in "if":
+                errors.append("rough_group: bounds must be numbers")
+            elif arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
                 errors.append("rough_group: must be an n x n grid of [lower, upper] pairs")
             elif n and arr.shape[0] != n:
                 errors.append(f"rough_group: is {arr.shape[0]}x{arr.shape[1]} but {n} criteria given")
+            elif not np.isfinite(arr).all():
+                i, j, _ = np.argwhere(~np.isfinite(arr))[0]
+                errors.append(f"rough_group: non-finite bound in cell ({i},{j})")
             else:
                 rough_group = RoughMatrix(arr[:, :, 0], arr[:, :, 1])
         except BundleValidationError:
@@ -249,8 +266,5 @@ def write_bundle(bundle: StudyBundle) -> bytes:
     if bundle.matrices is not None:
         doc["matrices"] = {rid: m.values.tolist() for rid, m in bundle.matrices.items()}
     if bundle.rough_group is not None:
-        rg = bundle.rough_group
-        doc["rough_group"] = [
-            [[rg.lower[i, j], rg.upper[i, j]] for j in range(rg.n)] for i in range(rg.n)
-        ]
+        doc["rough_group"] = bundle.rough_group.tolist()
     return (json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False) + "\n").encode("utf-8")

@@ -1,9 +1,8 @@
-"""Crisp influence matrix, significance threshold, and causal-diagram data.
+"""Crisp influence matrix, significance threshold, and influence network.
 
 The rough total-relation matrix is collapsed to a single crisp matrix,
 a cutoff q filters out weak influences, and what survives is the directed
-influence network.  The causal diagram is just the (prominence, relation)
-point per criterion.
+influence network.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pipeline import AnalysisResult, RoughMatrix
-from .rough import RoughNumber, crisp_convert
+from .pipeline import RoughMatrix
+from .rough import crisp_convert
 
 CRISPIFY_MIDPOINT = "midpoint"
 CRISPIFY_GLOBAL = "global-crisp"
@@ -39,14 +38,6 @@ class InfluenceNetwork:
     threshold: float
 
 
-@dataclass(frozen=True)
-class CausalPoint:
-    criterion_id: str
-    prominence: float
-    relation: float
-    group: str
-
-
 def crispify_total(t: RoughMatrix, mode: str = CRISPIFY_MIDPOINT) -> np.ndarray:
     """Collapse the rough total matrix to crisp entries.
 
@@ -56,13 +47,7 @@ def crispify_total(t: RoughMatrix, mode: str = CRISPIFY_MIDPOINT) -> np.ndarray:
     if mode == CRISPIFY_MIDPOINT:
         return t.midpoint
     if mode == CRISPIFY_GLOBAL:
-        n = t.n
-        flat = [
-            RoughNumber(float(t.lower[i, j]), float(t.upper[i, j]))
-            for i in range(n)
-            for j in range(n)
-        ]
-        return np.array(crisp_convert(flat)).reshape(n, n)
+        return crisp_convert(t.lower, t.upper)
     raise InvalidArgumentError(f"unknown crispify mode {mode!r}; use one of {CRISPIFY_MODES}")
 
 
@@ -113,10 +98,3 @@ def extract_network(
             if tstar[i, j] >= q:
                 edges.append(Edge(criteria[i], criteria[j], float(tstar[i, j])))
     return InfluenceNetwork(tuple(criteria), tuple(edges), float(q))
-
-
-def causal_diagram(results: Sequence[AnalysisResult]) -> list[CausalPoint]:
-    """One point per criterion at (prominence, relation), carrying its group label."""
-    return [
-        CausalPoint(r.criterion_id, r.prominence, r.relation, r.group) for r in results
-    ]

@@ -1,6 +1,6 @@
 """The rough DEMATEL pipeline.
 
-Expert matrices -> group judgment multisets -> rough group matrix ->
+Expert matrices -> per-cell judgment counts -> rough group matrix ->
 normalized rough matrix -> rough total-relation matrix -> interval row and
 column sums -> crisp prominence/relation -> weights, ranking and
 cause/effect classification.
@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .rough import JudgmentSet, RoughNumber, average_rough, crisp_convert, rough_bounds
+from .rough import crisp_convert
 
 TAU_MAX_TOTAL_SUM = "max-total-sum"
 TAU_MAX_UPPER_SUM = "max-upper-sum"
@@ -75,17 +75,6 @@ class ExpertMatrix:
 
 
 @dataclass(frozen=True)
-class GroupJudgments:
-    """n x n grid of judgment multisets, one per criterion pair."""
-
-    cells: tuple[tuple[JudgmentSet, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-
-@dataclass(frozen=True)
 class RoughMatrix:
     """Interval-valued square matrix stored as two bound matrices."""
 
@@ -107,12 +96,13 @@ class RoughMatrix:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    def entry(self, i: int, j: int) -> RoughNumber:
-        return RoughNumber(float(self.lower[i, j]), float(self.upper[i, j]))
-
     @property
     def midpoint(self) -> np.ndarray:
         return (self.lower + self.upper) / 2.0
+
+    def tolist(self) -> list:
+        """The grid as nested ``[lower, upper]`` pairs, its JSON form in bundles and reports."""
+        return np.stack([self.lower, self.upper], axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -156,41 +146,38 @@ class RoughAnalysis:
     results: list[AnalysisResult] = field(default_factory=list)
 
 
-def collect_group(matrices: Sequence[ExpertMatrix]) -> GroupJudgments:
-    """Pool every expert's judgment for each criterion pair into a multiset."""
+def rough_group_matrix(matrices: Sequence[ExpertMatrix]) -> RoughMatrix:
+    """Pool the experts' judgments per criterion pair into the averaged rough group matrix.
+
+    ``counts[s, i, j]`` is how many experts gave cell (i, j) the s-th judgment
+    level present in the data.  The rough number of a level has as lower bound
+    the mean of the judgments at or below it, a cumulative sum over the levels
+    from the bottom, and as upper bound the mean of those at or above it, one
+    from the top; the group bound is their count-weighted mean.  Counts do not
+    depend on expert order, and only n x n slices are live at a time.
+    """
     if len(matrices) < 2:
         raise InsufficientExpertsError(
             "rough aggregation needs at least two experts; use the crisp method for one"
         )
     n = matrices[0].n
-    for m in matrices[1:]:
-        if m.n != n:
-            raise ShapeError(f"expert {m.expert_id} has {m.n} criteria, expected {n}")
-    zero = JudgmentSet((0,))
-    cells = tuple(
-        tuple(
-            zero if i == j else JudgmentSet(tuple(int(m.values[i, j]) for m in matrices))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return GroupJudgments(cells)
-
-
-def rough_group_matrix(group: GroupJudgments) -> RoughMatrix:
-    """Convert each cell's judgments to rough numbers and average them."""
-    n = group.n
-    lower = np.zeros((n, n))
-    upper = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            cell = group.cells[i][j]
-            avg = average_rough([rough_bounds(cell, k) for k in cell])
-            lower[i, j] = avg.lower
-            upper[i, j] = avg.upper
-    return RoughMatrix(lower, upper)
+    for e in matrices[1:]:
+        if e.n != n:
+            raise ShapeError(f"expert {e.expert_id} has {e.n} criteria, expected {n}")
+    levels = np.unique(np.concatenate([np.unique(e.values) for e in matrices]))
+    counts = np.zeros((levels.size, n, n), dtype=np.int64)
+    for e in matrices:
+        counts += e.values == levels[:, None, None]
+    lower, upper = np.zeros((n, n)), np.zeros((n, n))
+    for bound, order in ((lower, slice(None)), (upper, slice(None, None, -1))):
+        seen_n = np.zeros((n, n), dtype=np.int64)
+        seen_sum = np.zeros((n, n), dtype=np.int64)
+        for c, k in zip(counts[order], levels[order]):
+            seen_n += c
+            seen_sum += c * k
+            bound += c * np.divide(seen_sum, seen_n, out=np.zeros((n, n)), where=c > 0)
+    m = len(matrices)
+    return RoughMatrix(lower / m, upper / m)
 
 
 def normalization_factor(r: RoughMatrix, strategy: str = TAU_MAX_TOTAL_SUM) -> float:
@@ -237,14 +224,11 @@ def rough_sums(t: RoughMatrix, joint_envelope: bool = False) -> RoughScores:
     """
     xl, xu = t.lower.sum(axis=1), t.upper.sum(axis=1)
     yl, yu = t.lower.sum(axis=0), t.upper.sum(axis=0)
-    x_iv = [RoughNumber(float(a), float(b)) for a, b in zip(xl, xu)]
-    y_iv = [RoughNumber(float(a), float(b)) for a, b in zip(yl, yu)]
     if joint_envelope:
-        both = crisp_convert(x_iv + y_iv)
-        xc, yc = both[: t.n], both[t.n :]
+        xc, yc = np.split(crisp_convert(np.concatenate([xl, yl]), np.concatenate([xu, yu])), 2)
     else:
-        xc, yc = crisp_convert(x_iv), crisp_convert(y_iv)
-    return RoughScores(xl, xu, yl, yu, np.array(xc), np.array(yc))
+        xc, yc = crisp_convert(xl, xu), crisp_convert(yl, yu)
+    return RoughScores(xl, xu, yl, yu, xc, yc)
 
 
 def prominence_relation(scores: RoughScores) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +275,7 @@ def analyze_rough(
     if (expert_matrices is None) == (group_matrix is None):
         raise InvalidArgumentError("provide exactly one of expert_matrices or group_matrix")
     if expert_matrices is not None:
-        group_matrix = rough_group_matrix(collect_group(expert_matrices))
+        group_matrix = rough_group_matrix(expert_matrices)
     assert group_matrix is not None
     if group_matrix.n != len(criteria):
         raise ShapeError(

@@ -20,7 +20,7 @@ from . import network as net_mod
 from . import pipeline
 from .errors import InvalidArgumentError
 from .ingest import StudyBundle
-from .network import CausalPoint, InfluenceNetwork
+from .network import InfluenceNetwork
 from .pipeline import AnalysisResult, RoughAnalysis
 
 PASS = "pass"
@@ -47,7 +47,6 @@ class AnalysisReport:
     analysis: RoughAnalysis
     tstar: np.ndarray
     network: InfluenceNetwork
-    causal_points: list[CausalPoint]
     deviations: list["DeviationEntry"] = field(default_factory=list)
 
 
@@ -90,7 +89,6 @@ def run_analysis(bundle: StudyBundle, config: AnalysisConfig = AnalysisConfig())
         include_diagonal=config.include_diagonal,
     )
     network = net_mod.extract_network(tstar, q, criteria)
-    points = net_mod.causal_diagram(analysis.results)
     echo = {
         "tau_strategy": config.tau_strategy,
         "tau": analysis.tau,
@@ -109,7 +107,6 @@ def run_analysis(bundle: StudyBundle, config: AnalysisConfig = AnalysisConfig())
         analysis=analysis,
         tstar=tstar,
         network=network,
-        causal_points=points,
     )
 
 
@@ -121,11 +118,12 @@ def _fmt(v: float) -> str:
 def render_results_csv(report: AnalysisReport) -> bytes:
     """Result table mirroring the X / Y / X+Y / X-Y and weight/ranking columns."""
     buf = io.StringIO()
-    buf.write("criterion,x,y,prominence,relation,omega,weight,rank,group\r\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["criterion", "x", "y", "prominence", "relation", "omega", "weight", "rank", "group"])
     for r in report.results:
-        buf.write(
-            f"{r.criterion_id},{_fmt(r.x)},{_fmt(r.y)},{_fmt(r.prominence)},"
-            f"{_fmt(r.relation)},{_fmt(r.omega)},{_fmt(r.weight)},{r.rank},{r.group}\r\n"
+        writer.writerow(
+            [r.criterion_id, _fmt(r.x), _fmt(r.y), _fmt(r.prominence), _fmt(r.relation),
+             _fmt(r.omega), _fmt(r.weight), r.rank, r.group]
         )
     return buf.getvalue().encode("utf-8")
 
@@ -150,9 +148,9 @@ def render_report_json(report: AnalysisReport) -> bytes:
             }
             for r in report.results
         ],
-        "rough_group": _interval_grid(a.group_matrix),
-        "normalized": _interval_grid(a.normalized),
-        "total": _interval_grid(a.total),
+        "rough_group": a.group_matrix.tolist(),
+        "normalized": a.normalized.tolist(),
+        "total": a.total.tolist(),
         "tstar": report.tstar.tolist(),
         "network": {
             "threshold": report.network.threshold,
@@ -163,40 +161,30 @@ def render_report_json(report: AnalysisReport) -> bytes:
             ],
         },
         "causal_points": [
-            {"criterion": p.criterion_id, "prominence": p.prominence, "relation": p.relation, "group": p.group}
-            for p in report.causal_points
+            {"criterion": r.criterion_id, "prominence": r.prominence, "relation": r.relation, "group": r.group}
+            for r in report.results
         ],
-        "deviations": [_deviation_dict(d) for d in report.deviations],
+        # vars() lists a dataclass's fields in declaration order; dataclasses.asdict
+        # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
+        "deviations": [vars(d) for d in report.deviations],
     }
     return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode("utf-8")
-
-
-def _interval_grid(m: pipeline.RoughMatrix) -> list:
-    return [[[float(m.lower[i, j]), float(m.upper[i, j])] for j in range(m.n)] for i in range(m.n)]
-
-
-def _deviation_dict(d: DeviationEntry) -> dict:
-    return {
-        "table": d.table,
-        "cell": d.cell,
-        "reference": d.reference,
-        "computed": d.computed,
-        "difference": d.difference,
-        "tolerance": d.tolerance,
-        "status": d.status,
-        "note": d.note,
-    }
 
 
 def render_graph_dot(network: InfluenceNetwork) -> bytes:
     """Plain-text directed graph (DOT); nodes and edges in sorted order."""
     lines = ["digraph influence {"]
     for node in sorted(network.nodes):
-        lines.append(f'  "{node}";')
+        lines.append(f"  {_dot_id(node)};")
     for e in sorted(network.edges, key=lambda e: (e.source, e.target)):
-        lines.append(f'  "{e.source}" -> "{e.target}" [weight={e.strength:.6f}];')
+        lines.append(f"  {_dot_id(e.source)} -> {_dot_id(e.target)} [weight={e.strength:.6f}];")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _dot_id(s: str) -> str:
+    """A DOT quoted-string id; backslashes and double quotes are escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def render_deviations_csv(entries: Sequence[DeviationEntry]) -> bytes:

@@ -1,10 +1,14 @@
-"""Rough-number machinery: set approximations, interval arithmetic, crisp conversion.
+"""Rough-number machinery: set approximations and crisp conversion.
 
 A rough number summarizes one judgment against the whole group's judgment
 multiset: its lower bound is the mean of all judgments not above it, its
 upper bound the mean of all judgments not below it.  Unanimous groups
 collapse to point intervals, which is what makes the crisp method a
 degenerate case of the rough pipeline.
+
+The pipeline aggregates whole matrices at once (``pipeline.rough_group_matrix``);
+the scalar ``JudgmentSet`` / ``rough_bounds`` / ``average_rough`` forms here
+define the same bounds one cell at a time and serve as its reference.
 """
 
 from __future__ import annotations
@@ -12,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    DivisionByZeroError,
-    InvalidArgumentError,
-    IntervalOrderError,
-)
+import numpy as np
+
+from .errors import InvalidArgumentError, IntervalOrderError
 
 
 @dataclass(frozen=True)
@@ -42,22 +44,6 @@ class RoughNumber:
 
     def is_point(self, tol: float = 0.0) -> bool:
         return self.width <= tol
-
-    def __add__(self, other: "RoughNumber") -> "RoughNumber":
-        return rough_add(self, other)
-
-    def __sub__(self, other: "RoughNumber") -> "RoughNumber":
-        return rough_sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, RoughNumber):
-            return rough_mul(self, other)
-        return rough_scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RoughNumber") -> "RoughNumber":
-        return rough_div(self, other)
 
 
 @dataclass(frozen=True)
@@ -121,54 +107,28 @@ def average_rough(sequence: Sequence[RoughNumber]) -> RoughNumber:
     )
 
 
-def rough_add(a: RoughNumber, b: RoughNumber) -> RoughNumber:
-    return RoughNumber(a.lower + b.lower, a.upper + b.upper)
-
-
-def rough_sub(a: RoughNumber, b: RoughNumber) -> RoughNumber:
-    # componentwise; with mixed signs this can invert the bound order,
-    # which RoughNumber rejects as an IntervalOrderError
-    return RoughNumber(a.lower - b.lower, a.upper - b.upper)
-
-
-def rough_mul(a: RoughNumber, b: RoughNumber) -> RoughNumber:
-    return RoughNumber(a.lower * b.lower, a.upper * b.upper)
-
-
-def rough_div(a: RoughNumber, b: RoughNumber) -> RoughNumber:
-    if b.lower == 0.0 or b.upper == 0.0:
-        raise DivisionByZeroError(f"divisor interval [{b.lower}, {b.upper}] has a zero bound")
-    if (b.lower > 0) != (b.upper > 0):
-        raise InvalidArgumentError(
-            f"divisor interval [{b.lower}, {b.upper}] bounds must share a sign"
-        )
-    return RoughNumber(a.lower / b.lower, a.upper / b.upper)
-
-
-def rough_scale(a: RoughNumber, mu: float) -> RoughNumber:
-    return RoughNumber(mu * a.lower, mu * a.upper)
-
-
-def crisp_convert(intervals: Sequence[RoughNumber]) -> list[float]:
-    """Convert a list of rough numbers to crisp values.
+def crisp_convert(lower, upper) -> np.ndarray:
+    """Convert intervals [lower, upper], given as two same-shaped arrays, to crisp values.
 
     Each interval is normalized against the global envelope
-    [min lower, max upper] of the whole list, blended into a single
+    [min lower, max upper] of all intervals, blended into a single
     coefficient, and denormalized back onto the original scale.  When the
     envelope is degenerate (all intervals the same point) the common point
     is returned for every entry.
     """
-    if not intervals:
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.shape != upper.shape:
+        raise InvalidArgumentError(f"bound arrays differ in shape: {lower.shape} / {upper.shape}")
+    if lower.size == 0:
         raise InvalidArgumentError("cannot crisp-convert an empty interval list")
-    lo = min(rn.lower for rn in intervals)
-    hi = max(rn.upper for rn in intervals)
-    span = hi - lo
+    if np.any(lower > upper):
+        raise IntervalOrderError("an interval has its lower bound above its upper bound")
+    lo = lower.min()
+    span = upper.max() - lo
     if span == 0.0:
-        return [lo for _ in intervals]
-    out = []
-    for rn in intervals:
-        nl = (rn.lower - lo) / span
-        nu = (rn.upper - lo) / span
-        alpha = (nl * (1.0 - nl) + nu * nu) / (1.0 - nl + nu)
-        out.append(lo + alpha * span)
-    return out
+        return np.full(lower.shape, lo)
+    nl = (lower - lo) / span
+    nu = (upper - lo) / span
+    alpha = (nl * (1.0 - nl) + nu * nu) / (1.0 - nl + nu)
+    return lo + alpha * span

@@ -124,12 +124,7 @@ def test_06_crisp_conversion_marked_not_comparable(bundle, reference):
         # the published value really is unreachable from the published sums
         from rdematel.rough import crisp_convert
 
-        hand = crisp_convert(
-            [
-                RoughNumber(lo, up)
-                for lo, up in zip(reference["sum_x_lower"], reference["sum_x_upper"])
-            ]
-        )
+        hand = crisp_convert(reference["sum_x_lower"], reference["sum_x_upper"])
         assert hand[0] == pytest.approx(1.30, abs=0.01)
         assert abs(hand[0] - reference["crisp_x"][0]) > 1.0
         # and the run still succeeds overall

@@ -137,6 +137,25 @@ class TestBundleParsing:
         assert any("shape" in m for m in msgs)
         assert any("role" in m for m in msgs)
 
+    @pytest.mark.parametrize("cell", [1.7, "3", True], ids=["float", "string", "bool"])
+    def test_non_integer_matrix_cell_named(self, cell):
+        doc = json.loads(write_bundle(make_raw_bundle(n=3, m=2)))
+        doc["matrices"]["R1"][2][0] = cell
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == [f"matrices[R1]: non-integer cell (C2,C0) {json.dumps(cell)}"]
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [(float("nan"), r"non-finite bound in cell \(1,2\)"), ("0.5", "bounds must be numbers")],
+        ids=["nan", "string"],
+    )
+    def test_bad_rough_bound_rejected(self, bound, message):
+        doc = json.loads(write_bundle(load_study_bundle()))
+        doc["rough_group"][1][2][1] = bound
+        with pytest.raises(BundleValidationError, match=message):
+            parse_study_bundle(json.dumps(doc))
+
     def test_validation_is_total(self):
         # any bytes give either a bundle or a diagnostic list, never a crash
         for junk in (b"", b"[1,2,3]", b'{"criteria": 5}', bytes(range(256))):

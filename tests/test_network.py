@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from rdematel.errors import InvalidArgumentError
-from rdematel.network import (
-    CausalPoint,
-    causal_diagram,
-    crispify_total,
-    extract_network,
-    threshold,
-)
-from rdematel.pipeline import AnalysisResult, RoughMatrix
+from rdematel.network import crispify_total, extract_network, threshold
+from rdematel.pipeline import RoughMatrix
 
 RNG = np.random.default_rng(99)
 
@@ -106,20 +100,3 @@ class TestExtractNetwork:
         loops = extract_network(t, 1.0, ["a", "b"], include_self_loops=True).edges
         assert {(e.source, e.target) for e in loops} == {("a", "a"), ("b", "b")}
 
-
-class TestCausalDiagram:
-    def _result(self, cid, m, n, group):
-        return AnalysisResult(cid, 0.0, 0.0, m, n, 0.0, 0.0, 1, group)
-
-    def test_points_mirror_results(self):
-        results = [
-            self._result("I1", 7.0448, 0.1821, "cause"),
-            self._result("E1", 6.0262, -0.3539, "effect"),
-        ]
-        pts = causal_diagram(results)
-        assert pts[0] == CausalPoint("I1", 7.0448, 0.1821, "cause")
-        assert pts[1] == CausalPoint("E1", 6.0262, -0.3539, "effect")
-
-    def test_neutral_points_on_axis(self):
-        pts = causal_diagram([self._result(f"C{i}", 1.0 + i, 0.0, "neutral") for i in range(3)])
-        assert all(p.relation == 0.0 for p in pts)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rdematel import crisp as crisp_mod
 from rdematel.errors import (
@@ -15,9 +18,9 @@ from rdematel.pipeline import (
     ExpertMatrix,
     RoughMatrix,
     RoughScores,
+    Scale,
     analyze_rough,
     classify,
-    collect_group,
     normalize_rough,
     prominence_relation,
     rough_group_matrix,
@@ -25,6 +28,7 @@ from rdematel.pipeline import (
     rough_total_relation,
     weights,
 )
+from rdematel.rough import JudgmentSet, average_rough, rough_bounds
 
 RNG = np.random.default_rng(7121)
 
@@ -44,37 +48,38 @@ def paper_group():
     return load_study_bundle().rough_group
 
 
-class TestCollectGroup:
-    def test_pools_judgments(self):
-        a = ExpertMatrix("a", np.array([[0, 2], [1, 0]]))
-        b = ExpertMatrix("b", np.array([[0, 4], [3, 0]]))
-        g = collect_group([a, b])
-        assert g.cells[0][1].values == (2, 4)
-        assert g.cells[1][0].values == (1, 3)
-        assert g.cells[0][0].values == (0,)
+def oracle_group_matrix(experts):
+    """Per-cell JudgmentSet / rough_bounds / average_rough enumeration of the group matrix."""
+    n = experts[0].n
+    lower, upper = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                js = JudgmentSet(tuple(int(e.values[i, j]) for e in experts))
+                avg = average_rough([rough_bounds(js, k) for k in js])
+                lower[i, j], upper[i, j] = avg.lower, avg.upper
+    return lower, upper
 
-    def test_identical_experts_constant_cells(self):
-        e = random_expert("e", 4)
-        g = collect_group([ExpertMatrix(str(i), e.values) for i in range(5)])
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    assert g.cells[i][j].values == (int(e.values[i, j]),) * 5
 
-    def test_single_expert_rejected(self):
-        with pytest.raises(InsufficientExpertsError):
-            collect_group([random_expert("only", 3)])
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            collect_group([random_expert("a", 3), random_expert("b", 4)])
+@st.composite
+def expert_panels(draw):
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(2, 25))
+    lo = draw(st.integers(0, 5))
+    hi = draw(st.integers(lo + 1, 9))
+    # off-diagonal judgments on lo..hi (e.g. 1..9); the scale must still hold the zero diagonal
+    grids = draw(hnp.arrays(np.int64, (m, n, n), elements=st.integers(lo, hi)))
+    grids[:, np.arange(n), np.arange(n)] = 0
+    order = draw(st.permutations(range(m)))
+    experts = [ExpertMatrix(str(k), grids[k], Scale(0, hi)) for k in range(m)]
+    return experts, [experts[k] for k in order]
 
 
 class TestRoughGroupMatrix:
     def test_two_judgment_cell(self):
         a = ExpertMatrix("a", np.array([[0, 2], [1, 0]]))
         b = ExpertMatrix("b", np.array([[0, 4], [1, 0]]))
-        r = rough_group_matrix(collect_group([a, b]))
+        r = rough_group_matrix([a, b])
         # {2,4}: judgment 2 -> [2,3], judgment 4 -> [3,4]; averaged [2.5, 3.5]
         assert r.lower[0, 1] == pytest.approx(2.5)
         assert r.upper[0, 1] == pytest.approx(3.5)
@@ -82,12 +87,31 @@ class TestRoughGroupMatrix:
 
     def test_unanimous_cell_collapses(self):
         mats = [ExpertMatrix(str(k), np.array([[0, 3], [2, 0]])) for k in range(3)]
-        r = rough_group_matrix(collect_group(mats))
+        r = rough_group_matrix(mats)
         assert np.array_equal(r.lower, r.upper)
 
     def test_diagonal_is_point_zero(self):
-        r = rough_group_matrix(collect_group(random_expert_panel(5, 4)))
+        r = rough_group_matrix(random_expert_panel(5, 4))
         assert not np.diag(r.lower).any() and not np.diag(r.upper).any()
+
+    def test_single_expert_rejected(self):
+        with pytest.raises(InsufficientExpertsError):
+            rough_group_matrix([random_expert("only", 3)])
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            rough_group_matrix([random_expert("a", 3), random_expert("b", 4)])
+
+    @settings(deadline=None)
+    @given(expert_panels())
+    def test_matches_per_cell_oracle_in_any_expert_order(self, panel):
+        experts, shuffled = panel
+        r = rough_group_matrix(experts)
+        lower, upper = oracle_group_matrix(experts)
+        assert np.abs(r.lower - lower).max() <= 1e-12
+        assert np.abs(r.upper - upper).max() <= 1e-12
+        again = rough_group_matrix(shuffled)
+        assert np.array_equal(r.lower, again.lower) and np.array_equal(r.upper, again.upper)
 
 
 class TestNormalizeRough:
@@ -263,8 +287,6 @@ class TestAnalyzeRough:
         dup = experts + [ExpertMatrix("dup", experts[0].values)]
         a2 = analyze_rough(crit, expert_matrices=dup)
         # group bounds must equal the enumeration over the enlarged multiset
-        from rdematel.rough import JudgmentSet, average_rough, rough_bounds
-
         vals = tuple(int(e.values[0, 1]) for e in dup)
         js = JudgmentSet(vals)
         expected = average_rough([rough_bounds(js, k) for k in js])

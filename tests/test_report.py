@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -48,6 +50,22 @@ class TestResultTables:
         assert render_report_json(fixture_report) == render_report_json(again)
         assert render_graph_dot(fixture_report.network) == render_graph_dot(again.network)
 
+    def test_csv_quotes_ids_with_delimiters(self, fixture_report):
+        ids = ['B,y', 'A"x', "plain"] + [r.criterion_id for r in fixture_report.results[3:]]
+        results = [dataclasses.replace(r, criterion_id=cid) for r, cid in zip(fixture_report.results, ids)]
+        data = render_results_csv(dataclasses.replace(fixture_report, results=results)).decode()
+        assert '"B,y",' in data and '"A""x",' in data
+        rows = list(csv.DictReader(io.StringIO(data)))
+        assert [r["criterion"] for r in rows] == ids
+        assert [r["group"] for r in rows] == [r.group for r in results]
+
+    def test_causal_points_mirror_results(self, fixture_report):
+        doc = json.loads(render_report_json(fixture_report))
+        assert doc["causal_points"] == [
+            {"criterion": r.criterion_id, "prominence": r.prominence, "relation": r.relation, "group": r.group}
+            for r in fixture_report.results
+        ]
+
     def test_config_echo_is_complete(self, fixture_report):
         echo = fixture_report.config
         for key in ("tau_strategy", "tau", "crispify_mode", "threshold_mode", "threshold_k", "threshold_q"):
@@ -72,6 +90,12 @@ class TestGraphDot:
         dot = render_graph_dot(net).decode()
         assert dot.count("->") == 1
         assert '"a" -> "b" [weight=1.000000];' in dot
+
+    def test_quotes_and_backslashes_escaped(self):
+        net = InfluenceNetwork(('A"x', "b\\c"), (Edge('A"x', "b\\c", 1.0),), 0.5)
+        dot = render_graph_dot(net).decode()
+        assert '  "A\\"x";' in dot and '  "b\\\\c";' in dot
+        assert '"A\\"x" -> "b\\\\c" [weight=1.000000];' in dot
 
     def test_sorted_deterministic_order(self):
         e = [Edge("b", "a", 0.2), Edge("a", "b", 0.4)]

@@ -1,26 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rdematel.errors import (
-    DivisionByZeroError,
-    IntervalOrderError,
-    InvalidArgumentError,
-)
+from rdematel.errors import IntervalOrderError, InvalidArgumentError
 from rdematel.rough import (
     JudgmentSet,
     RoughNumber,
     average_rough,
     crisp_convert,
     lower_approximation,
-    rough_add,
     rough_bounds,
-    rough_div,
-    rough_mul,
-    rough_scale,
-    rough_sub,
     upper_approximation,
 )
 
@@ -116,67 +108,30 @@ class TestAverageRough:
             average_rough([])
 
 
-class TestArithmetic:
-    def test_add(self):
-        assert rough_add(RoughNumber(1, 2), RoughNumber(3, 4)) == RoughNumber(4, 6)
-
-    def test_scale(self):
-        assert rough_scale(RoughNumber(1, 3), 2) == RoughNumber(2, 6)
-
-    def test_div(self):
-        assert rough_div(RoughNumber(2, 6), RoughNumber(1, 2)) == RoughNumber(2, 3)
-
-    def test_mul(self):
-        assert rough_mul(RoughNumber(2, 3), RoughNumber(4, 5)) == RoughNumber(8, 15)
-
-    def test_operator_forms(self):
-        assert RoughNumber(1, 2) + RoughNumber(3, 4) == RoughNumber(4, 6)
-        assert 2 * RoughNumber(1, 3) == RoughNumber(2, 6)
-        assert RoughNumber(2, 6) / RoughNumber(1, 2) == RoughNumber(2, 3)
-
-    def test_div_zero_bound(self):
-        with pytest.raises(DivisionByZeroError):
-            rough_div(RoughNumber(1, 2), RoughNumber(0, 2))
-
-    def test_div_mixed_sign_divisor(self):
-        with pytest.raises(InvalidArgumentError):
-            rough_div(RoughNumber(1, 2), RoughNumber(-1, 2))
-
-    def test_order_violation_detected(self):
-        with pytest.raises(IntervalOrderError):
-            rough_sub(RoughNumber(1, 2), RoughNumber(0, 5))
-        with pytest.raises(IntervalOrderError):
-            rough_mul(RoughNumber(-2, 1), RoughNumber(-2, 1))
-
-    def test_reversed_bounds_rejected(self):
-        with pytest.raises(IntervalOrderError):
-            RoughNumber(2, 1)
-
-
 class TestCrispConvert:
     def test_two_intervals(self):
-        out = crisp_convert([RoughNumber(0, 1), RoughNumber(1, 2)])
+        out = crisp_convert([0, 1], [1, 2])
         assert out[0] == pytest.approx(1 / 3, abs=1e-9)
         assert out[1] == pytest.approx(5 / 3, abs=1e-9)
 
     def test_degenerate_envelope(self):
-        out = crisp_convert([RoughNumber(2.5, 2.5), RoughNumber(2.5, 2.5)])
-        assert out == [2.5, 2.5]
+        out = crisp_convert([2.5, 2.5], [2.5, 2.5])
+        assert out.tolist() == [2.5, 2.5]
 
     def test_point_intervals_are_fixed(self):
         # crisping a list of points is the identity, which is what makes the
         # crisp method the degenerate case of the rough pipeline
         pts = [0.5, 1.0, 3.5]
-        out = crisp_convert([RoughNumber(v, v) for v in pts])
+        out = crisp_convert(pts, pts)
         assert out == pytest.approx(pts, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            crisp_convert([])
+            crisp_convert([], [])
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=8))
     def test_point_list_preserves_order(self, vs):
-        out = crisp_convert([RoughNumber(v, v) for v in vs])
+        out = crisp_convert(vs, vs)
         for (a, oa), (b, ob) in zip(zip(vs, out), zip(vs[1:], out[1:])):
             if a < b:
                 assert oa <= ob
@@ -190,15 +145,35 @@ class TestCrispConvert:
         st.randoms(use_true_random=False),
     )
     def test_envelope_and_permutation_equivariance(self, pairs, rng):
-        ivs = [RoughNumber(lo, lo + w) for lo, w in pairs]
-        out = crisp_convert(ivs)
-        lo = min(r.lower for r in ivs)
-        hi = max(r.upper for r in ivs)
-        assert all(lo - 1e-9 <= v <= hi + 1e-9 for v in out)
-        perm = list(range(len(ivs)))
+        lower = np.array([lo for lo, _ in pairs])
+        upper = np.array([lo + w for lo, w in pairs])
+        out = crisp_convert(lower, upper)
+        assert out.tolist() == scalar_crisp_convert(lower.tolist(), upper.tolist())
+        assert np.all((lower.min() - 1e-9 <= out) & (out <= upper.max() + 1e-9))
+        perm = list(range(len(pairs)))
         rng.shuffle(perm)
-        out_p = crisp_convert([ivs[i] for i in perm])
-        assert out_p == pytest.approx([out[i] for i in perm], abs=1e-12)
+        out_p = crisp_convert(lower[perm], upper[perm])
+        assert out_p == pytest.approx(out[perm], abs=1e-12)
+
+
+def scalar_crisp_convert(lower, upper):
+    """The conversion one interval at a time in plain floats, as a reference."""
+    lo, hi = min(lower), max(upper)
+    span = hi - lo
+    if span == 0.0:
+        return [lo] * len(lower)
+    out = []
+    for a, b in zip(lower, upper):
+        nl, nu = (a - lo) / span, (b - lo) / span
+        out.append(lo + (nl * (1.0 - nl) + nu * nu) / (1.0 - nl + nu) * span)
+    return out
+
+
+def test_reversed_bounds_rejected():
+    with pytest.raises(IntervalOrderError):
+        RoughNumber(2, 1)
+    with pytest.raises(IntervalOrderError):
+        crisp_convert([0.0, 2.0], [1.0, 1.5])
 
 
 def test_width_and_midpoint():
