@@ -7,7 +7,6 @@ variable; flags take precedence.
 
 from __future__ import annotations
 
-import random
 import sys
 from pathlib import Path
 
@@ -177,26 +176,23 @@ def reproduce_paper(tau_strategy, out_dir):
 @cli.command()
 @click.option("--criteria", "n_criteria", type=int, required=True)
 @click.option("--experts", "n_experts", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_file", default=None, help="Write the bundle here instead of stdout.")
 def synth(n_criteria, n_experts, seed, out_file):
     """Generate a synthetic random study bundle (raw matrices)."""
     if n_criteria < 2 or n_experts < 1:
         click.echo("need at least 2 criteria and 1 expert", err=True)
         sys.exit(2)
-    rng = random.Random(seed)
     scale = pipeline.Scale()
     criteria = [ingest.CriterionMeta(f"C{i + 1}", name=f"Criterion {i + 1}") for i in range(n_criteria)]
     respondents = [ingest.RespondentMeta(f"X{k + 1}") for k in range(n_experts)]
-    matrices = {}
-    for r in respondents:
-        values = np.array(
-            [
-                [0 if i == j else rng.randint(scale.minimum, scale.maximum) for j in range(n_criteria)]
-                for i in range(n_criteria)
-            ]
-        )
-        matrices[r.id] = pipeline.ExpertMatrix(expert_id=r.id, values=values, scale=scale)
+    grids = np.random.default_rng(seed).integers(
+        scale.minimum, scale.maximum, size=(n_experts, n_criteria, n_criteria), endpoint=True
+    )
+    grids[:, range(n_criteria), range(n_criteria)] = 0
+    matrices = {
+        r.id: pipeline.ExpertMatrix(expert_id=r.id, values=g, scale=scale) for r, g in zip(respondents, grids)
+    }
     bundle = ingest.StudyBundle(criteria=criteria, respondents=respondents, scale=scale, matrices=matrices)
     data = ingest.write_bundle(bundle)
     if out_file:

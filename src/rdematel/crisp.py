@@ -7,12 +7,10 @@ produce the same scores.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateInputError,
@@ -21,7 +19,9 @@ from .errors import (
     SingularMatrixError,
 )
 
-PIVOT_TOLERANCE = 1e-12
+# Largest cond(I - D) for which the closure is trusted: beyond it the solve
+# can lose more than half of float64's ~16 significant digits.
+COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -73,23 +73,36 @@ def normalize_crisp(z: np.ndarray) -> np.ndarray:
 
 
 def solve_total_relation(d: np.ndarray) -> np.ndarray:
-    """T = D (I - D)^-1, the closure of direct plus all indirect influence."""
+    """T = D (I - D)^-1, the closure of direct plus all indirect influence.
+
+    For a non-negative D, (I - D)^-1 is the series I + D + D^2 + ... and is
+    non-negative exactly when the spectral radius rho(D) < 1 (Lee, Tzeng et
+    al. 2013, "Revised DEMATEL").  s = min(max row sum, max column sum)
+    bounds rho(D), and for s < 1 it bounds cond(I - D) in the matching norm
+    by (1 + s) / (1 - s); only when that cheap bound fails are rho(D) and
+    cond(I - D) computed.  Raises SingularMatrixError if rho(D) >= 1 or
+    cond(I - D) > COND_LIMIT.
+    """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ShapeError(f"normalized matrix must be square, got shape {d.shape}")
-    eye = np.eye(d.shape[0])
-    with warnings.catch_warnings():
-        # we detect singularity ourselves via the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(eye - d, check_finite=True)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_TOLERANCE:
-        bad = int(pivots.argmin())
-        raise SingularMatrixError(
-            f"(I - D) is singular: pivot {bad} has magnitude {pivots.min():.3e}"
-        )
+    if not np.isfinite(d).all() or (d < 0.0).any():
+        raise InvalidArgumentError("normalized matrix entries must be finite and non-negative")
+    a = np.eye(d.shape[0]) - d
+    s = min(d.sum(axis=1).max(), d.sum(axis=0).max())
+    if not (s < 1.0 and (1.0 + s) / (1.0 - s) <= COND_LIMIT):
+        rho = float(np.abs(np.linalg.eigvals(d)).max())
+        if rho >= 1.0:
+            raise SingularMatrixError(
+                f"spectral radius rho(D) = {rho:.6g} >= 1, so (I - D) has no non-negative inverse"
+            )
+        cond = float(np.linalg.cond(a))
+        if cond > COND_LIMIT:
+            raise SingularMatrixError(
+                f"(I - D) is ill-conditioned: cond = {cond:.3e} > {COND_LIMIT:.0e} (rho(D) = {rho:.6g})"
+            )
     # T = D (I-D)^-1  <=>  (I-D)^T T^T = D^T
-    return scipy.linalg.lu_solve((lu, piv), d.T, trans=1).T
+    return np.linalg.solve(a.T, d.T).T
 
 
 def crisp_scores(t: np.ndarray) -> CrispScores:

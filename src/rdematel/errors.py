@@ -22,7 +22,7 @@ class DegenerateInputError(RDematelError, ValueError):
 
 
 class SingularMatrixError(RDematelError):
-    """(I - D) could not be inverted; carries the offending pivot info."""
+    """The closure of D is undefined or untrustworthy: rho(D) >= 1 or cond(I - D) too large."""
 
 
 class InsufficientExpertsError(RDematelError, ValueError):

@@ -86,13 +86,14 @@ def parse_expert_csv(data: bytes | str, expert_id: str = "expert", scale: Scale 
                 v = int(cell)
             except ValueError:
                 raise ParseError(f"row {i}, column {ids[j]}: non-integer cell {cell!r}") from None
-            if not scale.contains(v):
+            if i - 1 == j:
+                if v != 0:
+                    raise ParseError(f"row {i}, column {ids[j]}: diagonal must be 0, got {v}")
+            elif not scale.contains(v):
                 raise ParseError(
                     f"row {i}, column {ids[j]}: value {v} outside scale "
                     f"{scale.minimum}..{scale.maximum}"
                 )
-            if i - 1 == j and v != 0:
-                raise ParseError(f"row {i}, column {ids[j]}: diagonal must be 0, got {v}")
             values[i - 1, j] = v
     return ExpertMatrix(expert_id=expert_id, values=values, scale=scale)
 
@@ -206,6 +207,12 @@ def _validate_bundle_dict(doc: dict) -> tuple[StudyBundle | None, list[str]]:
             elif not np.isfinite(arr).all():
                 i, j, _ = np.argwhere(~np.isfinite(arr))[0]
                 errors.append(f"rough_group: non-finite bound in cell ({i},{j})")
+            elif (arr < 0).any():
+                i, j, _ = np.argwhere(arr < 0)[0]
+                errors.append(f"rough_group: negative bound in cell ({i},{j})")
+            elif np.diagonal(arr).any():
+                i = np.flatnonzero(np.diagonal(arr).any(axis=0))[0]
+                errors.append(f"rough_group: non-zero diagonal in cell ({i},{i})")
             else:
                 rough_group = RoughMatrix(arr[:, :, 0], arr[:, :, 1])
         except BundleValidationError:

@@ -41,6 +41,8 @@ class Scale:
     maximum: int = 4
 
     def __post_init__(self):
+        if self.minimum < 0:
+            raise InvalidArgumentError("scale minimum must be non-negative")
         if self.minimum >= self.maximum:
             raise InvalidArgumentError("scale minimum must be below maximum")
 
@@ -50,7 +52,11 @@ class Scale:
 
 @dataclass(frozen=True)
 class ExpertMatrix:
-    """One expert's square matrix of integer influence judgments, zero diagonal."""
+    """One expert's square matrix of integer influence judgments, zero diagonal.
+
+    The diagonal is a structural zero, not a judgment, so only the
+    off-diagonal cells must lie on the scale.
+    """
 
     expert_id: str
     values: np.ndarray
@@ -62,7 +68,8 @@ class ExpertMatrix:
             raise ShapeError(f"expert {self.expert_id}: matrix must be square, got {v.shape}")
         if np.any(np.diag(v) != 0):
             raise InvalidArgumentError(f"expert {self.expert_id}: diagonal must be zero")
-        if np.any(v < self.scale.minimum) or np.any(v > self.scale.maximum):
+        off = v[~np.eye(v.shape[0], dtype=bool)]
+        if np.any(off < self.scale.minimum) or np.any(off > self.scale.maximum):
             raise InvalidArgumentError(
                 f"expert {self.expert_id}: judgments must lie in "
                 f"{self.scale.minimum}..{self.scale.maximum}"
@@ -205,15 +212,13 @@ def normalize_rough(r: RoughMatrix, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[
 
 def rough_total_relation(rn: RoughMatrix) -> RoughMatrix:
     """Apply the total-relation closure to the lower and upper bound matrices independently."""
-    try:
-        t_lower = crisp_mod.solve_total_relation(rn.lower)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"lower-bound matrix: {exc}") from exc
-    try:
-        t_upper = crisp_mod.solve_total_relation(rn.upper)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"upper-bound matrix: {exc}") from exc
-    return RoughMatrix(t_lower, t_upper)
+    totals = []
+    for bound in ("lower", "upper"):
+        try:
+            totals.append(crisp_mod.solve_total_relation(getattr(rn, bound)))
+        except (InvalidArgumentError, SingularMatrixError) as exc:
+            raise type(exc)(f"{bound}-bound matrix: {exc}") from exc
+    return RoughMatrix(*totals)
 
 
 def rough_sums(t: RoughMatrix, joint_envelope: bool = False) -> RoughScores:

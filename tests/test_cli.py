@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import rdematel
 from rdematel.cli import cli
 from rdematel.fixtures import _read
+from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, parse_expert_csv, write_bundle
+from rdematel.pipeline import Scale
 
 import pytest
 
@@ -107,6 +114,39 @@ class TestAnalyze:
         assert result.exit_code == 2
 
 
+    def test_unit_radius_closure_exits_2_naming_bound(self, runner, tmp_path):
+        # a unanimous all-4 panel: under max-upper-sum every row of D sums to 1, so rho(D) = 1
+        grid = [[0 if i == j else 4 for j in range(3)] for i in range(3)]
+        doc = {
+            "criteria": [{"id": c} for c in "ABC"],
+            "respondents": [{"id": "r1"}, {"id": "r2"}],
+            "matrices": {"r1": grid, "r2": grid},
+        }
+        p = tmp_path / "unanimous.json"
+        p.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["analyze", str(p), "--tau", "max-upper-sum", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output.startswith("analysis error: lower-bound matrix: ")
+        assert "rho(D) = 1" in result.output
+
+    def test_scale_above_zero_study_via_csv_and_bundle(self, runner, tmp_path):
+        scale = Scale(1, 9)
+        csvs = [",A,B,C\nA,0,9,1\nB,2,0,5\nC,7,3,0\n", ",A,B,C\nA,0,8,2\nB,1,0,5\nC,9,4,0\n"]
+        matrices = {f"r{k}": parse_expert_csv(text, f"r{k}", scale) for k, text in enumerate(csvs)}
+        bundle = StudyBundle(
+            criteria=[CriterionMeta(c) for c in "ABC"],
+            respondents=[RespondentMeta(rid) for rid in matrices],
+            scale=scale,
+            matrices=matrices,
+        )
+        p = tmp_path / "scale19.json"
+        p.write_bytes(write_bundle(bundle))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["analyze", str(p), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "report.json").read_text())["results"][0]["criterion"] == "A"
+
+
 class TestGraph:
     def test_dot_on_stdout(self, runner, bundle_path):
         result = runner.invoke(cli, ["graph", bundle_path])
@@ -143,9 +183,21 @@ class TestSynth:
         out = tmp_path / "out"
         assert runner.invoke(cli, ["analyze", str(p), "--out", str(out)]).exit_code == 0
 
+    def test_negative_seed_rejected(self, runner):
+        result = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "-1"])
+        assert result.exit_code == 2
+
     def test_seed_determinism(self, runner):
         r1 = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "42"])
         r2 = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "42"])
         r3 = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "43"])
         assert r1.output == r2.output
         assert r1.output != r3.output
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(rdematel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, rdematel.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rdematel.crisp import (
+    COND_LIMIT,
     average_expert_matrices,
     crisp_scores,
     normalize_crisp,
@@ -97,6 +101,41 @@ class TestTotalRelation:
         # spectral radius exactly 1
         with pytest.raises(SingularMatrixError):
             solve_total_relation(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_near_singular_rejected(self):
+        # rho(D) = 1 - 1e-10 < 1, but cond(I - D) is about 2e10
+        with pytest.raises(SingularMatrixError, match=r"cond = 2\.0+e\+10.*rho\(D\) = 1"):
+            solve_total_relation((1 - 1e-10) * np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_nilpotent_near_unit_sums_solves(self):
+        # row and column sums near 1 fail the cheap bound, yet rho(D) = 0 and D^2 = 0, so T = D
+        d = np.array([[0.0, 1 - 1e-10], [0.0, 0.0]])
+        assert np.array_equal(solve_total_relation(d), d)
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_negative_or_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="finite and non-negative"):
+            solve_total_relation(np.array([[0.0, bad], [0.5, 0.0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(float, st.integers(1, 6).map(lambda n: (n, n)), elements=st.floats(0, 1)),
+        st.floats(0, 0.99),
+    )
+    def test_matches_neumann_oracle_below_unit_radius(self, raw, radius):
+        rho = np.abs(np.linalg.eigvals(raw)).max()
+        d = raw * (radius / rho) if rho > radius else raw
+        cond = np.linalg.cond(np.eye(d.shape[0]) - d)
+        try:
+            t = solve_total_relation(d)
+        except SingularMatrixError:
+            assert cond > COND_LIMIT  # below unit radius, only ill-conditioning is rejected
+            return
+        oracle = neumann_series(d)
+        # forward error of the solve grows with cond(I - D); T >= 0 holds up to that rounding
+        tol = 1e-11 * cond * max(1.0, oracle.max())
+        assert np.abs(t - oracle).max() <= tol
+        assert t.min() >= -tol
 
     @pytest.mark.parametrize("trial", range(10))
     def test_neumann_equivalence_random(self, trial):

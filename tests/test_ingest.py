@@ -71,6 +71,12 @@ class TestExpertCsv:
         m = parse_expert_csv(",A,B\nA,0,9\nB,2,0\n", scale=Scale(0, 9))
         assert m.values[0, 1] == 9
 
+    def test_scale_above_zero_checks_only_off_diagonal(self):
+        m = parse_expert_csv(",A,B\nA,0,9\nB,1,0\n", scale=Scale(1, 9))
+        assert m.values.tolist() == [[0, 9], [1, 0]]
+        with pytest.raises(ParseError, match="row 2, column A: value 0 outside scale 1..9"):
+            parse_expert_csv(",A,B\nA,0,9\nB,0,0\n", scale=Scale(1, 9))
+
 
 class TestBundleParsing:
     def test_reference_fixture_is_aggregate_mode(self):
@@ -146,15 +152,28 @@ class TestBundleParsing:
         assert exc_info.value.errors == [f"matrices[R1]: non-integer cell (C2,C0) {json.dumps(cell)}"]
 
     @pytest.mark.parametrize(
-        "bound, message",
-        [(float("nan"), r"non-finite bound in cell \(1,2\)"), ("0.5", "bounds must be numbers")],
-        ids=["nan", "string"],
+        "cell, bound, message",
+        [
+            ((1, 2, 1), float("nan"), r"non-finite bound in cell \(1,2\)"),
+            ((1, 2, 1), "0.5", "bounds must be numbers"),
+            ((1, 2, 0), -0.1, r"negative bound in cell \(1,2\)"),
+            ((3, 3, 1), 0.1, r"non-zero diagonal in cell \(3,3\)"),
+        ],
+        ids=["nan", "string", "negative", "diagonal"],
     )
-    def test_bad_rough_bound_rejected(self, bound, message):
+    def test_bad_rough_bound_rejected(self, cell, bound, message):
         doc = json.loads(write_bundle(load_study_bundle()))
-        doc["rough_group"][1][2][1] = bound
+        i, j, k = cell
+        doc["rough_group"][i][j][k] = bound
         with pytest.raises(BundleValidationError, match=message):
             parse_study_bundle(json.dumps(doc))
+
+    def test_negative_scale_minimum_rejected(self):
+        doc = json.loads(write_bundle(make_raw_bundle()))
+        doc["scale"]["min"] = -1
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == ["scale: scale minimum must be non-negative"]
 
     def test_validation_is_total(self):
         # any bytes give either a bundle or a diagnostic list, never a crash

@@ -10,6 +10,7 @@ from rdematel.errors import (
     InsufficientExpertsError,
     InvalidArgumentError,
     ShapeError,
+    SingularMatrixError,
 )
 from rdematel.fixtures import load_study_bundle
 from rdematel.pipeline import (
@@ -67,12 +68,24 @@ def expert_panels(draw):
     m = draw(st.integers(2, 25))
     lo = draw(st.integers(0, 5))
     hi = draw(st.integers(lo + 1, 9))
-    # off-diagonal judgments on lo..hi (e.g. 1..9); the scale must still hold the zero diagonal
+    # off-diagonal judgments on lo..hi (e.g. 1..9) around the structural-zero diagonal
     grids = draw(hnp.arrays(np.int64, (m, n, n), elements=st.integers(lo, hi)))
     grids[:, np.arange(n), np.arange(n)] = 0
     order = draw(st.permutations(range(m)))
-    experts = [ExpertMatrix(str(k), grids[k], Scale(0, hi)) for k in range(m)]
+    experts = [ExpertMatrix(str(k), grids[k], Scale(lo, hi)) for k in range(m)]
     return experts, [experts[k] for k in order]
+
+
+class TestScaleAndExpertMatrix:
+    def test_negative_scale_minimum_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="non-negative"):
+            Scale(-1, 4)
+
+    def test_scale_above_zero_keeps_structural_zero_diagonal(self):
+        e = ExpertMatrix("e", np.array([[0, 9], [1, 0]]), Scale(1, 9))
+        assert e.values.tolist() == [[0, 9], [1, 0]]
+        with pytest.raises(InvalidArgumentError, match="1..9"):
+            ExpertMatrix("e", np.array([[0, 0], [1, 0]]), Scale(1, 9))
 
 
 class TestRoughGroupMatrix:
@@ -165,6 +178,16 @@ class TestRoughTotalRelation:
         normalized, _ = normalize_rough(paper_group)
         t = rough_total_relation(normalized)
         assert np.all(t.lower <= t.upper + 1e-12)
+
+    def test_near_singular_bound_named(self):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(SingularMatrixError, match=r"^upper-bound matrix: .*rho\(D\)"):
+            rough_total_relation(RoughMatrix(0.5 * swap, (1 - 1e-10) * swap))
+
+    def test_negative_bound_named(self):
+        lower = np.array([[0.0, -0.1], [0.2, 0.0]])
+        with pytest.raises(InvalidArgumentError, match="^lower-bound matrix: .*non-negative"):
+            rough_total_relation(RoughMatrix(lower, np.abs(lower)))
 
     def test_paper_anchor(self, paper_group):
         normalized, _ = normalize_rough(paper_group, TAU_MAX_TOTAL_SUM)
@@ -299,6 +322,14 @@ class TestAnalyzeRough:
         a = analyze_rough([f"C{i}" for i in range(6)], expert_matrices=experts)
         for m in (a.group_matrix, a.normalized, a.total):
             assert np.all(m.lower <= m.upper + 1e-12)
+
+    def test_unanimous_panel_at_unit_row_sums_rejected(self):
+        # every row of D sums to 1 under max-upper-sum, so rho(D) = 1 and (I - D) is singular
+        grid = np.full((4, 4), 4)
+        np.fill_diagonal(grid, 0)
+        experts = [ExpertMatrix(str(k), grid) for k in range(3)]
+        with pytest.raises(SingularMatrixError, match=r"^lower-bound matrix: .*rho\(D\) = 1"):
+            analyze_rough(list("ABCD"), expert_matrices=experts, tau_strategy=TAU_MAX_UPPER_SUM)
 
     def test_one_criterion_rejected(self):
         with pytest.raises(InvalidArgumentError):
