@@ -7,6 +7,7 @@ variable; flags take precedence.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -39,12 +40,22 @@ def _parse_threshold(spec: str) -> tuple[str, float, float | None]:
     """'mean-sigma:<k>' or 'fixed:<q>' -> (mode, k, fixed_q)."""
     mode, _, value = spec.partition(":")
     if mode == "mean-sigma":
-        return net_mod.THRESHOLD_MEAN_SIGMA, float(value) if value else 1.0, None
+        return net_mod.THRESHOLD_MEAN_SIGMA, _finite(spec, value) if value else 1.0, None
     if mode == "fixed":
         if not value:
             raise click.BadParameter("fixed threshold needs a value, e.g. fixed:0.5")
-        return net_mod.THRESHOLD_FIXED, 1.0, float(value)
+        return net_mod.THRESHOLD_FIXED, 1.0, _finite(spec, value)
     raise click.BadParameter(f"unknown threshold spec {spec!r}; use mean-sigma:<k> or fixed:<q>")
+
+
+def _finite(spec: str, value: str) -> float:
+    try:
+        x = float(value)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise click.BadParameter(f"threshold spec {spec!r}: {value!r} is not a finite number")
+    return x
 
 
 def _load_bundle(path: str) -> ingest.StudyBundle:

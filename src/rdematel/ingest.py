@@ -273,5 +273,5 @@ def write_bundle(bundle: StudyBundle) -> bytes:
     if bundle.matrices is not None:
         doc["matrices"] = {rid: m.values.tolist() for rid, m in bundle.matrices.items()}
     if bundle.rough_group is not None:
-        doc["rough_group"] = bundle.rough_group.tolist()
+        doc["rough_group"] = bundle.rough_group.stacked().tolist()
     return (json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False) + "\n").encode("utf-8")

@@ -87,14 +87,17 @@ def extract_network(
     criteria: Sequence[str],
     include_self_loops: bool = False,
 ) -> InfluenceNetwork:
-    """Keep edges (i -> j) with strength >= q; isolated nodes stay in the node list."""
+    """Keep edges (i -> j) with strength >= q; isolated nodes stay in the node list.
+
+    Edges come in row-major (source, target) order.
+    """
     tstar = np.asarray(tstar, dtype=float)
-    n = tstar.shape[0]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j and not include_self_loops:
-                continue
-            if tstar[i, j] >= q:
-                edges.append(Edge(criteria[i], criteria[j], float(tstar[i, j])))
-    return InfluenceNetwork(tuple(criteria), tuple(edges), float(q))
+    keep = tstar >= q
+    if not include_self_loops:
+        np.fill_diagonal(keep, False)
+    rows, cols = np.nonzero(keep)
+    edges = tuple(
+        Edge(criteria[i], criteria[j], s)
+        for i, j, s in zip(rows.tolist(), cols.tolist(), tstar[rows, cols].tolist())
+    )
+    return InfluenceNetwork(tuple(criteria), edges, float(q))

@@ -107,9 +107,9 @@ class RoughMatrix:
     def midpoint(self) -> np.ndarray:
         return (self.lower + self.upper) / 2.0
 
-    def tolist(self) -> list:
-        """The grid as nested ``[lower, upper]`` pairs, its JSON form in bundles and reports."""
-        return np.stack([self.lower, self.upper], axis=-1).tolist()
+    def stacked(self) -> np.ndarray:
+        """The grid as an (n, n, 2) array of ``[lower, upper]`` pairs, its JSON form in bundles and reports."""
+        return np.stack([self.lower, self.upper], axis=-1)
 
 
 @dataclass(frozen=True)

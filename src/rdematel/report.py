@@ -129,8 +129,23 @@ def render_results_csv(report: AnalysisReport) -> bytes:
 
 
 def render_report_json(report: AnalysisReport) -> bytes:
-    """Full-precision structured form of the whole report."""
+    """Full-precision structured form of the whole report.
+
+    The bytes are exactly those of ``json.dumps(doc, indent=2) + "\n"``.
+    Any ``indent`` sends every value through the stdlib's pure-Python
+    encoder and holds each chunk until the end, which for the four n x n
+    grids (280k floats at n = 200) cost ~1 s and a ~60 MB transient.  So
+    the grids are rendered by joining float reprs (``_json_grid``), every
+    other value by ``json.dumps`` re-indented one level, and the
+    ``"key": value`` parts are joined into the document.
+    """
     a = report.analysis
+    grids = {
+        "rough_group": a.group_matrix.stacked(),
+        "normalized": a.normalized.stacked(),
+        "total": a.total.stacked(),
+        "tstar": report.tstar,
+    }
     doc = {
         "config": report.config,
         "criteria": report.criteria,
@@ -148,10 +163,7 @@ def render_report_json(report: AnalysisReport) -> bytes:
             }
             for r in report.results
         ],
-        "rough_group": a.group_matrix.tolist(),
-        "normalized": a.normalized.tolist(),
-        "total": a.total.tolist(),
-        "tstar": report.tstar.tolist(),
+        **grids,
         "network": {
             "threshold": report.network.threshold,
             "nodes": list(report.network.nodes),
@@ -168,7 +180,30 @@ def render_report_json(report: AnalysisReport) -> bytes:
         # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
         "deviations": [vars(d) for d in report.deviations],
     }
-    return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode("utf-8")
+    # JSON escapes newlines inside strings, so every "\n" in a dumped value is layout
+    parts = [
+        f'  {json.dumps(key)}: '
+        + (_json_grid(value, 1) if key in grids else json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in doc.items()
+    ]
+    return ("{\n" + ",\n".join(parts) + "\n}\n").encode("utf-8")
+
+
+def _json_grid(a: np.ndarray, level: int) -> str:
+    """``json.dumps(a.tolist(), indent=2)`` for a finite float array, opened at indent ``level``.
+
+    The reprs are joined innermost axis first; each axis has one separator
+    and one closing bracket, so no per-element encoder call is made.
+    """
+    if not np.isfinite(a).all():
+        raise InvalidArgumentError("report grids must be finite")
+    parts = list(map(float.__repr__, a.ravel().tolist()))
+    for depth in range(a.ndim, 0, -1):
+        width = a.shape[depth - 1]
+        pad = "\n" + "  " * (level + depth)
+        head, sep, tail = "[" + pad, "," + pad, "\n" + "  " * (level + depth - 1) + "]"
+        parts = [head + sep.join(parts[k:k + width]) + tail for k in range(0, len(parts), width)]
+    return parts[0]
 
 
 def render_graph_dot(network: InfluenceNetwork) -> bytes:

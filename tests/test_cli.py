@@ -5,12 +5,15 @@ import sys
 from pathlib import Path
 
 from click.testing import CliRunner
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import rdematel
 from rdematel.cli import cli
 from rdematel.fixtures import _read
 from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, parse_expert_csv, write_bundle
-from rdematel.pipeline import Scale
+from rdematel.network import CRISPIFY_MODES
+from rdematel.pipeline import TAU_STRATEGIES, Scale
 
 import pytest
 
@@ -158,6 +161,12 @@ class TestGraph:
         assert result.exit_code == 0
         assert "->" not in result.output
 
+    @pytest.mark.parametrize("spec", ["mean-sigma:abc", "fixed:abc", "fixed:nan", "mean-sigma:inf"])
+    def test_malformed_threshold_value_is_a_usage_error(self, runner, bundle_path, spec):
+        result = runner.invoke(cli, ["graph", bundle_path, "--threshold", spec])
+        assert result.exit_code == 2
+        assert "threshold spec" in result.output
+
 
 class TestReproducePaper:
     def test_default_run_passes(self, runner, tmp_path):
@@ -193,6 +202,31 @@ class TestSynth:
         r3 = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "43"])
         assert r1.output == r2.output
         assert r1.output != r3.output
+
+
+numbers = st.one_of(st.floats(), st.integers(-10, 10)).map(str)
+option_values = {
+    "--tau": st.sampled_from(TAU_STRATEGIES) | st.text(max_size=8),
+    "--crispify": st.sampled_from(CRISPIFY_MODES) | st.text(max_size=8),
+    "--threshold": st.one_of(
+        st.tuples(st.sampled_from(["mean-sigma:", "fixed:"]), numbers | st.text(max_size=6)).map("".join),
+        st.text(max_size=12),
+    ),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({}, optional=option_values))
+def test_analyze_exit_code_is_always_0_2_or_3(tmp_path_factory, options):
+    bundle = tmp_path_factory.getbasetemp() / "fbsc_study.json"
+    if not bundle.exists():
+        bundle.write_bytes(_read("fbsc_study.json"))
+    args = ["analyze", str(bundle), "--out", str(tmp_path_factory.mktemp("out"))]
+    for flag, value in options.items():
+        args += [flag, value]
+    result = CliRunner().invoke(cli, args)
+    event(f"exit {result.exit_code}")
+    assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)
 
 
 def test_cli_import_loads_no_scipy():

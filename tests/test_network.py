@@ -2,10 +2,20 @@ import numpy as np
 import pytest
 
 from rdematel.errors import InvalidArgumentError
-from rdematel.network import crispify_total, extract_network, threshold
+from rdematel.network import Edge, InfluenceNetwork, crispify_total, extract_network, threshold
 from rdematel.pipeline import RoughMatrix
 
 RNG = np.random.default_rng(99)
+
+
+def loop_network(tstar, q, criteria, include_self_loops=False):
+    """The cell-by-cell form of extract_network, kept as its reference."""
+    edges = []
+    for i in range(tstar.shape[0]):
+        for j in range(tstar.shape[0]):
+            if (i != j or include_self_loops) and tstar[i, j] >= q:
+                edges.append(Edge(criteria[i], criteria[j], float(tstar[i, j])))
+    return InfluenceNetwork(tuple(criteria), tuple(edges), float(q))
 
 
 def rough(lower, upper):
@@ -100,3 +110,13 @@ class TestExtractNetwork:
         loops = extract_network(t, 1.0, ["a", "b"], include_self_loops=True).edges
         assert {(e.source, e.target) for e in loops} == {("a", "a"), ("b", "b")}
 
+
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_matches_loop_form(self, self_loops):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 8, 40):
+            t = rng.random((n, n))
+            t[rng.random((n, n)) < 0.2] = 0.5  # cells exactly at a threshold
+            ids = [f"C{i}" for i in range(n)]
+            for q in (0.0, 0.5, float(np.median(t)), 2.0):
+                assert extract_network(t, q, ids, self_loops) == loop_network(t, q, ids, self_loops)

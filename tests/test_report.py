@@ -5,15 +5,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
-from rdematel.network import Edge, InfluenceNetwork
-from rdematel.pipeline import TAU_MAX_UPPER_SUM
+from rdematel.ingest import parse_study_bundle
+from rdematel.network import CRISPIFY_MODES, Edge, InfluenceNetwork
+from rdematel.pipeline import TAU_MAX_UPPER_SUM, TAU_STRATEGIES
 from rdematel.report import (
     FAIL,
     NOT_COMPARABLE,
     PASS,
     AnalysisConfig,
+    _json_grid,
     deviation_ledger,
     ledger_passes,
     render_deviations_csv,
@@ -142,3 +148,164 @@ class TestDeviationLedger:
         rows = list(csv.DictReader(io.StringIO(data.decode())))
         assert len(rows) == len(entries)
         assert rows[0]["status"] in (PASS, FAIL, NOT_COMPARABLE)
+
+
+def oracle_report_json(report):
+    """The whole report through the stdlib's indent=2 encoder, grids built with .tolist()."""
+    a = report.analysis
+    doc = {
+        "config": report.config,
+        "criteria": report.criteria,
+        "results": [
+            {
+                "criterion": r.criterion_id,
+                "x": r.x,
+                "y": r.y,
+                "prominence": r.prominence,
+                "relation": r.relation,
+                "omega": r.omega,
+                "weight": r.weight,
+                "rank": r.rank,
+                "group": r.group,
+            }
+            for r in report.results
+        ],
+        "rough_group": np.stack([a.group_matrix.lower, a.group_matrix.upper], axis=-1).tolist(),
+        "normalized": np.stack([a.normalized.lower, a.normalized.upper], axis=-1).tolist(),
+        "total": np.stack([a.total.lower, a.total.upper], axis=-1).tolist(),
+        "tstar": report.tstar.tolist(),
+        "network": {
+            "threshold": report.network.threshold,
+            "nodes": list(report.network.nodes),
+            "edges": [
+                {"source": e.source, "target": e.target, "strength": e.strength}
+                for e in report.network.edges
+            ],
+        },
+        "causal_points": [
+            {"criterion": r.criterion_id, "prominence": r.prominence, "relation": r.relation, "group": r.group}
+            for r in report.results
+        ],
+        "deviations": [dataclasses.asdict(d) for d in report.deviations],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def wrapped(body, depth):
+    """``body`` as it sits inside ``depth`` one-element lists rendered with indent=2."""
+    for d in range(depth - 1, -1, -1):
+        body = "[\n" + "  " * (d + 1) + body + "\n" + "  " * d + "]"
+    return body
+
+
+grid_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.0, 2.0, -3.0, 1e22, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestReportJsonLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4), elements=grid_floats),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_grid_matches_encoder(self, a, level):
+        assert wrapped(_json_grid(a, level), level) == json.dumps(nested(a.tolist(), level), indent=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            _json_grid(np.array([[0.0, bad], [1.0, 0.0]]), 1)
+
+    def test_bundled_study_with_ledger_matches_encoder(self, fixture_report):
+        rep = dataclasses.replace(
+            fixture_report, deviations=deviation_ledger(fixture_report.analysis, load_reference_tables())
+        )
+        assert render_report_json(rep) == oracle_report_json(rep)
+
+    def test_escaped_ids_match_encoder(self):
+        ids = ['q"uote', "back\\slash", "\u00e9t\u00e9 \u2192", "new\nline", "tab\tend"]
+        grids = np.random.default_rng(3).integers(0, 5, size=(3, 5, 5))
+        grids[:, range(5), range(5)] = 0
+        doc = {
+            "criteria": [{"id": cid} for cid in ids],
+            "respondents": [{"id": f"r{k}"} for k in range(3)],
+            "matrices": {f"r{k}": g.tolist() for k, g in enumerate(grids)},
+        }
+        rep = run_analysis(parse_study_bundle(json.dumps(doc)), AnalysisConfig(threshold_k=0.0))
+        assert rep.network.edges
+        assert render_report_json(rep) == oracle_report_json(rep)
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 10), st.floats(), st.text(max_size=3))
+
+
+@st.composite
+def json_bundles(draw):
+    """Bundle documents of up to 6 criteria: half well-formed, half with stray values anywhere."""
+    dirty = draw(st.booleans())
+    if dirty:
+        n, m, lo = draw(st.integers(0, 6)), draw(st.integers(0, 4)), draw(st.integers(-1, 2))
+        hi = draw(st.integers(lo - 1, lo + 9))
+        ids = [draw(st.text(max_size=4) | json_scalars) for _ in range(n)]
+    else:
+        n, m, lo = draw(st.integers(2, 6)), draw(st.integers(2, 4)), draw(st.integers(0, 2))
+        hi = draw(st.integers(lo + 1, lo + 9))
+        ids = [draw(st.text(max_size=3)) + f"#{i}" for i in range(n)]
+    doc = {
+        "scale": {"min": lo, "max": hi},
+        "criteria": [{"id": cid} for cid in ids],
+        "respondents": [{"id": f"r{k}"} for k in range(m)],
+    }
+    judgment = st.integers(max(lo, 0), max(lo, hi, 0))
+    cell = judgment | json_scalars if dirty else judgment
+    if draw(st.booleans()):
+        doc["matrices"] = {
+            r["id"]: [[0 if i == j else draw(cell) for j in range(n)] for i in range(n)]
+            for r in doc["respondents"]
+        }
+    else:
+        bound = st.floats(0, 1e3) | json_scalars if dirty else st.floats(0, 1e3)
+
+        def pair():
+            p = [draw(bound), draw(bound)]
+            return p if dirty else sorted(p)
+
+        doc["rough_group"] = [[[0, 0] if i == j else pair() for j in range(n)] for i in range(n)]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    json_bundles(),
+    st.sampled_from(TAU_STRATEGIES),
+    st.sampled_from(CRISPIFY_MODES),
+    st.floats(-3, 3),
+)
+def test_bundle_to_artifacts_renders_or_raises_named_error(doc, tau, crispify, k):
+    try:
+        bundle = parse_study_bundle(json.dumps(doc))
+        rep = run_analysis(bundle, AnalysisConfig(tau_strategy=tau, crispify_mode=crispify, threshold_k=k))
+        report_json = render_report_json(rep)
+        results_csv = render_results_csv(rep)
+        dot = render_graph_dot(rep.network)
+    except RDematelError as exc:
+        event(type(exc).__name__)
+        return
+    event("rendered")
+
+    def reject_constant(name):
+        raise AssertionError(f"report.json holds {name}")
+
+    assert json.loads(report_json, parse_constant=reject_constant)["criteria"] == bundle.criterion_ids
+    rows = list(csv.reader(io.StringIO(results_csv.decode("utf-8"), newline="")))
+    assert len(rows) == bundle.n + 1
+    assert [r[0] for r in rows[1:]] == bundle.criterion_ids
+    assert dot.startswith(b"digraph influence {\n") and dot.endswith(b"}\n")
