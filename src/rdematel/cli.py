@@ -36,15 +36,15 @@ def _write_file(path: Path, data: bytes) -> None:
         sys.exit(3)
 
 
-def _parse_threshold(spec: str) -> tuple[str, float, float | None]:
-    """'mean-sigma:<k>' or 'fixed:<q>' -> (mode, k, fixed_q)."""
+def _parse_threshold(spec: str) -> tuple[str, float]:
+    """'mean-sigma:<k>' or 'fixed:<q>' -> (mode, value)."""
     mode, _, value = spec.partition(":")
     if mode == "mean-sigma":
-        return net_mod.THRESHOLD_MEAN_SIGMA, _finite(spec, value) if value else 1.0, None
+        return net_mod.THRESHOLD_MEAN_SIGMA, _finite(spec, value) if value else 1.0
     if mode == "fixed":
         if not value:
             raise click.BadParameter("fixed threshold needs a value, e.g. fixed:0.5")
-        return net_mod.THRESHOLD_FIXED, 1.0, _finite(spec, value)
+        return net_mod.THRESHOLD_FIXED, _finite(spec, value)
     raise click.BadParameter(f"unknown threshold spec {spec!r}; use mean-sigma:<k> or fixed:<q>")
 
 
@@ -101,13 +101,12 @@ def _with_analysis_options(f):
 
 
 def _build_config(tau_strategy, crispify_mode, threshold_spec) -> AnalysisConfig:
-    mode, k, fixed_q = _parse_threshold(threshold_spec)
+    mode, value = _parse_threshold(threshold_spec)
     return AnalysisConfig(
         tau_strategy=tau_strategy,
         crispify_mode=crispify_mode,
         threshold_mode=mode,
-        threshold_k=k,
-        fixed_q=fixed_q,
+        threshold_value=value,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BundleValidationError, ParseError
+from .errors import BundleValidationError, InvalidArgumentError, ParseError
 from .pipeline import ExpertMatrix, RoughMatrix, Scale
 
 CATEGORIES = ("internal", "external", "custom")
@@ -98,18 +98,23 @@ def parse_expert_csv(data: bytes | str, expert_id: str = "expert", scale: Scale 
     return ExpertMatrix(expert_id=expert_id, values=values, scale=scale)
 
 
-def _validate_bundle_dict(doc: dict) -> tuple[StudyBundle | None, list[str]]:
+def _validate_bundle_dict(doc: dict) -> StudyBundle:
+    """Build the bundle, or raise BundleValidationError listing every violation found."""
     errors: list[str] = []
 
     scale_doc = doc.get("scale", {"min": 0, "max": 4})
     if not isinstance(scale_doc, dict):
         errors.append("scale: must be an object with min/max")
         scale_doc = {}
-    try:
-        scale = Scale(int(scale_doc.get("min", 0)), int(scale_doc.get("max", 4)))
-    except Exception as exc:
-        errors.append(f"scale: {exc}")
-        scale = Scale()
+    lo, hi = scale_doc.get("min", 0), scale_doc.get("max", 4)
+    bad = [f"scale.{k}: {json.dumps(v)} is not an integer" for k, v in (("min", lo), ("max", hi)) if type(v) is not int]
+    errors.extend(bad)
+    scale = Scale()
+    if not bad:
+        try:
+            scale = Scale(lo, hi)
+        except InvalidArgumentError as exc:
+            errors.append(f"scale: {exc}")
 
     criteria: list[CriterionMeta] = []
     seen = set()
@@ -196,14 +201,19 @@ def _validate_bundle_dict(doc: dict) -> tuple[StudyBundle | None, list[str]]:
 
     rough_group: RoughMatrix | None = None
     if has_agg:
+        grid = doc["rough_group"]
         try:
-            arr = np.asarray(doc["rough_group"])
+            arr = np.asarray(grid)
             if arr.dtype.kind not in "if":
                 errors.append("rough_group: bounds must be numbers")
             elif arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
                 errors.append("rough_group: must be an n x n grid of [lower, upper] pairs")
             elif n and arr.shape[0] != n:
                 errors.append(f"rough_group: is {arr.shape[0]}x{arr.shape[1]} but {n} criteria given")
+            # numpy reads JSON true/false as 1/0, so bools need a look at the leaves
+            elif bool in (leaf_types := [type(v) for row in grid for pair in row for v in pair]):
+                i, j = divmod(leaf_types.index(bool) // 2, arr.shape[0])
+                errors.append(f"rough_group: boolean bound in cell ({i},{j})")
             elif not np.isfinite(arr).all():
                 i, j, _ = np.argwhere(~np.isfinite(arr))[0]
                 errors.append(f"rough_group: non-finite bound in cell ({i},{j})")
@@ -215,22 +225,17 @@ def _validate_bundle_dict(doc: dict) -> tuple[StudyBundle | None, list[str]]:
                 errors.append(f"rough_group: non-zero diagonal in cell ({i},{i})")
             else:
                 rough_group = RoughMatrix(arr[:, :, 0], arr[:, :, 1])
-        except BundleValidationError:
-            raise
         except Exception as exc:
             errors.append(f"rough_group: {exc}")
 
     if errors:
-        return None, errors
-    return (
-        StudyBundle(
-            criteria=criteria,
-            respondents=respondents,
-            scale=scale,
-            matrices=matrices,
-            rough_group=rough_group,
-        ),
-        [],
+        raise BundleValidationError(errors)
+    return StudyBundle(
+        criteria=criteria,
+        respondents=respondents,
+        scale=scale,
+        matrices=matrices,
+        rough_group=rough_group,
     )
 
 
@@ -248,13 +253,11 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BundleValidationError([f"not valid JSON: {exc}"]) from None
+    except RecursionError:
+        raise BundleValidationError(["not valid JSON: nested too deeply"]) from None
     if not isinstance(doc, dict):
         raise BundleValidationError(["top-level document must be an object"])
-    bundle, errors = _validate_bundle_dict(doc)
-    if errors:
-        raise BundleValidationError(errors)
-    assert bundle is not None
-    return bundle
+    return _validate_bundle_dict(doc)
 
 
 def write_bundle(bundle: StudyBundle) -> bytes:

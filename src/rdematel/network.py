@@ -51,50 +51,34 @@ def crispify_total(t: RoughMatrix, mode: str = CRISPIFY_MIDPOINT) -> np.ndarray:
     raise InvalidArgumentError(f"unknown crispify mode {mode!r}; use one of {CRISPIFY_MODES}")
 
 
-def threshold(
-    tstar: np.ndarray,
-    mode: str = THRESHOLD_MEAN_SIGMA,
-    k: float = 1.0,
-    fixed: float | None = None,
-    include_diagonal: bool = False,
-) -> float:
+def threshold(tstar: np.ndarray, mode: str = THRESHOLD_MEAN_SIGMA, value: float = 1.0) -> float:
     """Significance cutoff q on the crisp influence matrix.
 
-    ``mean-sigma`` uses mean + k * population sigma of the entries
-    (diagonal excluded by default: self-influence is a structural zero).
+    ``mean-sigma`` reads ``value`` as k and returns mean + k * population
+    sigma of the off-diagonal entries (self-influence is a structural
+    zero); ``fixed`` returns ``value`` itself as q.
     """
     tstar = np.asarray(tstar, dtype=float)
     if tstar.shape[0] < 2:
         raise InvalidArgumentError("threshold needs at least two criteria")
     if mode == THRESHOLD_FIXED:
-        if fixed is None:
-            raise InvalidArgumentError("fixed threshold mode requires a q value")
-        if fixed < 0:
-            raise InvalidArgumentError(f"fixed threshold must be non-negative, got {fixed}")
-        return float(fixed)
+        if value < 0:
+            raise InvalidArgumentError(f"fixed threshold must be non-negative, got {value}")
+        return float(value)
     if mode != THRESHOLD_MEAN_SIGMA:
         raise InvalidArgumentError(f"unknown threshold mode {mode!r}")
-    if include_diagonal:
-        entries = tstar.ravel()
-    else:
-        entries = tstar[~np.eye(tstar.shape[0], dtype=bool)]
-    return float(entries.mean() + k * entries.std())
+    entries = tstar[~np.eye(tstar.shape[0], dtype=bool)]
+    return float(entries.mean() + value * entries.std())
 
 
-def extract_network(
-    tstar: np.ndarray,
-    q: float,
-    criteria: Sequence[str],
-    include_self_loops: bool = False,
-) -> InfluenceNetwork:
-    """Keep edges (i -> j) with strength >= q; isolated nodes stay in the node list.
+def extract_network(tstar: np.ndarray, q: float, criteria: Sequence[str]) -> InfluenceNetwork:
+    """Keep edges (i -> j), i != j, with strength >= q; isolated nodes stay in the node list.
 
     Edges come in row-major (source, target) order.
     """
     tstar = np.asarray(tstar, dtype=float)
     keep = tstar >= q
-    if not include_self_loops:
-        np.fill_diagonal(keep, False)
+    np.fill_diagonal(keep, False)
     rows, cols = np.nonzero(keep)
     edges = tuple(
         Edge(criteria[i], criteria[j], s)

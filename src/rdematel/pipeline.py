@@ -194,12 +194,17 @@ def normalization_factor(r: RoughMatrix, strategy: str = TAU_MAX_TOTAL_SUM) -> f
     upper bounds); ``max-total-sum`` (largest row sum of lower plus upper
     bounds) is the variant the reference tables actually satisfy.
     """
-    if strategy == TAU_MAX_UPPER_SUM:
-        tau = float(r.upper.sum(axis=1).max())
-    elif strategy == TAU_MAX_TOTAL_SUM:
-        tau = float((r.lower.sum(axis=1) + r.upper.sum(axis=1)).max())
-    else:
-        raise InvalidArgumentError(f"unknown tau strategy {strategy!r}; use one of {TAU_STRATEGIES}")
+    with np.errstate(over="ignore"):
+        if strategy == TAU_MAX_UPPER_SUM:
+            tau = float(r.upper.sum(axis=1).max())
+        elif strategy == TAU_MAX_TOTAL_SUM:
+            tau = float((r.lower.sum(axis=1) + r.upper.sum(axis=1)).max())
+        else:
+            raise InvalidArgumentError(f"unknown tau strategy {strategy!r}; use one of {TAU_STRATEGIES}")
+    if not np.isfinite(tau):
+        raise DegenerateInputError(
+            f"normalization: tau ({strategy}) is {tau}; the rough group's row sums must be finite"
+        )
     if tau == 0.0:
         raise DegenerateInputError("all-zero rough matrix cannot be normalized")
     return tau
@@ -221,19 +226,11 @@ def rough_total_relation(rn: RoughMatrix) -> RoughMatrix:
     return RoughMatrix(*totals)
 
 
-def rough_sums(t: RoughMatrix, joint_envelope: bool = False) -> RoughScores:
-    """Interval row sums X and column sums Y, crisped per list.
-
-    By default X and Y are each crisped against their own envelope; with
-    ``joint_envelope`` both lists share one envelope (sensitivity option).
-    """
+def rough_sums(t: RoughMatrix) -> RoughScores:
+    """Interval row sums X and column sums Y, each crisped against its own envelope."""
     xl, xu = t.lower.sum(axis=1), t.upper.sum(axis=1)
     yl, yu = t.lower.sum(axis=0), t.upper.sum(axis=0)
-    if joint_envelope:
-        xc, yc = np.split(crisp_convert(np.concatenate([xl, yl]), np.concatenate([xu, yu])), 2)
-    else:
-        xc, yc = crisp_convert(xl, xu), crisp_convert(yl, yu)
-    return RoughScores(xl, xu, yl, yu, xc, yc)
+    return RoughScores(xl, xu, yl, yu, crisp_convert(xl, xu), crisp_convert(yl, yu))
 
 
 def prominence_relation(scores: RoughScores) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +268,6 @@ def analyze_rough(
     expert_matrices: Sequence[ExpertMatrix] | None = None,
     group_matrix: RoughMatrix | None = None,
     tau_strategy: str = TAU_MAX_TOTAL_SUM,
-    joint_envelope: bool = False,
 ) -> RoughAnalysis:
     """Run the full pipeline from either raw expert matrices or a prebuilt rough group matrix."""
     criteria = list(criteria)
@@ -288,7 +284,7 @@ def analyze_rough(
         )
     normalized, tau = normalize_rough(group_matrix, tau_strategy)
     total = rough_total_relation(normalized)
-    scores = rough_sums(total, joint_envelope=joint_envelope)
+    scores = rough_sums(total)
     m, n = prominence_relation(scores)
     omega, w, ranks = weights(m, n)
     labels = classify(n)

@@ -30,13 +30,16 @@ NOT_COMPARABLE = "not-comparable"
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """The choices a study makes: tau strategy, crispify mode and edge cutoff.
+
+    ``threshold_value`` is k for the ``mean-sigma`` threshold mode and q
+    for ``fixed``.
+    """
+
     tau_strategy: str = pipeline.TAU_MAX_TOTAL_SUM
     crispify_mode: str = net_mod.CRISPIFY_MIDPOINT
     threshold_mode: str = net_mod.THRESHOLD_MEAN_SIGMA
-    threshold_k: float = 1.0
-    fixed_q: float | None = None
-    joint_envelope: bool = False
-    include_diagonal: bool = False
+    threshold_value: float = 1.0
 
 
 @dataclass
@@ -65,40 +68,22 @@ class DeviationEntry:
 def run_analysis(bundle: StudyBundle, config: AnalysisConfig = AnalysisConfig()) -> AnalysisReport:
     """Run the rough pipeline on a bundle and package every output."""
     criteria = bundle.criterion_ids
-    if bundle.matrices is not None:
-        experts = [bundle.matrices[r.id] for r in bundle.respondents]
-        analysis = pipeline.analyze_rough(
-            criteria,
-            expert_matrices=experts,
-            tau_strategy=config.tau_strategy,
-            joint_envelope=config.joint_envelope,
-        )
-    else:
-        analysis = pipeline.analyze_rough(
-            criteria,
-            group_matrix=bundle.rough_group,
-            tau_strategy=config.tau_strategy,
-            joint_envelope=config.joint_envelope,
-        )
-    tstar = net_mod.crispify_total(analysis.total, config.crispify_mode)
-    q = net_mod.threshold(
-        tstar,
-        mode=config.threshold_mode,
-        k=config.threshold_k,
-        fixed=config.fixed_q,
-        include_diagonal=config.include_diagonal,
+    analysis = pipeline.analyze_rough(
+        criteria,
+        expert_matrices=None if bundle.matrices is None else [bundle.matrices[r.id] for r in bundle.respondents],
+        group_matrix=bundle.rough_group,
+        tau_strategy=config.tau_strategy,
     )
+    tstar = net_mod.crispify_total(analysis.total, config.crispify_mode)
+    q = net_mod.threshold(tstar, config.threshold_mode, config.threshold_value)
     network = net_mod.extract_network(tstar, q, criteria)
     echo = {
         "tau_strategy": config.tau_strategy,
         "tau": analysis.tau,
         "crispify_mode": config.crispify_mode,
         "threshold_mode": config.threshold_mode,
-        "threshold_k": config.threshold_k,
-        "fixed_q": config.fixed_q,
+        "threshold_value": config.threshold_value,
         "threshold_q": q,
-        "joint_envelope": config.joint_envelope,
-        "include_diagonal": config.include_diagonal,
     }
     return AnalysisReport(
         config=echo,

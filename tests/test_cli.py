@@ -91,6 +91,7 @@ class TestAnalyze:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["tau_strategy"] == "max-upper-sum"
         assert report["config"]["crispify_mode"] == "global-crisp"
+        assert report["config"]["threshold_value"] == 0.5
         assert report["config"]["threshold_q"] == 0.5
 
     def test_env_var_configuration(self, runner, bundle_path, tmp_path):
@@ -131,6 +132,20 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert result.output.startswith("analysis error: lower-bound matrix: ")
         assert "rho(D) = 1" in result.output
+
+    def test_overflowing_tau_exits_2_naming_normalization(self, runner, tmp_path):
+        doc = {
+            "criteria": [{"id": c} for c in "ABC"],
+            "respondents": [],
+            "rough_group": [[[0, 0] if i == j else [1e308, 1.7e308] for j in range(3)] for i in range(3)],
+        }
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["analyze", str(p), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == (
+            "analysis error: normalization: tau (max-total-sum) is inf; the rough group's row sums must be finite\n"
+        )
 
     def test_scale_above_zero_study_via_csv_and_bundle(self, runner, tmp_path):
         scale = Scale(1, 9)

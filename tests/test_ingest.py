@@ -158,8 +158,9 @@ class TestBundleParsing:
             ((1, 2, 1), "0.5", "bounds must be numbers"),
             ((1, 2, 0), -0.1, r"negative bound in cell \(1,2\)"),
             ((3, 3, 1), 0.1, r"non-zero diagonal in cell \(3,3\)"),
+            ((1, 2, 0), True, r"boolean bound in cell \(1,2\)"),
         ],
-        ids=["nan", "string", "negative", "diagonal"],
+        ids=["nan", "string", "negative", "diagonal", "bool"],
     )
     def test_bad_rough_bound_rejected(self, cell, bound, message):
         doc = json.loads(write_bundle(load_study_bundle()))
@@ -175,9 +176,17 @@ class TestBundleParsing:
             parse_study_bundle(json.dumps(doc))
         assert exc_info.value.errors == ["scale: scale minimum must be non-negative"]
 
+    @pytest.mark.parametrize("key, value", [("min", 0.7), ("min", "0"), ("max", True)], ids=["float", "string", "bool"])
+    def test_non_integer_scale_bound_named(self, key, value):
+        doc = json.loads(write_bundle(make_raw_bundle()))
+        doc["scale"][key] = value
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == [f"scale.{key}: {json.dumps(value)} is not an integer"]
+
     def test_validation_is_total(self):
         # any bytes give either a bundle or a diagnostic list, never a crash
-        for junk in (b"", b"[1,2,3]", b'{"criteria": 5}', bytes(range(256))):
+        for junk in (b"", b"[1,2,3]", b'{"criteria": 5}', bytes(range(256)), b"[" * 200000 + b"]" * 200000):
             try:
                 parse_study_bundle(junk)
             except BundleValidationError as exc:

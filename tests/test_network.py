@@ -8,12 +8,12 @@ from rdematel.pipeline import RoughMatrix
 RNG = np.random.default_rng(99)
 
 
-def loop_network(tstar, q, criteria, include_self_loops=False):
+def loop_network(tstar, q, criteria):
     """The cell-by-cell form of extract_network, kept as its reference."""
     edges = []
     for i in range(tstar.shape[0]):
         for j in range(tstar.shape[0]):
-            if (i != j or include_self_loops) and tstar[i, j] >= q:
+            if i != j and tstar[i, j] >= q:
                 edges.append(Edge(criteria[i], criteria[j], float(tstar[i, j])))
     return InfluenceNetwork(tuple(criteria), tuple(edges), float(q))
 
@@ -49,7 +49,7 @@ class TestCrispify:
 class TestThreshold:
     def test_mean_sigma_hand_example(self):
         # off-diagonal entries {1,2,3,2,1,3}: mean 2, population sigma 0.8165
-        q = threshold(np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 2.0], [1.0, 3.0, 0.0]]), k=1.0)
+        q = threshold(np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 2.0], [1.0, 3.0, 0.0]]), value=1.0)
         assert q == pytest.approx(2.0 + 0.816497, abs=1e-5)
 
     def test_paper_reported_moments(self):
@@ -58,21 +58,20 @@ class TestThreshold:
         assert mean + k * sigma == pytest.approx(2.4041)
 
     def test_fixed_mode(self):
-        assert threshold(np.zeros((3, 3)), mode="fixed", fixed=0.5) == 0.5
+        assert threshold(np.zeros((3, 3)), mode="fixed", value=0.5) == 0.5
 
     def test_fixed_negative_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            threshold(np.zeros((3, 3)), mode="fixed", fixed=-1.0)
+            threshold(np.zeros((3, 3)), mode="fixed", value=-1.0)
 
     def test_translation_equivariance(self):
         t = RNG.random((5, 5))
-        q = threshold(t, k=1.3)
-        assert threshold(t + 2.5, k=1.3) == pytest.approx(q + 2.5, abs=1e-12)
+        q = threshold(t, value=1.3)
+        assert threshold(t + 2.5, value=1.3) == pytest.approx(q + 2.5, abs=1e-12)
 
     def test_diagonal_excluded_by_default(self):
         t = np.array([[100.0, 1.0], [1.0, 100.0]])
-        assert threshold(t, k=0.0) == pytest.approx(1.0)
-        assert threshold(t, k=0.0, include_diagonal=True) == pytest.approx(50.5)
+        assert threshold(t, value=0.0) == pytest.approx(1.0)
 
     def test_needs_two_criteria(self):
         with pytest.raises(InvalidArgumentError):
@@ -107,16 +106,12 @@ class TestExtractNetwork:
     def test_self_loop_flag(self):
         t = np.array([[5.0, 0.0], [0.0, 5.0]])
         assert extract_network(t, 1.0, ["a", "b"]).edges == ()
-        loops = extract_network(t, 1.0, ["a", "b"], include_self_loops=True).edges
-        assert {(e.source, e.target) for e in loops} == {("a", "a"), ("b", "b")}
 
-
-    @pytest.mark.parametrize("self_loops", [False, True])
-    def test_matches_loop_form(self, self_loops):
+    def test_matches_loop_form(self):
         rng = np.random.default_rng(5)
         for n in (2, 3, 8, 40):
             t = rng.random((n, n))
             t[rng.random((n, n)) < 0.2] = 0.5  # cells exactly at a threshold
             ids = [f"C{i}" for i in range(n)]
             for q in (0.0, 0.5, float(np.median(t)), 2.0):
-                assert extract_network(t, q, ids, self_loops) == loop_network(t, q, ids, self_loops)
+                assert extract_network(t, q, ids) == loop_network(t, q, ids)

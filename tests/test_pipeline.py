@@ -208,15 +208,6 @@ class TestRoughSums:
         scores = rough_sums(t)
         assert np.allclose(scores.x_lower, 4 * c) and np.allclose(scores.y_upper, 4 * c)
 
-    def test_joint_envelope_option(self, paper_group):
-        normalized, _ = normalize_rough(paper_group)
-        t = rough_total_relation(normalized)
-        separate = rough_sums(t, joint_envelope=False)
-        joint = rough_sums(t, joint_envelope=True)
-        # same interval sums either way, crisping may differ
-        assert np.allclose(separate.x_lower, joint.x_lower)
-        assert separate.x_crisp.shape == joint.x_crisp.shape
-
 
 class TestScoresToResults:
     def test_prominence_relation_from_table3(self):

@@ -74,8 +74,7 @@ class TestResultTables:
 
     def test_config_echo_is_complete(self, fixture_report):
         echo = fixture_report.config
-        for key in ("tau_strategy", "tau", "crispify_mode", "threshold_mode", "threshold_k", "threshold_q"):
-            assert key in echo
+        assert list(echo) == ["tau_strategy", "tau", "crispify_mode", "threshold_mode", "threshold_value", "threshold_q"]
 
     def test_single_criterion_table_shape(self):
         # weights of a one-criterion analysis normalize to exactly 1
@@ -239,7 +238,7 @@ class TestReportJsonLayout:
             "respondents": [{"id": f"r{k}"} for k in range(3)],
             "matrices": {f"r{k}": g.tolist() for k, g in enumerate(grids)},
         }
-        rep = run_analysis(parse_study_bundle(json.dumps(doc)), AnalysisConfig(threshold_k=0.0))
+        rep = run_analysis(parse_study_bundle(json.dumps(doc)), AnalysisConfig(threshold_value=0.0))
         assert rep.network.edges
         assert render_report_json(rep) == oracle_report_json(rep)
 
@@ -292,7 +291,7 @@ def json_bundles(draw):
 def test_bundle_to_artifacts_renders_or_raises_named_error(doc, tau, crispify, k):
     try:
         bundle = parse_study_bundle(json.dumps(doc))
-        rep = run_analysis(bundle, AnalysisConfig(tau_strategy=tau, crispify_mode=crispify, threshold_k=k))
+        rep = run_analysis(bundle, AnalysisConfig(tau_strategy=tau, crispify_mode=crispify, threshold_value=k))
         report_json = render_report_json(rep)
         results_csv = render_results_csv(rep)
         dot = render_graph_dot(rep.network)
