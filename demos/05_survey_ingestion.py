@@ -15,8 +15,8 @@ csv_bytes = _read("expert1_direct_relation.csv")
 print("raw CSV:")
 print(csv_bytes.decode().strip())
 
-expert = parse_expert_csv(csv_bytes, expert_id="expert-1")
-print(f"\nparsed: {expert.values.shape[0]}x{expert.values.shape[1]} matrix for {expert.expert_id}")
+expert = parse_expert_csv(csv_bytes)
+print(f"\nparsed: {expert.shape[0]}x{expert.shape[1]} {expert.dtype} matrix")
 
 # Malformed input is rejected with a coordinate, not a stack trace.
 bad = "A,B\nA,0,9\nB,1,0\n"
@@ -25,7 +25,8 @@ try:
 except ParseError as exc:
     print(f"\nout-of-scale cell rejected: {exc}")
 
-# Bundles collect criteria, respondents, the scale, and the matrices.
+# Bundles collect criteria, respondents, the scale, and the matrices.  The
+# matrices are read into one (experts, n, n) panel in respondent order.
 doc = b"""{
   "scale": {"min": 0, "max": 4},
   "criteria": [{"id": "A"}, {"id": "B"}, {"id": "C"}],
@@ -36,8 +37,9 @@ doc = b"""{
   }
 }"""
 bundle = parse_study_bundle(doc)
-analysis = analyze_rough(bundle.criterion_ids, expert_matrices=list(bundle.matrices.values()))
-print("\nbundle analyzed; weights:", [f"{r.criterion_id}={r.weight:.3f}" for r in analysis.results])
+print(f"\npanel: shape {bundle.panel.shape}, respondents {[r.id for r in bundle.respondents]}")
+analysis = analyze_rough(bundle.criterion_ids, panel=bundle.panel)
+print("bundle analyzed; weights:", [f"{r.criterion_id}={r.weight:.3f}" for r in analysis.results])
 
 # Validation is total: every fault is reported, not just the first.
 broken = b'{"criteria": [{"id": "A"}, {"id": "A"}], "respondents": [{"id": "r1", "role": "wizard"}]}'

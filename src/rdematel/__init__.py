@@ -11,7 +11,6 @@ from .ingest import CriterionMeta, RespondentMeta, StudyBundle, parse_expert_csv
 from .network import Edge, InfluenceNetwork, crispify_total, extract_network, threshold
 from .pipeline import (
     AnalysisResult,
-    ExpertMatrix,
     RoughAnalysis,
     RoughMatrix,
     RoughScores,

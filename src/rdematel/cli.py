@@ -78,7 +78,7 @@ def cli():
 def validate(bundle):
     """Validate a study bundle; exit 0 if well-formed."""
     b = _load_bundle(bundle)
-    mode = "raw" if b.matrices is not None else "aggregate"
+    mode = "raw" if b.panel is not None else "aggregate"
     click.echo(f"OK: {b.n} criteria, {len(b.respondents)} respondents, {mode} mode")
 
 
@@ -196,14 +196,11 @@ def synth(n_criteria, n_experts, seed, out_file):
     scale = pipeline.Scale()
     criteria = [ingest.CriterionMeta(f"C{i + 1}", name=f"Criterion {i + 1}") for i in range(n_criteria)]
     respondents = [ingest.RespondentMeta(f"X{k + 1}") for k in range(n_experts)]
-    grids = np.random.default_rng(seed).integers(
+    panel = np.random.default_rng(seed).integers(
         scale.minimum, scale.maximum, size=(n_experts, n_criteria, n_criteria), endpoint=True
     )
-    grids[:, range(n_criteria), range(n_criteria)] = 0
-    matrices = {
-        r.id: pipeline.ExpertMatrix(expert_id=r.id, values=g, scale=scale) for r, g in zip(respondents, grids)
-    }
-    bundle = ingest.StudyBundle(criteria=criteria, respondents=respondents, scale=scale, matrices=matrices)
+    panel[:, range(n_criteria), range(n_criteria)] = 0
+    bundle = ingest.StudyBundle(criteria=criteria, respondents=respondents, scale=scale, panel=panel)
     data = ingest.write_bundle(bundle)
     if out_file:
         _write_file(Path(out_file), data)

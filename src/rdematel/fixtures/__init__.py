@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+import numpy as np
+
 from ..ingest import StudyBundle, parse_expert_csv, parse_study_bundle
-from ..pipeline import ExpertMatrix
 
 
 def _read(name: str) -> bytes:
@@ -23,9 +24,9 @@ def load_study_bundle() -> StudyBundle:
     return parse_study_bundle(_read("fbsc_study.json"))
 
 
-def load_first_expert_matrix() -> ExpertMatrix:
-    """The one published raw expert matrix."""
-    return parse_expert_csv(_read("expert1_direct_relation.csv"), expert_id="R1")
+def load_first_expert_matrix() -> np.ndarray:
+    """The one published raw expert matrix (respondent R1)."""
+    return parse_expert_csv(_read("expert1_direct_relation.csv"))
 
 
 def load_reference_tables() -> dict:

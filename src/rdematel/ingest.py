@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BundleValidationError, InvalidArgumentError, ParseError
-from .pipeline import ExpertMatrix, RoughMatrix, Scale
+from .pipeline import RoughMatrix, Scale
 
 CATEGORIES = ("internal", "external", "custom")
 ROLES = ("practitioner", "academic")
@@ -38,10 +38,12 @@ class RespondentMeta:
 
 @dataclass
 class StudyBundle:
+    """Study metadata and either ``panel``, int64 (experts, n, n) in respondent order, or ``rough_group``."""
+
     criteria: list[CriterionMeta]
     respondents: list[RespondentMeta]
     scale: Scale = field(default_factory=Scale)
-    matrices: dict[str, ExpertMatrix] | None = None
+    panel: np.ndarray | None = None
     rough_group: RoughMatrix | None = None
 
     @property
@@ -59,8 +61,8 @@ def _decode(data: bytes | str) -> str:
     return data.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def parse_expert_csv(data: bytes | str, expert_id: str = "expert", scale: Scale = Scale()) -> ExpertMatrix:
-    """Parse one expert's matrix: header of criterion ids, then rows of ``id,v1,...,vn``."""
+def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
+    """Parse one expert's int64 n x n matrix: header of criterion ids, then rows of ``id,v1,...,vn``."""
     text = _decode(data)
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     if not rows:
@@ -74,7 +76,7 @@ def parse_expert_csv(data: bytes | str, expert_id: str = "expert", scale: Scale 
         raise ParseError("header row carries no criterion ids")
     if len(rows) - 1 != n:
         raise ParseError(f"expected {n} data rows for {n} criteria, found {len(rows) - 1}")
-    values = np.zeros((n, n), dtype=int)
+    values = np.zeros((n, n), dtype=np.int64)
     for i, row in enumerate(rows[1:], start=1):
         cells = [c.strip() for c in row]
         if len(cells) != n + 1:
@@ -95,11 +97,29 @@ def parse_expert_csv(data: bytes | str, expert_id: str = "expert", scale: Scale 
                     f"{scale.minimum}..{scale.maximum}"
                 )
             values[i - 1, j] = v
-    return ExpertMatrix(expert_id=expert_id, values=values, scale=scale)
+    return values
 
 
-def _validate_bundle_dict(doc: dict) -> StudyBundle:
-    """Build the bundle, or raise BundleValidationError listing every violation found."""
+def _read_grid(grid, criteria: list[CriterionMeta]) -> np.ndarray | str:
+    """One raw grid as an int64 n x n array, or what is wrong with it."""
+    n = len(criteria)
+    try:
+        if (shape := np.shape(grid)) != (n, n):
+            return f"shape {shape} does not match {n} criteria"
+        bad = next(((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if type(v) is not int), None)
+        if bad is not None:
+            i, j, v = bad
+            return f"non-integer cell ({criteria[i].id},{criteria[j].id}) {json.dumps(v)}"
+        return np.asarray(grid, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:  # a ragged grid; an int beyond 64 bits
+        return str(exc)
+
+
+def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
+    """Build the bundle, or raise BundleValidationError listing every violation found.
+
+    ``maybe_bool`` is false when the text has no ``true``/``false`` token.
+    """
     errors: list[str] = []
 
     scale_doc = doc.get("scale", {"min": 0, "max": 4})
@@ -164,9 +184,8 @@ def _validate_bundle_dict(doc: dict) -> StudyBundle:
     if has_raw == has_agg:
         errors.append("bundle must carry exactly one of 'matrices' or 'rough_group'")
 
-    matrices: dict[str, ExpertMatrix] | None = None
+    panel: np.ndarray | None = None
     if has_raw:
-        matrices = {}
         raw = doc["matrices"]
         if not isinstance(raw, dict):
             errors.append("matrices: must map respondent id to an n x n integer grid")
@@ -177,27 +196,27 @@ def _validate_bundle_dict(doc: dict) -> StudyBundle:
         for r in respondents:
             if r.id not in raw:
                 errors.append(f"matrices: no matrix for respondent {r.id}")
-        for rid, grid in raw.items():
-            try:
-                arr = np.asarray(grid)
-                if arr.shape != (n, n):
-                    errors.append(f"matrices[{rid}]: shape {arr.shape} does not match {n} criteria")
-                    continue
-                # numpy reads JSON true/false as the ints 1/0, so bools need a look at the cells
-                if arr.dtype.kind != "i" or any(bool in map(type, row) for row in grid):
-                    bad = next(
-                        ((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if type(v) is not int),
-                        None,
-                    )
-                    if bad is not None:
-                        i, j, v = bad
-                        errors.append(
-                            f"matrices[{rid}]: non-integer cell ({criteria[i].id},{criteria[j].id}) {json.dumps(v)}"
-                        )
-                        continue
-                matrices[rid] = ExpertMatrix(expert_id=str(rid), values=arr, scale=scale)
-            except Exception as exc:
-                errors.append(f"matrices[{rid}]: {exc}")
+        ids, grids = list(raw), list(raw.values())
+        try:
+            panel = np.asarray(grids)
+        except ValueError:  # ragged or too deeply nested
+            panel = None
+        faults: list[tuple[int, str]] = []  # (grid index, fault), at most one per grid
+        read = range(len(grids))  # the grid index of each panel slice
+        # numpy reads JSON true/false as the ints 1/0, and a ragged panel or one
+        # with a stray value as no int64 array at all: then each grid gets a look
+        if panel is None or panel.dtype != np.int64 or panel.shape != (len(grids), n, n) or maybe_bool:
+            arrays = [_read_grid(grid, criteria) for grid in grids]
+            faults = [(k, a) for k, a in enumerate(arrays) if isinstance(a, str)]
+            read = [k for k, a in enumerate(arrays) if not isinstance(a, str)]
+            panel = np.array([arrays[k] for k in read], dtype=np.int64).reshape(len(read), n, n)
+        # the diagonal is a structural zero, not a judgment: only off-diagonal cells lie on the scale
+        off = np.where(np.eye(n, dtype=bool), panel != 0, (panel < scale.minimum) | (panel > scale.maximum))
+        for k in np.flatnonzero(off.any(axis=(1, 2))):
+            i, j = np.argwhere(off[k])[0]
+            why = "on the diagonal, must be 0" if i == j else f"outside scale {scale.minimum}..{scale.maximum}"
+            faults.append((read[k], f"cell ({criteria[i].id},{criteria[j].id}) = {panel[k, i, j]} {why}"))
+        errors.extend(f"matrices[{ids[k]}]: {fault}" for k, fault in sorted(faults))
 
     rough_group: RoughMatrix | None = None
     if has_agg:
@@ -211,7 +230,7 @@ def _validate_bundle_dict(doc: dict) -> StudyBundle:
             elif n and arr.shape[0] != n:
                 errors.append(f"rough_group: is {arr.shape[0]}x{arr.shape[1]} but {n} criteria given")
             # numpy reads JSON true/false as 1/0, so bools need a look at the leaves
-            elif bool in (leaf_types := [type(v) for row in grid for pair in row for v in pair]):
+            elif maybe_bool and bool in (leaf_types := [type(v) for row in grid for pair in row for v in pair]):
                 i, j = divmod(leaf_types.index(bool) // 2, arr.shape[0])
                 errors.append(f"rough_group: boolean bound in cell ({i},{j})")
             elif not np.isfinite(arr).all():
@@ -230,11 +249,13 @@ def _validate_bundle_dict(doc: dict) -> StudyBundle:
 
     if errors:
         raise BundleValidationError(errors)
+    if panel is not None and ids != [r.id for r in respondents]:
+        panel = panel[[ids.index(r.id) for r in respondents]]
     return StudyBundle(
         criteria=criteria,
         respondents=respondents,
         scale=scale,
-        matrices=matrices,
+        panel=panel,
         rough_group=rough_group,
     )
 
@@ -257,11 +278,15 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
         raise BundleValidationError(["not valid JSON: nested too deeply"]) from None
     if not isinstance(doc, dict):
         raise BundleValidationError(["top-level document must be an object"])
-    return _validate_bundle_dict(doc)
+    return _validate_bundle_dict(doc, "true" in text or "false" in text)
 
 
 def write_bundle(bundle: StudyBundle) -> bytes:
-    """Serialize a bundle; parse(write(b)) is structurally equal to b."""
+    """Serialize a bundle; parse(write(b)) is structurally equal to b.
+
+    The bytes are exactly those of ``json.dumps(doc, indent=2,
+    ensure_ascii=False) + "\n"``; the grids are rendered by ``_json_grid``.
+    """
     doc: dict = {
         "scale": {"min": bundle.scale.minimum, "max": bundle.scale.maximum},
         "criteria": [
@@ -273,8 +298,32 @@ def write_bundle(bundle: StudyBundle) -> bytes:
             for r in bundle.respondents
         ],
     }
-    if bundle.matrices is not None:
-        doc["matrices"] = {rid: m.values.tolist() for rid, m in bundle.matrices.items()}
+    text = json.dumps(doc, indent=2, ensure_ascii=False).removesuffix("\n}")
+    if bundle.panel is not None:
+        grids = ",\n".join(
+            f"    {json.dumps(r.id, ensure_ascii=False)}: {_json_grid(g, 2)}"
+            for r, g in zip(bundle.respondents, bundle.panel)
+        )
+        text += ',\n  "matrices": ' + ("{\n" + grids + "\n  }" if grids else "{}")
     if bundle.rough_group is not None:
-        doc["rough_group"] = bundle.rough_group.stacked().tolist()
-    return (json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=False) + "\n").encode("utf-8")
+        text += ',\n  "rough_group": ' + _json_grid(bundle.rough_group.stacked(), 1)
+    return (text + "\n}\n").encode("utf-8")
+
+
+def _json_grid(a: np.ndarray, level: int) -> str:
+    """``json.dumps(a.tolist(), indent=2)`` for a finite int or float array, opened at indent ``level``.
+
+    The reprs are joined innermost axis first; each axis has one separator
+    and one closing bracket, so no per-element encoder call is made.
+    """
+    if not np.isfinite(a).all():
+        raise InvalidArgumentError("JSON grids must be finite")
+    if a.size == 0:  # an empty axis has no reprs to join
+        return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+    parts = list(map(float.__repr__ if a.dtype.kind == "f" else int.__repr__, a.ravel().tolist()))
+    for depth in range(a.ndim, 0, -1):
+        width = a.shape[depth - 1]
+        pad = "\n" + "  " * (level + depth)
+        head, sep, tail = "[" + pad, "," + pad, "\n" + "  " * (level + depth - 1) + "]"
+        parts = [head + sep.join(parts[k:k + width]) + tail for k in range(0, len(parts), width)]
+    return parts[0]

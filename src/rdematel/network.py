@@ -7,6 +7,7 @@ influence network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,8 +57,10 @@ def threshold(tstar: np.ndarray, mode: str = THRESHOLD_MEAN_SIGMA, value: float 
 
     ``mean-sigma`` reads ``value`` as k and returns mean + k * population
     sigma of the off-diagonal entries (self-influence is a structural
-    zero); ``fixed`` returns ``value`` itself as q.
+    zero); ``fixed`` returns ``value`` itself as q.  ``value`` must be finite.
     """
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"threshold value must be a finite number, got {value}")
     tstar = np.asarray(tstar, dtype=float)
     if tstar.shape[0] < 2:
         raise InvalidArgumentError("threshold needs at least two criteria")

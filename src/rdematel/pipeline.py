@@ -1,6 +1,6 @@
 """The rough DEMATEL pipeline.
 
-Expert matrices -> per-cell judgment counts -> rough group matrix ->
+Expert judgment panel -> per-cell judgment counts -> rough group matrix ->
 normalized rough matrix -> rough total-relation matrix -> interval row and
 column sums -> crisp prominence/relation -> weights, ranking and
 cause/effect classification.
@@ -48,37 +48,6 @@ class Scale:
 
     def contains(self, v: int) -> bool:
         return self.minimum <= v <= self.maximum
-
-
-@dataclass(frozen=True)
-class ExpertMatrix:
-    """One expert's square matrix of integer influence judgments, zero diagonal.
-
-    The diagonal is a structural zero, not a judgment, so only the
-    off-diagonal cells must lie on the scale.
-    """
-
-    expert_id: str
-    values: np.ndarray
-    scale: Scale = Scale()
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=int)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ShapeError(f"expert {self.expert_id}: matrix must be square, got {v.shape}")
-        if np.any(np.diag(v) != 0):
-            raise InvalidArgumentError(f"expert {self.expert_id}: diagonal must be zero")
-        off = v[~np.eye(v.shape[0], dtype=bool)]
-        if np.any(off < self.scale.minimum) or np.any(off > self.scale.maximum):
-            raise InvalidArgumentError(
-                f"expert {self.expert_id}: judgments must lie in "
-                f"{self.scale.minimum}..{self.scale.maximum}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -153,28 +122,30 @@ class RoughAnalysis:
     results: list[AnalysisResult] = field(default_factory=list)
 
 
-def rough_group_matrix(matrices: Sequence[ExpertMatrix]) -> RoughMatrix:
-    """Pool the experts' judgments per criterion pair into the averaged rough group matrix.
+def rough_group_matrix(panel: np.ndarray) -> RoughMatrix:
+    """Pool an (experts, n, n) panel of integer judgments into the averaged rough group matrix.
 
     ``counts[s, i, j]`` is how many experts gave cell (i, j) the s-th judgment
-    level present in the data.  The rough number of a level has as lower bound
+    level present in the panel.  The rough number of a level has as lower bound
     the mean of the judgments at or below it, a cumulative sum over the levels
     from the bottom, and as upper bound the mean of those at or above it, one
     from the top; the group bound is their count-weighted mean.  Counts do not
-    depend on expert order, and only n x n slices are live at a time.
+    depend on expert order.
     """
-    if len(matrices) < 2:
+    panel = np.asarray(panel)
+    if panel.ndim != 3 or panel.shape[1] != panel.shape[2]:
+        raise ShapeError(f"panel must be an (experts, n, n) array, got shape {panel.shape}")
+    m, n = panel.shape[:2]
+    if m < 2:
         raise InsufficientExpertsError(
             "rough aggregation needs at least two experts; use the crisp method for one"
         )
-    n = matrices[0].n
-    for e in matrices[1:]:
-        if e.n != n:
-            raise ShapeError(f"expert {e.expert_id} has {e.n} criteria, expected {n}")
-    levels = np.unique(np.concatenate([np.unique(e.values) for e in matrices]))
+    # the sorted distinct values; np.unique takes ~7x as long as this one sort at 21 x 200 x 200
+    flat = np.sort(panel, axis=None)
+    levels = flat[np.diff(flat, prepend=flat[:1] - 1) != 0]
     counts = np.zeros((levels.size, n, n), dtype=np.int64)
-    for e in matrices:
-        counts += e.values == levels[:, None, None]
+    for grid in panel:
+        counts += grid == levels[:, None, None]
     lower, upper = np.zeros((n, n)), np.zeros((n, n))
     for bound, order in ((lower, slice(None)), (upper, slice(None, None, -1))):
         seen_n = np.zeros((n, n), dtype=np.int64)
@@ -183,7 +154,6 @@ def rough_group_matrix(matrices: Sequence[ExpertMatrix]) -> RoughMatrix:
             seen_n += c
             seen_sum += c * k
             bound += c * np.divide(seen_sum, seen_n, out=np.zeros((n, n)), where=c > 0)
-    m = len(matrices)
     return RoughMatrix(lower / m, upper / m)
 
 
@@ -265,18 +235,18 @@ def classify(relation: np.ndarray) -> list[str]:
 def analyze_rough(
     criteria: Sequence[str],
     *,
-    expert_matrices: Sequence[ExpertMatrix] | None = None,
+    panel: np.ndarray | None = None,
     group_matrix: RoughMatrix | None = None,
     tau_strategy: str = TAU_MAX_TOTAL_SUM,
 ) -> RoughAnalysis:
-    """Run the full pipeline from either raw expert matrices or a prebuilt rough group matrix."""
+    """Run the full pipeline from either an (experts, n, n) judgment panel or a prebuilt rough group matrix."""
     criteria = list(criteria)
     if len(criteria) < 2:
         raise InvalidArgumentError("DEMATEL needs at least two criteria")
-    if (expert_matrices is None) == (group_matrix is None):
-        raise InvalidArgumentError("provide exactly one of expert_matrices or group_matrix")
-    if expert_matrices is not None:
-        group_matrix = rough_group_matrix(expert_matrices)
+    if (panel is None) == (group_matrix is None):
+        raise InvalidArgumentError("provide exactly one of panel or group_matrix")
+    if panel is not None:
+        group_matrix = rough_group_matrix(panel)
     assert group_matrix is not None
     if group_matrix.n != len(criteria):
         raise ShapeError(

@@ -19,7 +19,7 @@ import numpy as np
 from . import network as net_mod
 from . import pipeline
 from .errors import InvalidArgumentError
-from .ingest import StudyBundle
+from .ingest import StudyBundle, _json_grid
 from .network import InfluenceNetwork
 from .pipeline import AnalysisResult, RoughAnalysis
 
@@ -70,7 +70,7 @@ def run_analysis(bundle: StudyBundle, config: AnalysisConfig = AnalysisConfig())
     criteria = bundle.criterion_ids
     analysis = pipeline.analyze_rough(
         criteria,
-        expert_matrices=None if bundle.matrices is None else [bundle.matrices[r.id] for r in bundle.respondents],
+        panel=bundle.panel,
         group_matrix=bundle.rough_group,
         tau_strategy=config.tau_strategy,
     )
@@ -114,24 +114,25 @@ def render_results_csv(report: AnalysisReport) -> bytes:
 
 
 def render_report_json(report: AnalysisReport) -> bytes:
-    """Full-precision structured form of the whole report.
+    """Full-precision structured form of the whole report, each value written once.
 
-    The bytes are exactly those of ``json.dumps(doc, indent=2) + "\n"``.
-    Any ``indent`` sends every value through the stdlib's pure-Python
-    encoder and holds each chunk until the end, which for the four n x n
-    grids (280k floats at n = 200) cost ~1 s and a ~60 MB transient.  So
-    the grids are rendered by joining float reprs (``_json_grid``), every
+    Schema 2: the normalized grid is ``rough_group / config.tau`` and is not
+    written.  The bytes are exactly those of ``json.dumps(doc, indent=2) +
+    "\n"``.  Any ``indent`` sends every value through the stdlib's
+    pure-Python encoder and holds each chunk until the end, which for
+    280k floats (four n x n grids at n = 200) cost ~1 s and a ~60 MB transient.
+    So the grids are rendered by joining float reprs (``_json_grid``), every
     other value by ``json.dumps`` re-indented one level, and the
     ``"key": value`` parts are joined into the document.
     """
     a = report.analysis
     grids = {
         "rough_group": a.group_matrix.stacked(),
-        "normalized": a.normalized.stacked(),
         "total": a.total.stacked(),
         "tstar": report.tstar,
     }
     doc = {
+        "schema": 2,
         "config": report.config,
         "criteria": report.criteria,
         "results": [
@@ -157,10 +158,6 @@ def render_report_json(report: AnalysisReport) -> bytes:
                 for e in report.network.edges
             ],
         },
-        "causal_points": [
-            {"criterion": r.criterion_id, "prominence": r.prominence, "relation": r.relation, "group": r.group}
-            for r in report.results
-        ],
         # vars() lists a dataclass's fields in declaration order; dataclasses.asdict
         # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
         "deviations": [vars(d) for d in report.deviations],
@@ -172,23 +169,6 @@ def render_report_json(report: AnalysisReport) -> bytes:
         for key, value in doc.items()
     ]
     return ("{\n" + ",\n".join(parts) + "\n}\n").encode("utf-8")
-
-
-def _json_grid(a: np.ndarray, level: int) -> str:
-    """``json.dumps(a.tolist(), indent=2)`` for a finite float array, opened at indent ``level``.
-
-    The reprs are joined innermost axis first; each axis has one separator
-    and one closing bracket, so no per-element encoder call is made.
-    """
-    if not np.isfinite(a).all():
-        raise InvalidArgumentError("report grids must be finite")
-    parts = list(map(float.__repr__, a.ravel().tolist()))
-    for depth in range(a.ndim, 0, -1):
-        width = a.shape[depth - 1]
-        pad = "\n" + "  " * (level + depth)
-        head, sep, tail = "[" + pad, "," + pad, "\n" + "  " * (level + depth - 1) + "]"
-        parts = [head + sep.join(parts[k:k + width]) + tail for k in range(0, len(parts), width)]
-    return parts[0]
 
 
 def render_graph_dot(network: InfluenceNetwork) -> bytes:

@@ -15,7 +15,6 @@ from rdematel.network import extract_network
 from rdematel.pipeline import (
     TAU_MAX_TOTAL_SUM,
     TAU_MAX_UPPER_SUM,
-    ExpertMatrix,
     analyze_rough,
     classify,
     normalize_rough,
@@ -145,10 +144,9 @@ def test_07_degenerate_expert_oracle():
             if np.abs(np.linalg.eigvals(d)).max() >= 1.0 - 1e-9:
                 continue  # structurally regular matrix, (I - D) not invertible
             m = int(rng.integers(2, 11))
-            experts = [ExpertMatrix(str(k), z) for k in range(m)]
             analysis = analyze_rough(
                 [f"C{i}" for i in range(n)],
-                expert_matrices=experts,
+                panel=np.tile(z, (m, 1, 1)),
                 tau_strategy=TAU_MAX_UPPER_SUM,
             )
             scores = crisp_mod.crisp_scores(crisp_mod.solve_total_relation(d))
@@ -216,8 +214,8 @@ def test_10_structural_laws(bundle):
         for k in range(m):
             v = rng.integers(0, 5, size=(n, n))
             np.fill_diagonal(v, 0)
-            experts.append(ExpertMatrix(str(k), v))
-        analysis = analyze_rough([f"C{i}" for i in range(n)], expert_matrices=experts)
+            experts.append(v)
+        analysis = analyze_rough([f"C{i}" for i in range(n)], panel=np.stack(experts))
         for stage in (analysis.group_matrix, analysis.normalized, analysis.total):
             assert np.all(stage.lower <= stage.upper + 1e-12)
 
@@ -232,7 +230,7 @@ def test_10_structural_laws(bundle):
         # expert-order invariance (bit identical)
         shuffled = list(experts)
         rng.shuffle(shuffled)
-        again = analyze_rough([f"C{i}" for i in range(n)], expert_matrices=shuffled)
+        again = analyze_rough([f"C{i}" for i in range(n)], panel=np.stack(shuffled))
         assert np.array_equal(analysis.total.lower, again.total.lower)
         assert np.array_equal(analysis.total.upper, again.total.upper)
         assert analysis.results == again.results

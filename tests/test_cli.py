@@ -7,6 +7,7 @@ from pathlib import Path
 from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+import numpy as np
 
 import rdematel
 from rdematel.cli import cli
@@ -150,12 +151,11 @@ class TestAnalyze:
     def test_scale_above_zero_study_via_csv_and_bundle(self, runner, tmp_path):
         scale = Scale(1, 9)
         csvs = [",A,B,C\nA,0,9,1\nB,2,0,5\nC,7,3,0\n", ",A,B,C\nA,0,8,2\nB,1,0,5\nC,9,4,0\n"]
-        matrices = {f"r{k}": parse_expert_csv(text, f"r{k}", scale) for k, text in enumerate(csvs)}
         bundle = StudyBundle(
             criteria=[CriterionMeta(c) for c in "ABC"],
-            respondents=[RespondentMeta(rid) for rid in matrices],
+            respondents=[RespondentMeta(f"r{k}") for k in range(len(csvs))],
             scale=scale,
-            matrices=matrices,
+            panel=np.stack([parse_expert_csv(text, scale) for text in csvs]),
         )
         p = tmp_path / "scale19.json"
         p.write_bytes(write_bundle(bundle))
@@ -217,6 +217,24 @@ class TestSynth:
         r3 = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "43"])
         assert r1.output == r2.output
         assert r1.output != r3.output
+
+    def test_output_matches_stdlib_encoder(self, runner):
+        # the bytes json.dumps(indent=2) gives for the same document, as synth wrote it before
+        # the panel was rendered by joining reprs
+        result = runner.invoke(cli, ["synth", "--criteria", "4", "--experts", "3", "--seed", "5"])
+        panel = np.random.default_rng(5).integers(0, 4, size=(3, 4, 4), endpoint=True)
+        panel[:, range(4), range(4)] = 0
+        doc = {
+            "scale": {"min": 0, "max": 4},
+            "criteria": [
+                {"id": f"C{i + 1}", "name": f"Criterion {i + 1}", "category": "custom", "description": ""}
+                for i in range(4)
+            ],
+            "respondents": [{"id": f"X{k + 1}", "role": "practitioner", "description": ""} for k in range(3)],
+            "matrices": {f"X{k + 1}": panel[k].tolist() for k in range(3)},
+        }
+        assert result.exit_code == 0
+        assert result.output == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 numbers = st.one_of(st.floats(), st.integers(-10, 10)).map(str)

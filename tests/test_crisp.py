@@ -51,7 +51,7 @@ class TestAverage:
         assert np.array_equal(out, [[0, 1], [2, 0]])
 
     def test_single_matrix_unchanged(self):
-        a = load_first_expert_matrix().values.astype(float)
+        a = load_first_expert_matrix().astype(float)
         assert np.array_equal(average_expert_matrices([a]), a)
 
     def test_empty_list_rejected(self):
@@ -69,7 +69,7 @@ class TestAverage:
 
 class TestNormalize:
     def test_reference_expert_matrix_row_sums(self):
-        z = load_first_expert_matrix().values.astype(float)
+        z = load_first_expert_matrix().astype(float)
         assert list(z.sum(axis=1)) == [12, 7, 11, 13, 11, 12, 11]
         d = normalize_crisp(z)
         assert np.allclose(d, z / 13.0)
@@ -93,7 +93,7 @@ class TestTotalRelation:
         assert np.allclose(solve_total_relation(np.zeros((3, 3))), 0.0)
 
     def test_neumann_equivalence_on_reference_matrix(self):
-        d = normalize_crisp(load_first_expert_matrix().values.astype(float))
+        d = normalize_crisp(load_first_expert_matrix().astype(float))
         t = solve_total_relation(d)
         assert np.abs(t - neumann_series(d)).max() < 1e-9
 

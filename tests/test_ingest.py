@@ -15,7 +15,7 @@ from rdematel.ingest import (
     parse_study_bundle,
     write_bundle,
 )
-from rdematel.pipeline import ExpertMatrix, Scale
+from rdematel.pipeline import Scale
 
 CSV_OK = ",A,B\nA,0,3\nB,2,0\n"
 
@@ -24,24 +24,35 @@ def make_raw_bundle(n=3, m=4, seed=11):
     rng = np.random.default_rng(seed)
     criteria = [CriterionMeta(f"C{i}", name=f"crit {i}") for i in range(n)]
     respondents = [RespondentMeta(f"R{k}", role="academic" if k % 2 else "practitioner") for k in range(m)]
-    matrices = {}
-    for r in respondents:
-        v = rng.integers(0, 5, size=(n, n))
-        np.fill_diagonal(v, 0)
-        matrices[r.id] = ExpertMatrix(expert_id=r.id, values=v)
-    return StudyBundle(criteria=criteria, respondents=respondents, matrices=matrices)
+    panel = rng.integers(0, 5, size=(m, n, n))
+    panel[:, range(n), range(n)] = 0
+    return StudyBundle(criteria=criteria, respondents=respondents, panel=panel)
+
+
+def bundle_doc(b):
+    """The document write_bundle serializes, as a dict for the stdlib encoder."""
+    doc = {
+        "scale": {"min": b.scale.minimum, "max": b.scale.maximum},
+        "criteria": [vars(c) for c in b.criteria],
+        "respondents": [vars(r) for r in b.respondents],
+    }
+    if b.panel is not None:
+        doc["matrices"] = {r.id: g.tolist() for r, g in zip(b.respondents, b.panel)}
+    if b.rough_group is not None:
+        doc["rough_group"] = b.rough_group.stacked().tolist()
+    return doc
 
 
 class TestExpertCsv:
     def test_simple_matrix(self):
-        m = parse_expert_csv(CSV_OK, expert_id="e1")
-        assert m.expert_id == "e1"
-        assert m.values.tolist() == [[0, 3], [2, 0]]
+        m = parse_expert_csv(CSV_OK)
+        assert m.dtype == np.int64
+        assert m.tolist() == [[0, 3], [2, 0]]
 
     def test_reference_fixture_entry(self):
         m = load_first_expert_matrix()
-        assert m.n == 7
-        assert m.values[0, 1] == 4  # (I1, I2)
+        assert m.shape == (7, 7)
+        assert m[0, 1] == 4  # (I1, I2)
 
     def test_nonzero_diagonal_named(self):
         with pytest.raises(ParseError, match="diagonal"):
@@ -65,15 +76,15 @@ class TestExpertCsv:
 
     def test_crlf_normalized(self):
         m = parse_expert_csv(CSV_OK.replace("\n", "\r\n"))
-        assert m.values.tolist() == [[0, 3], [2, 0]]
+        assert m.tolist() == [[0, 3], [2, 0]]
 
     def test_custom_scale(self):
         m = parse_expert_csv(",A,B\nA,0,9\nB,2,0\n", scale=Scale(0, 9))
-        assert m.values[0, 1] == 9
+        assert m[0, 1] == 9
 
     def test_scale_above_zero_checks_only_off_diagonal(self):
         m = parse_expert_csv(",A,B\nA,0,9\nB,1,0\n", scale=Scale(1, 9))
-        assert m.values.tolist() == [[0, 9], [1, 0]]
+        assert m.tolist() == [[0, 9], [1, 0]]
         with pytest.raises(ParseError, match="row 2, column A: value 0 outside scale 1..9"):
             parse_expert_csv(",A,B\nA,0,9\nB,0,0\n", scale=Scale(1, 9))
 
@@ -83,7 +94,7 @@ class TestBundleParsing:
         b = load_study_bundle()
         assert b.n == 7
         assert len(b.respondents) == 21
-        assert b.matrices is None
+        assert b.panel is None
         assert b.rough_group is not None
         assert b.rough_group.lower[0, 1] == pytest.approx(1.8186)
 
@@ -92,9 +103,24 @@ class TestBundleParsing:
         b2 = parse_study_bundle(write_bundle(b))
         assert b2.criteria == b.criteria
         assert b2.respondents == b.respondents
-        assert set(b2.matrices) == set(b.matrices)
-        for rid in b.matrices:
-            assert np.array_equal(b2.matrices[rid].values, b.matrices[rid].values)
+        assert b2.panel.dtype == np.int64
+        assert np.array_equal(b2.panel, b.panel)
+
+    @pytest.mark.parametrize("mode", ["raw", "aggregate"])
+    def test_write_matches_stdlib_encoder(self, mode):
+        b = make_raw_bundle(n=4, m=3) if mode == "raw" else load_study_bundle()
+        b.criteria[0] = CriterionMeta(b.criteria[0].id, name="\u00e9t\u00e9 \"q\"\n")
+        assert write_bundle(b) == (json.dumps(bundle_doc(b), indent=2, ensure_ascii=False) + "\n").encode()
+
+    def test_write_without_criteria(self):
+        b = StudyBundle(criteria=[], respondents=[RespondentMeta("r")], panel=np.zeros((1, 0, 0), dtype=np.int64))
+        assert json.loads(write_bundle(b))["matrices"] == {"r": []}
+
+    def test_panel_is_in_respondent_order(self):
+        b = make_raw_bundle(n=3, m=3)
+        doc = json.loads(write_bundle(b))
+        doc["matrices"] = dict(reversed(doc["matrices"].items()))
+        assert np.array_equal(parse_study_bundle(json.dumps(doc)).panel, b.panel)
 
     def test_aggregate_round_trip(self):
         b = load_study_bundle()
@@ -150,6 +176,57 @@ class TestBundleParsing:
         with pytest.raises(BundleValidationError) as exc_info:
             parse_study_bundle(json.dumps(doc))
         assert exc_info.value.errors == [f"matrices[R1]: non-integer cell (C2,C0) {json.dumps(cell)}"]
+
+    @pytest.mark.parametrize(
+        "cell, fault",
+        [
+            (1.0, "non-integer cell (C2,C0) 1.0"),
+            ("3", 'non-integer cell (C2,C0) "3"'),
+        ],
+        ids=["float", "string"],
+    )
+    def test_non_int64_panel_names_respondent(self, cell, fault):
+        doc = json.loads(write_bundle(make_raw_bundle(n=3, m=3)))
+        doc["matrices"]["R1"][2][0] = cell
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == [f"matrices[R1]: {fault}"]
+
+    def test_ragged_grid_names_respondent(self):
+        doc = json.loads(write_bundle(make_raw_bundle(n=3, m=3)))
+        doc["matrices"]["R2"][1].append(0)
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        [error] = exc_info.value.errors
+        assert error.startswith("matrices[R2]: ") and "inhomogeneous" in error
+
+    def test_boolean_token_outside_the_panel_still_parses(self):
+        b = make_raw_bundle(n=3, m=2)
+        b.criteria[0] = CriterionMeta("C0", description="true or false")
+        parsed = parse_study_bundle(write_bundle(b))
+        assert np.array_equal(parsed.panel, b.panel)
+        doc = json.loads(write_bundle(b))
+        doc["criteria"][1]["tag"] = False
+        doc["matrices"]["R0"][0][1] = True
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == ["matrices[R0]: non-integer cell (C0,C1) true"]
+
+    def test_range_and_diagonal_faults_name_every_respondent_and_cell(self):
+        doc = json.loads(write_bundle(make_raw_bundle(n=3, m=4)))
+        doc["matrices"]["R3"][0][2] = 9
+        doc["matrices"]["R3"][2][1] = -1
+        doc["matrices"]["R0"][1][1] = 2
+        doc["matrices"]["R1"][2][0] = 5
+        doc["matrices"]["R2"] = [[0, 1], [1, 0]]
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == [
+            "matrices[R0]: cell (C1,C1) = 2 on the diagonal, must be 0",
+            "matrices[R1]: cell (C2,C0) = 5 outside scale 0..4",
+            "matrices[R2]: shape (2, 2) does not match 3 criteria",
+            "matrices[R3]: cell (C0,C2) = 9 outside scale 0..4",
+        ]
 
     @pytest.mark.parametrize(
         "cell, bound, message",

@@ -77,6 +77,12 @@ class TestThreshold:
         with pytest.raises(InvalidArgumentError):
             threshold(np.array([[1.0]]))
 
+    @pytest.mark.parametrize("mode", ["mean-sigma", "fixed"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, mode, value):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            threshold(np.ones((3, 3)), mode, value)
+
 
 class TestExtractNetwork:
     def test_above_max_gives_isolated_nodes(self):

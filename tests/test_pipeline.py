@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from rdematel import crisp as crisp_mod
 from rdematel.errors import (
+    BundleValidationError,
     DegenerateInputError,
     InsufficientExpertsError,
     InvalidArgumentError,
@@ -13,10 +16,10 @@ from rdematel.errors import (
     SingularMatrixError,
 )
 from rdematel.fixtures import load_study_bundle
+from rdematel.ingest import parse_study_bundle
 from rdematel.pipeline import (
     TAU_MAX_TOTAL_SUM,
     TAU_MAX_UPPER_SUM,
-    ExpertMatrix,
     RoughMatrix,
     RoughScores,
     Scale,
@@ -34,14 +37,11 @@ from rdematel.rough import JudgmentSet, average_rough, rough_bounds
 RNG = np.random.default_rng(7121)
 
 
-def random_expert(expert_id, n, rng=RNG):
-    v = rng.integers(0, 5, size=(n, n))
-    np.fill_diagonal(v, 0)
-    return ExpertMatrix(expert_id=str(expert_id), values=v)
-
-
 def random_expert_panel(n, m, rng=RNG):
-    return [random_expert(k, n, rng) for k in range(m)]
+    """An (m, n, n) panel of judgments on 0..4 with zero diagonals."""
+    panel = rng.integers(0, 5, size=(m, n, n))
+    panel[:, range(n), range(n)] = 0
+    return panel
 
 
 @pytest.fixture(scope="module")
@@ -49,14 +49,14 @@ def paper_group():
     return load_study_bundle().rough_group
 
 
-def oracle_group_matrix(experts):
+def oracle_group_matrix(panel):
     """Per-cell JudgmentSet / rough_bounds / average_rough enumeration of the group matrix."""
-    n = experts[0].n
+    n = panel.shape[1]
     lower, upper = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
-                js = JudgmentSet(tuple(int(e.values[i, j]) for e in experts))
+                js = JudgmentSet(tuple(panel[:, i, j].tolist()))
                 avg = average_rough([rough_bounds(js, k) for k in js])
                 lower[i, j], upper[i, j] = avg.lower, avg.upper
     return lower, upper
@@ -72,35 +72,38 @@ def expert_panels(draw):
     grids = draw(hnp.arrays(np.int64, (m, n, n), elements=st.integers(lo, hi)))
     grids[:, np.arange(n), np.arange(n)] = 0
     order = draw(st.permutations(range(m)))
-    experts = [ExpertMatrix(str(k), grids[k], Scale(lo, hi)) for k in range(m)]
-    return experts, [experts[k] for k in order]
+    return grids, grids[order]
 
 
-class TestScaleAndExpertMatrix:
+class TestScale:
     def test_negative_scale_minimum_rejected(self):
         with pytest.raises(InvalidArgumentError, match="non-negative"):
             Scale(-1, 4)
 
     def test_scale_above_zero_keeps_structural_zero_diagonal(self):
-        e = ExpertMatrix("e", np.array([[0, 9], [1, 0]]), Scale(1, 9))
-        assert e.values.tolist() == [[0, 9], [1, 0]]
-        with pytest.raises(InvalidArgumentError, match="1..9"):
-            ExpertMatrix("e", np.array([[0, 0], [1, 0]]), Scale(1, 9))
+        doc = {
+            "scale": {"min": 1, "max": 9},
+            "criteria": [{"id": "A"}, {"id": "B"}],
+            "respondents": [{"id": "e"}],
+            "matrices": {"e": [[0, 9], [1, 0]]},
+        }
+        assert parse_study_bundle(json.dumps(doc)).panel.tolist() == [[[0, 9], [1, 0]]]
+        doc["matrices"]["e"][1][0] = 0
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == ["matrices[e]: cell (B,A) = 0 outside scale 1..9"]
 
 
 class TestRoughGroupMatrix:
     def test_two_judgment_cell(self):
-        a = ExpertMatrix("a", np.array([[0, 2], [1, 0]]))
-        b = ExpertMatrix("b", np.array([[0, 4], [1, 0]]))
-        r = rough_group_matrix([a, b])
+        r = rough_group_matrix(np.array([[[0, 2], [1, 0]], [[0, 4], [1, 0]]]))
         # {2,4}: judgment 2 -> [2,3], judgment 4 -> [3,4]; averaged [2.5, 3.5]
         assert r.lower[0, 1] == pytest.approx(2.5)
         assert r.upper[0, 1] == pytest.approx(3.5)
         assert r.lower[1, 0] == r.upper[1, 0] == 1.0
 
     def test_unanimous_cell_collapses(self):
-        mats = [ExpertMatrix(str(k), np.array([[0, 3], [2, 0]])) for k in range(3)]
-        r = rough_group_matrix(mats)
+        r = rough_group_matrix(np.tile([[0, 3], [2, 0]], (3, 1, 1)))
         assert np.array_equal(r.lower, r.upper)
 
     def test_diagonal_is_point_zero(self):
@@ -109,11 +112,12 @@ class TestRoughGroupMatrix:
 
     def test_single_expert_rejected(self):
         with pytest.raises(InsufficientExpertsError):
-            rough_group_matrix([random_expert("only", 3)])
+            rough_group_matrix(random_expert_panel(3, 1))
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            rough_group_matrix([random_expert("a", 3), random_expert("b", 4)])
+        for shape in [(2, 3, 4), (3, 3), (2, 2, 2, 2)]:
+            with pytest.raises(ShapeError, match="panel must be an"):
+                rough_group_matrix(np.zeros(shape, dtype=np.int64))
 
     @settings(deadline=None)
     @given(expert_panels())
@@ -168,7 +172,7 @@ class TestRoughTotalRelation:
         assert not t.lower.any() and not t.upper.any()
 
     def test_degenerate_intervals_match_crisp(self):
-        d = crisp_mod.normalize_crisp(random_expert("e", 5).values.astype(float)) * 0.9
+        d = crisp_mod.normalize_crisp(random_expert_panel(5, 1)[0].astype(float)) * 0.9
         t = rough_total_relation(RoughMatrix(d, d))
         t_crisp = crisp_mod.solve_total_relation(d)
         assert np.allclose(t.lower, t_crisp, atol=1e-12)
@@ -257,14 +261,13 @@ class TestScoresToResults:
 
 class TestAnalyzeRough:
     def test_degenerate_experts_match_crisp_dematel(self):
-        base = random_expert("base", 6)
-        experts = [ExpertMatrix(str(k), base.values) for k in range(4)]
+        base = random_expert_panel(6, 1)[0]
         analysis = analyze_rough(
             [f"C{i}" for i in range(6)],
-            expert_matrices=experts,
+            panel=np.tile(base, (4, 1, 1)),
             tau_strategy=TAU_MAX_UPPER_SUM,
         )
-        d = crisp_mod.normalize_crisp(base.values.astype(float))
+        d = crisp_mod.normalize_crisp(base.astype(float))
         s = crisp_mod.crisp_scores(crisp_mod.solve_total_relation(d))
         assert np.allclose(analysis.scores.x_crisp, s.r, atol=1e-9)
         assert np.allclose(analysis.scores.y_crisp, s.d, atol=1e-9)
@@ -272,8 +275,8 @@ class TestAnalyzeRough:
     def test_expert_order_invariance(self):
         experts = random_expert_panel(5, 7)
         crit = [f"C{i}" for i in range(5)]
-        a1 = analyze_rough(crit, expert_matrices=experts)
-        a2 = analyze_rough(crit, expert_matrices=list(reversed(experts)))
+        a1 = analyze_rough(crit, panel=experts)
+        a2 = analyze_rough(crit, panel=experts[::-1])
         assert np.array_equal(a1.total.lower, a2.total.lower)
         assert np.array_equal(a1.total.upper, a2.total.upper)
         assert a1.results == a2.results
@@ -282,11 +285,9 @@ class TestAnalyzeRough:
         experts = random_expert_panel(5, 4)
         crit = [f"C{i}" for i in range(5)]
         perm = list(RNG.permutation(5))
-        permuted = [
-            ExpertMatrix(e.expert_id, e.values[np.ix_(perm, perm)]) for e in experts
-        ]
-        a1 = analyze_rough(crit, expert_matrices=experts)
-        a2 = analyze_rough([crit[i] for i in perm], expert_matrices=permuted)
+        permuted = experts[:, perm][:, :, perm]
+        a1 = analyze_rough(crit, panel=experts)
+        a2 = analyze_rough([crit[i] for i in perm], panel=permuted)
         for pos, i in enumerate(perm):
             r1, r2 = a1.results[i], a2.results[pos]
             assert r1.criterion_id == r2.criterion_id
@@ -297,11 +298,11 @@ class TestAnalyzeRough:
     def test_duplicate_expert_changes_multiset_means(self):
         experts = random_expert_panel(3, 3)
         crit = ["A", "B", "C"]
-        a1 = analyze_rough(crit, expert_matrices=experts)
-        dup = experts + [ExpertMatrix("dup", experts[0].values)]
-        a2 = analyze_rough(crit, expert_matrices=dup)
+        a1 = analyze_rough(crit, panel=experts)
+        dup = np.concatenate([experts, experts[:1]])
+        a2 = analyze_rough(crit, panel=dup)
         # group bounds must equal the enumeration over the enlarged multiset
-        vals = tuple(int(e.values[0, 1]) for e in dup)
+        vals = tuple(dup[:, 0, 1].tolist())
         js = JudgmentSet(vals)
         expected = average_rough([rough_bounds(js, k) for k in js])
         assert a2.group_matrix.lower[0, 1] == pytest.approx(expected.lower, abs=1e-12)
@@ -310,7 +311,7 @@ class TestAnalyzeRough:
 
     def test_interval_order_through_all_stages(self):
         experts = random_expert_panel(6, 5)
-        a = analyze_rough([f"C{i}" for i in range(6)], expert_matrices=experts)
+        a = analyze_rough([f"C{i}" for i in range(6)], panel=experts)
         for m in (a.group_matrix, a.normalized, a.total):
             assert np.all(m.lower <= m.upper + 1e-12)
 
@@ -318,9 +319,8 @@ class TestAnalyzeRough:
         # every row of D sums to 1 under max-upper-sum, so rho(D) = 1 and (I - D) is singular
         grid = np.full((4, 4), 4)
         np.fill_diagonal(grid, 0)
-        experts = [ExpertMatrix(str(k), grid) for k in range(3)]
         with pytest.raises(SingularMatrixError, match=r"^lower-bound matrix: .*rho\(D\) = 1"):
-            analyze_rough(list("ABCD"), expert_matrices=experts, tau_strategy=TAU_MAX_UPPER_SUM)
+            analyze_rough(list("ABCD"), panel=np.tile(grid, (3, 1, 1)), tau_strategy=TAU_MAX_UPPER_SUM)
 
     def test_one_criterion_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -65,12 +65,24 @@ class TestResultTables:
         assert [r["criterion"] for r in rows] == ids
         assert [r["group"] for r in rows] == [r.group for r in results]
 
-    def test_causal_points_mirror_results(self, fixture_report):
+    def test_report_json_schema_2_writes_each_value_once(self, fixture_report):
         doc = json.loads(render_report_json(fixture_report))
-        assert doc["causal_points"] == [
-            {"criterion": r.criterion_id, "prominence": r.prominence, "relation": r.relation, "group": r.group}
-            for r in fixture_report.results
+        assert list(doc) == [
+            "schema", "config", "criteria", "results", "rough_group", "total", "tstar", "network", "deviations"
         ]
+        assert doc["schema"] == 2
+        # the causal diagram reads its points from the results
+        assert [(r["criterion"], r["prominence"], r["relation"], r["group"]) for r in doc["results"]] == [
+            (r.criterion_id, r.prominence, r.relation, r.group) for r in fixture_report.results
+        ]
+
+    @pytest.mark.parametrize("tau", TAU_STRATEGIES)
+    def test_normalized_grid_is_rough_group_over_tau(self, tau):
+        rep = run_analysis(load_study_bundle(), AnalysisConfig(tau_strategy=tau))
+        doc = json.loads(render_report_json(rep))
+        normalized = np.asarray(doc["rough_group"]) / doc["config"]["tau"]
+        assert np.array_equal(normalized[..., 0], rep.analysis.normalized.lower)
+        assert np.array_equal(normalized[..., 1], rep.analysis.normalized.upper)
 
     def test_config_echo_is_complete(self, fixture_report):
         echo = fixture_report.config
@@ -150,9 +162,10 @@ class TestDeviationLedger:
 
 
 def oracle_report_json(report):
-    """The whole report through the stdlib's indent=2 encoder, grids built with .tolist()."""
+    """The whole schema-2 report through the stdlib's indent=2 encoder, grids built with .tolist()."""
     a = report.analysis
     doc = {
+        "schema": 2,
         "config": report.config,
         "criteria": report.criteria,
         "results": [
@@ -170,7 +183,6 @@ def oracle_report_json(report):
             for r in report.results
         ],
         "rough_group": np.stack([a.group_matrix.lower, a.group_matrix.upper], axis=-1).tolist(),
-        "normalized": np.stack([a.normalized.lower, a.normalized.upper], axis=-1).tolist(),
         "total": np.stack([a.total.lower, a.total.upper], axis=-1).tolist(),
         "tstar": report.tstar.tolist(),
         "network": {
@@ -181,10 +193,6 @@ def oracle_report_json(report):
                 for e in report.network.edges
             ],
         },
-        "causal_points": [
-            {"criterion": r.criterion_id, "prominence": r.prominence, "relation": r.relation, "group": r.group}
-            for r in report.results
-        ],
         "deviations": [dataclasses.asdict(d) for d in report.deviations],
     }
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
@@ -212,7 +220,7 @@ grid_floats = st.one_of(
 class TestReportJsonLayout:
     @settings(max_examples=300, deadline=None)
     @given(
-        hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4), elements=grid_floats),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4), elements=grid_floats),
         st.integers(min_value=0, max_value=3),
     )
     def test_grid_matches_encoder(self, a, level):
