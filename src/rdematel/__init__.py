@@ -17,6 +17,7 @@ from .pipeline import (
     Scale,
     analyze_rough,
     classify,
+    crisp_convert,
     normalize_rough,
     prominence_relation,
     rough_group_matrix,
@@ -25,14 +26,5 @@ from .pipeline import (
     weights,
 )
 from .report import AnalysisConfig, AnalysisReport, DeviationEntry, deviation_ledger, run_analysis
-from .rough import (
-    JudgmentSet,
-    RoughNumber,
-    average_rough,
-    crisp_convert,
-    lower_approximation,
-    rough_bounds,
-    upper_approximation,
-)
 
 __version__ = "0.1.0"

@@ -184,15 +184,12 @@ def reproduce_paper(tau_strategy, out_dir):
 
 
 @cli.command()
-@click.option("--criteria", "n_criteria", type=int, required=True)
-@click.option("--experts", "n_experts", type=int, required=True)
+@click.option("--criteria", "n_criteria", type=click.IntRange(min=2), required=True)
+@click.option("--experts", "n_experts", type=click.IntRange(min=2), required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_file", default=None, help="Write the bundle here instead of stdout.")
 def synth(n_criteria, n_experts, seed, out_file):
     """Generate a synthetic random study bundle (raw matrices)."""
-    if n_criteria < 2 or n_experts < 1:
-        click.echo("need at least 2 criteria and 1 expert", err=True)
-        sys.exit(2)
     scale = pipeline.Scale()
     criteria = [ingest.CriterionMeta(f"C{i + 1}", name=f"Criterion {i + 1}") for i in range(n_criteria)]
     respondents = [ingest.RespondentMeta(f"X{k + 1}") for k in range(n_experts)]

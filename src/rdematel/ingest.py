@@ -115,6 +115,11 @@ def _read_grid(grid, criteria: list[CriterionMeta]) -> np.ndarray | str:
         return str(exc)
 
 
+def _non_strings(entry: dict, keys: tuple[str, ...], where: str) -> list[str]:
+    """One error for each of ``keys`` that ``entry`` holds as something other than a JSON string."""
+    return [f"{where}: {key} must be a string" for key in keys if not isinstance(entry.get(key, ""), str)]
+
+
 def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
     """Build the bundle, or raise BundleValidationError listing every violation found.
 
@@ -144,8 +149,14 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
         raw_criteria = []
     if not raw_criteria:
         errors.append("criteria: list is empty or missing")
+    elif len(raw_criteria) < 2:
+        errors.append(f"criteria: DEMATEL needs at least two criteria, got {len(raw_criteria)}")
     for idx, c in enumerate(raw_criteria):
-        cid = str(c.get("id", "")).strip()
+        errors.extend(_non_strings(c, ("id", "name", "description"), f"criteria[{idx}]"))
+        cid = c.get("id", "")
+        if not isinstance(cid, str):
+            continue
+        cid = cid.strip()
         if not cid:
             errors.append(f"criteria[{idx}]: missing id")
             continue
@@ -165,7 +176,11 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
         errors.append("respondents: must be a list of objects")
         raw_respondents = []
     for idx, r in enumerate(raw_respondents):
-        rid = str(r.get("id", "")).strip()
+        errors.extend(_non_strings(r, ("id", "description"), f"respondents[{idx}]"))
+        rid = r.get("id", "")
+        if not isinstance(rid, str):
+            continue
+        rid = rid.strip()
         if not rid:
             errors.append(f"respondents[{idx}]: missing id")
             continue
@@ -186,6 +201,8 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
 
     panel: np.ndarray | None = None
     if has_raw:
+        if len(raw_respondents) < 2:
+            errors.append(f"respondents: raw mode needs at least two experts, got {len(raw_respondents)}")
         raw = doc["matrices"]
         if not isinstance(raw, dict):
             errors.append("matrices: must map respondent id to an n x n integer grid")

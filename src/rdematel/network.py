@@ -14,8 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pipeline import RoughMatrix
-from .rough import crisp_convert
+from .pipeline import RoughMatrix, crisp_convert
 
 CRISPIFY_MIDPOINT = "midpoint"
 CRISPIFY_GLOBAL = "global-crisp"

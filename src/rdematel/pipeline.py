@@ -22,7 +22,6 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .rough import crisp_convert
 
 TAU_MAX_TOTAL_SUM = "max-total-sum"
 TAU_MAX_UPPER_SUM = "max-upper-sum"
@@ -113,7 +112,6 @@ class RoughAnalysis:
     """Everything a single pipeline run produces, intermediates included."""
 
     criteria: list[str]
-    tau_strategy: str
     tau: float
     group_matrix: RoughMatrix
     normalized: RoughMatrix
@@ -125,12 +123,18 @@ class RoughAnalysis:
 def rough_group_matrix(panel: np.ndarray) -> RoughMatrix:
     """Pool an (experts, n, n) panel of integer judgments into the averaged rough group matrix.
 
+    A rough number summarizes one judgment k against the cell's judgment
+    multiset, duplicates counted: its lower bound is the mean of all
+    judgments at or below k, its upper bound the mean of all judgments at or
+    above k.  The group cell is the mean of the experts' rough numbers.  A
+    unanimous cell collapses to a point, which is what makes the crisp method
+    a degenerate case of the rough pipeline.
+
     ``counts[s, i, j]`` is how many experts gave cell (i, j) the s-th judgment
-    level present in the panel.  The rough number of a level has as lower bound
-    the mean of the judgments at or below it, a cumulative sum over the levels
-    from the bottom, and as upper bound the mean of those at or above it, one
-    from the top; the group bound is their count-weighted mean.  Counts do not
-    depend on expert order.
+    level present in the panel.  The lower bounds are a cumulative sum over
+    the levels from the bottom, the upper bounds one from the top, and the
+    group bound is their count-weighted mean.  Counts do not depend on expert
+    order.
     """
     panel = np.asarray(panel)
     if panel.ndim != 3 or panel.shape[1] != panel.shape[2]:
@@ -194,6 +198,33 @@ def rough_total_relation(rn: RoughMatrix) -> RoughMatrix:
         except (InvalidArgumentError, SingularMatrixError) as exc:
             raise type(exc)(f"{bound}-bound matrix: {exc}") from exc
     return RoughMatrix(*totals)
+
+
+def crisp_convert(lower, upper) -> np.ndarray:
+    """Convert intervals [lower, upper], given as two same-shaped arrays, to crisp values.
+
+    Each interval is normalized against the global envelope
+    [min lower, max upper] of all intervals, blended into a single
+    coefficient, and denormalized back onto the original scale.  When the
+    envelope is degenerate (all intervals the same point) the common point
+    is returned for every entry.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.shape != upper.shape:
+        raise InvalidArgumentError(f"bound arrays differ in shape: {lower.shape} / {upper.shape}")
+    if lower.size == 0:
+        raise InvalidArgumentError("cannot crisp-convert an empty interval list")
+    if np.any(lower > upper):
+        raise IntervalOrderError("an interval has its lower bound above its upper bound")
+    lo = lower.min()
+    span = upper.max() - lo
+    if span == 0.0:
+        return np.full(lower.shape, lo)
+    nl = (lower - lo) / span
+    nu = (upper - lo) / span
+    alpha = (nl * (1.0 - nl) + nu * nu) / (1.0 - nl + nu)
+    return lo + alpha * span
 
 
 def rough_sums(t: RoughMatrix) -> RoughScores:
@@ -274,7 +305,6 @@ def analyze_rough(
     ]
     return RoughAnalysis(
         criteria=criteria,
-        tau_strategy=tau_strategy,
         tau=tau,
         group_matrix=group_matrix,
         normalized=normalized,

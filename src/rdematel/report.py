@@ -45,7 +45,6 @@ class AnalysisConfig:
 @dataclass
 class AnalysisReport:
     config: dict
-    criteria: list[str]
     results: list[AnalysisResult]
     analysis: RoughAnalysis
     tstar: np.ndarray
@@ -87,7 +86,6 @@ def run_analysis(bundle: StudyBundle, config: AnalysisConfig = AnalysisConfig())
     }
     return AnalysisReport(
         config=echo,
-        criteria=criteria,
         results=analysis.results,
         analysis=analysis,
         tstar=tstar,
@@ -134,7 +132,7 @@ def render_report_json(report: AnalysisReport) -> bytes:
     doc = {
         "schema": 2,
         "config": report.config,
-        "criteria": report.criteria,
+        "criteria": a.criteria,
         "results": [
             {
                 "criterion": r.criterion_id,

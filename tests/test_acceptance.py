@@ -17,7 +17,9 @@ from rdematel.pipeline import (
     TAU_MAX_UPPER_SUM,
     analyze_rough,
     classify,
+    crisp_convert,
     normalize_rough,
+    rough_group_matrix,
     weights,
 )
 from rdematel.report import (
@@ -31,7 +33,7 @@ from rdematel.report import (
     render_results_csv,
     run_analysis,
 )
-from rdematel.rough import JudgmentSet, RoughNumber, rough_bounds
+from oracles import group_cell
 
 
 @contextmanager
@@ -121,8 +123,6 @@ def test_06_crisp_conversion_marked_not_comparable(bundle, reference):
         ncomp = [e for e in entries if e.status == NOT_COMPARABLE]
         assert {e.table for e in ncomp} == {"crisp_x", "crisp_y"}
         # the published value really is unreachable from the published sums
-        from rdematel.rough import crisp_convert
-
         hand = crisp_convert(reference["sum_x_lower"], reference["sum_x_upper"])
         assert hand[0] == pytest.approx(1.30, abs=0.01)
         assert abs(hand[0] - reference["crisp_x"][0]) > 1.0
@@ -178,30 +178,23 @@ def test_08_neumann_equivalence():
             assert np.abs(t - total).max() <= 1e-9
 
 
-def brute_force_bounds(values, k):
-    """Independent enumeration of the approximation means."""
-    lows = [v for v in values if v <= k]
-    ups = [v for v in values if v >= k]
-    return sum(lows) / len(lows), sum(ups) / len(ups)
-
-
 def test_09_rough_core_enumeration_oracle():
     with criterion(9, "rough bounds match brute-force enumeration"):
         rng = random.Random(4242)
         for _ in range(200):
-            size = rng.randint(1, 12)
-            values = tuple(rng.randint(0, 4) for _ in range(size))
-            js = JudgmentSet(values)
-            for k in set(values):
-                got = rough_bounds(js, k)
-                exp_lo, exp_up = brute_force_bounds(values, k)
-                assert got.lower == exp_lo and got.upper == exp_up
-            # unanimity collapse and endpoint laws
+            size = rng.randint(2, 12)
+            values = [rng.randint(0, 4) for _ in range(size)]
             c = rng.randint(0, 4)
-            unanimous = JudgmentSet((c,) * max(size, 1))
-            assert rough_bounds(unanimous, c) == RoughNumber(c, c)
-            assert rough_bounds(js, min(values)).lower == min(values)
-            assert rough_bounds(js, max(values)).upper == max(values)
+            # cell (0, 1) holds the random multiset, cell (1, 0) a unanimous one
+            panel = np.zeros((size, 2, 2), dtype=np.int64)
+            panel[:, 0, 1] = values
+            panel[:, 1, 0] = c
+            r = rough_group_matrix(panel)
+            exp_lo, exp_up = group_cell(values)
+            assert abs(r.lower[0, 1] - exp_lo) <= 1e-12 and abs(r.upper[0, 1] - exp_up) <= 1e-12
+            assert min(values) <= r.lower[0, 1] <= r.upper[0, 1] <= max(values)
+            # unanimity collapses the cell to its one judgment
+            assert r.lower[1, 0] == r.upper[1, 0] == c
 
 
 def test_10_structural_laws(bundle):

@@ -50,14 +50,37 @@ class TestValidate:
         doc = {
             "scale": {"min": 0, "max": 4},
             "criteria": [{"id": "A"}, {"id": "B"}],
-            "respondents": [{"id": "r1"}],
-            "matrices": {"r1": [[0, 5], [1, 0]]},
+            "respondents": [{"id": "r1"}, {"id": "r2"}],
+            "matrices": {"r1": [[0, 5], [1, 0]], "r2": [[0, 1], [1, 0]]},
         }
         p = tmp_path / "scale.json"
         p.write_text(json.dumps(doc))
         result = runner.invoke(cli, ["validate", str(p)])
         assert result.exit_code == 2
         assert "r1" in result.output
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            (
+                {"criteria": [{"id": "A"}, {"id": "B"}], "respondents": [{"id": "r1"}],
+                 "matrices": {"r1": [[0, 1], [2, 0]]}},
+                "respondents: raw mode needs at least two experts, got 1",
+            ),
+            (
+                {"criteria": [{"id": "A"}], "respondents": [], "rough_group": [[[0, 0]]]},
+                "criteria: DEMATEL needs at least two criteria, got 1",
+            ),
+        ],
+        ids=["one-respondent", "one-criterion"],
+    )
+    def test_agrees_with_analyze_on_too_small_study(self, runner, tmp_path, doc, error):
+        p = tmp_path / "small.json"
+        p.write_text(json.dumps(doc))
+        for args in (["validate", str(p)], ["analyze", str(p), "--out", str(tmp_path / "o")]):
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 2
+            assert result.output == f"invalid: {error}\n"
 
     def test_missing_file_exits_3(self, runner):
         result = runner.invoke(cli, ["validate", "/nonexistent/bundle.json"])
@@ -206,6 +229,13 @@ class TestSynth:
         assert runner.invoke(cli, ["validate", str(p)]).exit_code == 0
         out = tmp_path / "out"
         assert runner.invoke(cli, ["analyze", str(p), "--out", str(out)]).exit_code == 0
+
+    @pytest.mark.parametrize("flag", ["--criteria", "--experts"])
+    def test_count_below_two_rejected(self, runner, flag):
+        counts = {"--criteria": "3", "--experts": "3", flag: "1"}
+        result = runner.invoke(cli, ["synth", *[part for item in counts.items() for part in item]])
+        assert result.exit_code == 2
+        assert "x>=2" in result.output
 
     def test_negative_seed_rejected(self, runner):
         result = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "-1"])

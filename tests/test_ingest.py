@@ -261,6 +261,27 @@ class TestBundleParsing:
             parse_study_bundle(json.dumps(doc))
         assert exc_info.value.errors == [f"scale.{key}: {json.dumps(value)} is not an integer"]
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("criteria", "id", 1),
+            ("criteria", "id", True),
+            ("criteria", "id", None),
+            ("criteria", "name", 7),
+            ("criteria", "description", ["x"]),
+            ("respondents", "id", 2),
+            ("respondents", "description", False),
+        ],
+        ids=["criterion-id-int", "criterion-id-bool", "criterion-id-null", "criterion-name-int",
+             "criterion-description-list", "respondent-id-int", "respondent-description-bool"],
+    )
+    def test_non_string_text_field_named(self, where, key, value):
+        doc = json.loads(write_bundle(make_raw_bundle(n=3, m=2)))
+        doc[where][1][key] = value
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors[0] == f"{where}[1]: {key} must be a string"
+
     def test_validation_is_total(self):
         # any bytes give either a bundle or a diagnostic list, never a crash
         for junk in (b"", b"[1,2,3]", b'{"criteria": 5}', bytes(range(256)), b"[" * 200000 + b"]" * 200000):
@@ -277,7 +298,7 @@ names = st.text(min_size=0, max_size=20).filter(lambda s: "\x00" not in s)
 
 class TestRoundTripProperty:
     @settings(max_examples=50, deadline=None)
-    @given(names, names, st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=4))
+    @given(names, names, st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=4))
     def test_unicode_names_round_trip(self, name, desc, n, m):
         b = make_raw_bundle(n=n, m=m)
         b.criteria[0] = CriterionMeta(b.criteria[0].id, name=name, description=desc)

@@ -32,7 +32,7 @@ from rdematel.pipeline import (
     rough_total_relation,
     weights,
 )
-from rdematel.rough import JudgmentSet, average_rough, rough_bounds
+from oracles import group_cell
 
 RNG = np.random.default_rng(7121)
 
@@ -50,15 +50,13 @@ def paper_group():
 
 
 def oracle_group_matrix(panel):
-    """Per-cell JudgmentSet / rough_bounds / average_rough enumeration of the group matrix."""
+    """Per-cell brute-force enumeration of the group matrix."""
     n = panel.shape[1]
     lower, upper = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
-                js = JudgmentSet(tuple(panel[:, i, j].tolist()))
-                avg = average_rough([rough_bounds(js, k) for k in js])
-                lower[i, j], upper[i, j] = avg.lower, avg.upper
+                lower[i, j], upper[i, j] = group_cell(panel[:, i, j].tolist())
     return lower, upper
 
 
@@ -84,10 +82,10 @@ class TestScale:
         doc = {
             "scale": {"min": 1, "max": 9},
             "criteria": [{"id": "A"}, {"id": "B"}],
-            "respondents": [{"id": "e"}],
-            "matrices": {"e": [[0, 9], [1, 0]]},
+            "respondents": [{"id": "e"}, {"id": "f"}],
+            "matrices": {"e": [[0, 9], [1, 0]], "f": [[0, 1], [9, 0]]},
         }
-        assert parse_study_bundle(json.dumps(doc)).panel.tolist() == [[[0, 9], [1, 0]]]
+        assert parse_study_bundle(json.dumps(doc)).panel.tolist() == [[[0, 9], [1, 0]], [[0, 1], [9, 0]]]
         doc["matrices"]["e"][1][0] = 0
         with pytest.raises(BundleValidationError) as exc_info:
             parse_study_bundle(json.dumps(doc))
@@ -302,11 +300,9 @@ class TestAnalyzeRough:
         dup = np.concatenate([experts, experts[:1]])
         a2 = analyze_rough(crit, panel=dup)
         # group bounds must equal the enumeration over the enlarged multiset
-        vals = tuple(dup[:, 0, 1].tolist())
-        js = JudgmentSet(vals)
-        expected = average_rough([rough_bounds(js, k) for k in js])
-        assert a2.group_matrix.lower[0, 1] == pytest.approx(expected.lower, abs=1e-12)
-        assert a2.group_matrix.upper[0, 1] == pytest.approx(expected.upper, abs=1e-12)
+        lower, upper = group_cell(dup[:, 0, 1].tolist())
+        assert a2.group_matrix.lower[0, 1] == pytest.approx(lower, abs=1e-12)
+        assert a2.group_matrix.upper[0, 1] == pytest.approx(upper, abs=1e-12)
         assert a1.group_matrix.n == a2.group_matrix.n
 
     def test_interval_order_through_all_stages(self):

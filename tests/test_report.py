@@ -167,7 +167,7 @@ def oracle_report_json(report):
     doc = {
         "schema": 2,
         "config": report.config,
-        "criteria": report.criteria,
+        "criteria": a.criteria,
         "results": [
             {
                 "criterion": r.criterion_id,

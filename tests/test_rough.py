@@ -1,111 +1,101 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import bounds, group_cell
 
-from rdematel.errors import IntervalOrderError, InvalidArgumentError
-from rdematel.rough import (
-    JudgmentSet,
-    RoughNumber,
-    average_rough,
-    crisp_convert,
-    lower_approximation,
-    rough_bounds,
-    upper_approximation,
-)
+from rdematel.errors import InsufficientExpertsError, IntervalOrderError, InvalidArgumentError
+from rdematel.pipeline import RoughMatrix, crisp_convert, rough_group_matrix
 
-judgment_sets = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12).map(
-    lambda vs: JudgmentSet(tuple(vs))
-)
+multisets = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12)
+
+
+def group_cell_of(values):
+    """Cell (0, 1) of ``rough_group_matrix`` on a panel whose experts judge it ``values``, in order."""
+    panel = np.zeros((len(values), 2, 2), dtype=np.int64)
+    panel[:, 0, 1] = values
+    panel[:, 1, 0] = 2
+    r = rough_group_matrix(panel)
+    return r.lower[0, 1], r.upper[0, 1]
 
 
 class TestApproximations:
     def test_lower_retains_duplicates(self):
-        js = JudgmentSet((0, 1, 1, 3))
-        assert lower_approximation(js, 1).values == (0, 1, 1)
+        # mean of 0, 1, 1; the distinct values 0, 1 would give 1/2
+        assert bounds((0, 1, 1, 3), 1)[0] == 2 / 3
 
     def test_upper_retains_duplicates(self):
-        js = JudgmentSet((0, 1, 1, 3))
-        assert upper_approximation(js, 1).values == (1, 1, 3)
+        # mean of 1, 1, 3; the distinct values 1, 3 would give 2
+        assert bounds((0, 1, 1, 3), 1)[1] == 5 / 3
 
     def test_all_equal_set(self):
-        js = JudgmentSet((2, 2, 2))
-        assert lower_approximation(js, 2).values == (2, 2, 2)
-        assert upper_approximation(js, 2).values == (2, 2, 2)
+        assert bounds((2, 2, 2), 2) == (2.0, 2.0)
 
     def test_extremes(self):
-        assert lower_approximation(JudgmentSet((0, 4)), 0).values == (0,)
-        assert upper_approximation(JudgmentSet((0, 4)), 4).values == (4,)
-
-    def test_absent_judgment_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            lower_approximation(JudgmentSet((0, 1)), 3)
-        with pytest.raises(InvalidArgumentError):
-            upper_approximation(JudgmentSet((0, 1)), 3)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            JudgmentSet(())
+        assert bounds((0, 4), 0) == (0.0, 2.0)
+        assert bounds((0, 4), 4) == (2.0, 4.0)
 
 
 class TestRoughBounds:
     def test_worked_example(self):
-        rn = rough_bounds(JudgmentSet((0, 1, 1, 3)), 1)
-        assert rn.lower == pytest.approx(2 / 3, abs=1e-9)
-        assert rn.upper == pytest.approx(5 / 3, abs=1e-9)
+        lo, up = bounds((0, 1, 1, 3), 1)
+        assert lo == pytest.approx(2 / 3, abs=1e-9)
+        assert up == pytest.approx(5 / 3, abs=1e-9)
 
     def test_unanimity_collapses(self):
-        rn = rough_bounds(JudgmentSet((3, 3, 3)), 3)
-        assert rn == RoughNumber(3.0, 3.0)
+        assert bounds((3, 3, 3), 3) == (3.0, 3.0)
 
     def test_maximum_judgment(self):
-        rn = rough_bounds(JudgmentSet((0, 1, 1, 3)), 3)
-        assert rn.lower == pytest.approx(1.25, abs=1e-9)
-        assert rn.upper == pytest.approx(3.0, abs=1e-9)
+        lo, up = bounds((0, 1, 1, 3), 3)
+        assert lo == pytest.approx(1.25, abs=1e-9)
+        assert up == pytest.approx(3.0, abs=1e-9)
 
-    @given(judgment_sets)
-    def test_brackets_every_judgment(self, js):
-        for k in js:
-            rn = rough_bounds(js, k)
-            assert rn.lower <= k <= rn.upper
-            assert min(js.values) <= rn.lower and rn.upper <= max(js.values)
+    @given(multisets)
+    def test_brackets_every_judgment(self, values):
+        for k in values:
+            lo, up = bounds(values, k)
+            assert lo <= k <= up
+            assert min(values) <= lo and up <= max(values)
 
-    @given(judgment_sets)
-    def test_monotone_in_judgment(self, js):
-        bounds = [rough_bounds(js, k) for k in js.values]
-        for a, b in zip(bounds, bounds[1:]):
-            assert a.lower <= b.lower
-            assert a.upper <= b.upper
+    @given(multisets)
+    def test_monotone_in_judgment(self, values):
+        forms = [bounds(values, k) for k in sorted(values)]
+        for (lo_a, up_a), (lo_b, up_b) in zip(forms, forms[1:]):
+            assert lo_a <= lo_b
+            assert up_a <= up_b
 
-    @given(judgment_sets)
-    def test_endpoint_laws(self, js):
-        assert rough_bounds(js, min(js.values)).lower == min(js.values)
-        assert rough_bounds(js, max(js.values)).upper == max(js.values)
+    @given(multisets)
+    def test_endpoint_laws(self, values):
+        assert bounds(values, min(values))[0] == min(values)
+        assert bounds(values, max(values))[1] == max(values)
 
 
 class TestAverageRough:
+    """The group cell: ``rough_group_matrix``'s mean of the experts' rough numbers."""
+
     def test_two_intervals(self):
-        assert average_rough([RoughNumber(1, 2), RoughNumber(3, 4)]) == RoughNumber(2, 3)
+        # judgment 1 -> [1, 2], judgment 3 -> [2, 3]
+        assert group_cell_of((1, 3)) == (1.5, 2.5)
 
     def test_singleton(self):
-        assert average_rough([RoughNumber(5, 5)]) == RoughNumber(5, 5)
+        # one distinct judgment: every expert's rough number is the same point, and so is their mean
+        assert group_cell_of((2, 2, 2, 2)) == (2.0, 2.0)
 
     def test_component_means(self):
-        seq = [
-            RoughNumber(2 / 3, 5 / 3),
-            RoughNumber(2 / 3, 5 / 3),
-            RoughNumber(1.25, 3.0),
-            RoughNumber(1 / 3, 1.25),
-        ]
-        avg = average_rough(seq)
-        assert avg.lower == pytest.approx(35 / 48, abs=1e-12)  # 0.7292
-        assert avg.upper == pytest.approx(91 / 48, abs=1e-12)  # 1.8958
+        # rough forms 0 -> [0, 5/4], 1 -> [2/3, 5/3] twice, 3 -> [5/4, 3]
+        lo, up = group_cell_of((0, 1, 1, 3))
+        assert lo == pytest.approx(31 / 48, abs=1e-15)  # 0.6458
+        assert up == pytest.approx(91 / 48, abs=1e-15)  # 1.8958
+        assert (lo, up) == pytest.approx(group_cell((0, 1, 1, 3)), abs=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            average_rough([])
+        with pytest.raises(InsufficientExpertsError):
+            rough_group_matrix(np.zeros((0, 2, 2), dtype=np.int64))
+
+    @given(multisets.filter(lambda vs: len(vs) >= 2))
+    def test_within_judgment_range(self, values):
+        lo, up = group_cell_of(values)
+        assert min(values) <= lo <= up <= max(values)
 
 
 class TestCrispConvert:
@@ -171,15 +161,6 @@ def scalar_crisp_convert(lower, upper):
 
 def test_reversed_bounds_rejected():
     with pytest.raises(IntervalOrderError):
-        RoughNumber(2, 1)
+        RoughMatrix(np.array([[0.0, 2.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(IntervalOrderError):
         crisp_convert([0.0, 2.0], [1.0, 1.5])
-
-
-def test_width_and_midpoint():
-    rn = RoughNumber(1.0, 3.0)
-    assert rn.width == 2.0
-    assert rn.midpoint == 2.0
-    assert not rn.is_point()
-    assert RoughNumber(2, 2).is_point()
-    assert math.isclose(rough_bounds(JudgmentSet((1, 2)), 1).width, 0.5)
