@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,62 +62,127 @@ def _decode(data: bytes | str) -> str:
 
 
 def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
-    """Parse one expert's int64 n x n matrix: header of criterion ids, then rows of ``id,v1,...,vn``."""
+    """Parse one expert's int64 n x n matrix: header of criterion ids, then rows of ``id,v1,...,vn``.
+
+    Raises ParseError naming the first fault in reading order: a malformed
+    row before its cells, each cell before the next.
+    """
     text = _decode(data)
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     if not rows:
         raise ParseError("empty CSV file")
-    header = [c.strip() for c in rows[0]]
-    if header and header[0] == "":
-        header = header[1:]
-    ids = header
+    ids = [c.strip() for c in rows[0]]
+    if ids and ids[0] == "":
+        ids = ids[1:]
     n = len(ids)
     if n == 0:
         raise ParseError("header row carries no criterion ids")
     if len(rows) - 1 != n:
         raise ParseError(f"expected {n} data rows for {n} criteria, found {len(rows) - 1}")
-    values = np.zeros((n, n), dtype=np.int64)
+    judgments: list[int] = []  # row-major, up to the first malformed row or cell
+    fault = ""
     for i, row in enumerate(rows[1:], start=1):
         cells = [c.strip() for c in row]
         if len(cells) != n + 1:
-            raise ParseError(f"row {i}: expected {n + 1} cells, found {len(cells)}")
-        if cells[0] != ids[i - 1]:
-            raise ParseError(f"row {i}: row id {cells[0]!r} does not match header id {ids[i - 1]!r}")
-        for j, cell in enumerate(cells[1:]):
-            try:
-                v = int(cell)
-            except ValueError:
-                raise ParseError(f"row {i}, column {ids[j]}: non-integer cell {cell!r}") from None
-            if i - 1 == j:
-                if v != 0:
-                    raise ParseError(f"row {i}, column {ids[j]}: diagonal must be 0, got {v}")
-            elif not scale.contains(v):
-                raise ParseError(
-                    f"row {i}, column {ids[j]}: value {v} outside scale "
-                    f"{scale.minimum}..{scale.maximum}"
-                )
-            values[i - 1, j] = v
-    return values
+            fault = f"row {i}: expected {n + 1} cells, found {len(cells)}"
+        elif cells[0] != ids[i - 1]:
+            fault = f"row {i}: row id {cells[0]!r} does not match header id {ids[i - 1]!r}"
+        else:
+            for j, cell in enumerate(cells[1:]):
+                try:
+                    judgments.append(int(cell))
+                except ValueError:
+                    fault = f"row {i}, column {ids[j]}: non-integer cell {cell!r}"
+                    break
+        if fault:
+            break
+    # python ints, so a judgment beyond 64 bits is reported as off the scale
+    values = np.array(judgments + [0] * (n * n - len(judgments)), dtype=object).reshape(n, n)
+    bad = _first_bad_cell(values, scale)
+    if bad is not None and bad[0] * n + bad[1] < len(judgments):  # a cell read before the fault
+        i, j = bad
+        v = values[i, j]
+        why = f"diagonal must be 0, got {v}" if i == j else f"value {v} outside scale {scale.minimum}..{scale.maximum}"
+        raise ParseError(f"row {i + 1}, column {ids[j]}: {why}")
+    if fault:
+        raise ParseError(fault)
+    return values.astype(np.int64)
 
 
-def _read_grid(grid, criteria: list[CriterionMeta]) -> np.ndarray | str:
-    """One raw grid as an int64 n x n array, or what is wrong with it."""
+def _first_bad_cell(grid: np.ndarray, scale: Scale) -> tuple[int, int] | None:
+    """The first cell (i, j), row-major, of an n x n grid of judgments that breaks the judgment rule.
+
+    The diagonal is a structural zero, not a judgment: it must be 0, and
+    only the off-diagonal cells must lie on the scale.
+    """
+    off = np.where(np.eye(len(grid), dtype=bool), grid != 0, (grid < scale.minimum) | (grid > scale.maximum))
+    bad = np.flatnonzero(off)
+    return divmod(int(bad[0]), len(grid)) if bad.size else None
+
+
+def _read_grid(grid, criteria: list[CriterionMeta], scale: Scale, maybe_bool: bool) -> np.ndarray | str:
+    """One raw grid as an int64 n x n array, or the first thing wrong with it.
+
+    The cells get a look one by one when numpy does not read an int64 grid,
+    or when the text holds a ``true``/``false`` token (``maybe_bool``),
+    since numpy reads those as the ints 1/0.
+    """
     n = len(criteria)
     try:
-        if (shape := np.shape(grid)) != (n, n):
-            return f"shape {shape} does not match {n} criteria"
-        bad = next(((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if type(v) is not int), None)
-        if bad is not None:
-            i, j, v = bad
-            return f"non-integer cell ({criteria[i].id},{criteria[j].id}) {json.dumps(v)}"
-        return np.asarray(grid, dtype=np.int64)
+        a = np.asarray(grid)
+        if a.shape != (n, n):
+            return f"shape {a.shape} does not match {n} criteria"
+        if a.dtype != np.int64 or maybe_bool:
+            bad = next(((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if type(v) is not int), None)
+            if bad is not None:
+                i, j, v = bad
+                return f"non-integer cell ({criteria[i].id},{criteria[j].id}) {json.dumps(v)}"
+            a = np.asarray(grid, dtype=np.int64)
     except (ValueError, OverflowError) as exc:  # a ragged grid; an int beyond 64 bits
         return str(exc)
+    if (bad := _first_bad_cell(a, scale)) is None:
+        return a
+    i, j = bad
+    why = "on the diagonal, must be 0" if i == j else f"outside scale {scale.minimum}..{scale.maximum}"
+    return f"cell ({criteria[i].id},{criteria[j].id}) = {a[i, j]} {why}"
 
 
-def _non_strings(entry: dict, keys: tuple[str, ...], where: str) -> list[str]:
-    """One error for each of ``keys`` that ``entry`` holds as something other than a JSON string."""
-    return [f"{where}: {key} must be a string" for key in keys if not isinstance(entry.get(key, ""), str)]
+def _entry_list(doc: dict, key: str, errors: list[str]) -> list[dict]:
+    """The ``key`` list of entry objects, or [] when ``doc`` holds anything else."""
+    entries = doc.get(key, [])
+    if isinstance(entries, list) and all(isinstance(e, dict) for e in entries):
+        return entries
+    errors.append(f"{key}: must be a list of objects")
+    return []
+
+
+def _read_entries(
+    entries: list[dict], key: str, meta: type, enum: str, choices: tuple[str, ...], errors: list[str]
+) -> list:
+    """One ``meta`` per entry with a new, non-blank id; every fault found is added to ``errors``.
+
+    Each field of ``meta`` but ``enum`` must be a JSON string, and ``enum`` one of ``choices``.
+    """
+    texts = [f.name for f in fields(meta) if f.name != enum]
+    read, seen = [], set()
+    for idx, entry in enumerate(entries):
+        where = f"{key}[{idx}]"
+        errors.extend(f"{where}: {name} must be a string" for name in texts if not isinstance(entry.get(name, ""), str))
+        eid = entry.get("id", "")
+        if not isinstance(eid, str):
+            continue
+        eid = eid.strip()
+        if not eid:
+            errors.append(f"{where}: missing id")
+        elif eid in seen:
+            errors.append(f"{where}: duplicate id {eid!r}")
+        else:
+            seen.add(eid)
+            item = meta(**{name: entry[name] for name in [*texts, enum] if name in entry} | {"id": eid})
+            if (value := getattr(item, enum)) not in choices:
+                errors.append(f"{where} ({eid}): unknown {enum} {value!r}")
+            read.append(item)
+    return read
 
 
 def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
@@ -141,61 +206,17 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
         except InvalidArgumentError as exc:
             errors.append(f"scale: {exc}")
 
-    criteria: list[CriterionMeta] = []
-    seen = set()
-    raw_criteria = doc.get("criteria", [])
-    if not isinstance(raw_criteria, list) or not all(isinstance(c, dict) for c in raw_criteria):
-        errors.append("criteria: must be a list of objects")
-        raw_criteria = []
+    raw_criteria = _entry_list(doc, "criteria", errors)
     if not raw_criteria:
         errors.append("criteria: list is empty or missing")
     elif len(raw_criteria) < 2:
         errors.append(f"criteria: DEMATEL needs at least two criteria, got {len(raw_criteria)}")
-    for idx, c in enumerate(raw_criteria):
-        errors.extend(_non_strings(c, ("id", "name", "description"), f"criteria[{idx}]"))
-        cid = c.get("id", "")
-        if not isinstance(cid, str):
-            continue
-        cid = cid.strip()
-        if not cid:
-            errors.append(f"criteria[{idx}]: missing id")
-            continue
-        if cid in seen:
-            errors.append(f"criteria[{idx}]: duplicate id {cid!r}")
-            continue
-        seen.add(cid)
-        cat = c.get("category", "custom")
-        if cat not in CATEGORIES:
-            errors.append(f"criteria[{idx}] ({cid}): unknown category {cat!r}")
-        criteria.append(CriterionMeta(cid, c.get("name", ""), cat, c.get("description", "")))
-
-    respondents: list[RespondentMeta] = []
-    seen_r = set()
-    raw_respondents = doc.get("respondents", [])
-    if not isinstance(raw_respondents, list) or not all(isinstance(r, dict) for r in raw_respondents):
-        errors.append("respondents: must be a list of objects")
-        raw_respondents = []
-    for idx, r in enumerate(raw_respondents):
-        errors.extend(_non_strings(r, ("id", "description"), f"respondents[{idx}]"))
-        rid = r.get("id", "")
-        if not isinstance(rid, str):
-            continue
-        rid = rid.strip()
-        if not rid:
-            errors.append(f"respondents[{idx}]: missing id")
-            continue
-        if rid in seen_r:
-            errors.append(f"respondents[{idx}]: duplicate id {rid!r}")
-            continue
-        seen_r.add(rid)
-        role = r.get("role", "practitioner")
-        if role not in ROLES:
-            errors.append(f"respondents[{idx}] ({rid}): unknown role {role!r}")
-        respondents.append(RespondentMeta(rid, role, r.get("description", "")))
+    criteria = _read_entries(raw_criteria, "criteria", CriterionMeta, "category", CATEGORIES, errors)
+    raw_respondents = _entry_list(doc, "respondents", errors)
+    respondents = _read_entries(raw_respondents, "respondents", RespondentMeta, "role", ROLES, errors)
 
     n = len(criteria)
-    has_raw = "matrices" in doc
-    has_agg = "rough_group" in doc
+    has_raw, has_agg = "matrices" in doc, "rough_group" in doc
     if has_raw == has_agg:
         errors.append("bundle must carry exactly one of 'matrices' or 'rough_group'")
 
@@ -207,33 +228,16 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
         if not isinstance(raw, dict):
             errors.append("matrices: must map respondent id to an n x n integer grid")
             raw = {}
-        for rid in raw:
-            if rid not in seen_r:
-                errors.append(f"matrices[{rid}]: dangling respondent reference")
-        for r in respondents:
-            if r.id not in raw:
-                errors.append(f"matrices: no matrix for respondent {r.id}")
-        ids, grids = list(raw), list(raw.values())
-        try:
-            panel = np.asarray(grids)
-        except ValueError:  # ragged or too deeply nested
-            panel = None
-        faults: list[tuple[int, str]] = []  # (grid index, fault), at most one per grid
-        read = range(len(grids))  # the grid index of each panel slice
-        # numpy reads JSON true/false as the ints 1/0, and a ragged panel or one
-        # with a stray value as no int64 array at all: then each grid gets a look
-        if panel is None or panel.dtype != np.int64 or panel.shape != (len(grids), n, n) or maybe_bool:
-            arrays = [_read_grid(grid, criteria) for grid in grids]
-            faults = [(k, a) for k, a in enumerate(arrays) if isinstance(a, str)]
-            read = [k for k, a in enumerate(arrays) if not isinstance(a, str)]
-            panel = np.array([arrays[k] for k in read], dtype=np.int64).reshape(len(read), n, n)
-        # the diagonal is a structural zero, not a judgment: only off-diagonal cells lie on the scale
-        off = np.where(np.eye(n, dtype=bool), panel != 0, (panel < scale.minimum) | (panel > scale.maximum))
-        for k in np.flatnonzero(off.any(axis=(1, 2))):
-            i, j = np.argwhere(off[k])[0]
-            why = "on the diagonal, must be 0" if i == j else f"outside scale {scale.minimum}..{scale.maximum}"
-            faults.append((read[k], f"cell ({criteria[i].id},{criteria[j].id}) = {panel[k, i, j]} {why}"))
-        errors.extend(f"matrices[{ids[k]}]: {fault}" for k, fault in sorted(faults))
+        rows = {r.id: k for k, r in enumerate(respondents)}  # each respondent's row of the panel
+        errors.extend(f"matrices[{rid}]: dangling respondent reference" for rid in raw if rid not in rows)
+        errors.extend(f"matrices: no matrix for respondent {rid}" for rid in rows if rid not in raw)
+        panel = np.zeros((len(rows), n, n), dtype=np.int64)
+        for rid, grid in raw.items():
+            a = _read_grid(grid, criteria, scale, maybe_bool)
+            if isinstance(a, str):
+                errors.append(f"matrices[{rid}]: {a}")
+            elif rid in rows:
+                panel[rows[rid]] = a
 
     rough_group: RoughMatrix | None = None
     if has_agg:
@@ -266,15 +270,7 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
 
     if errors:
         raise BundleValidationError(errors)
-    if panel is not None and ids != [r.id for r in respondents]:
-        panel = panel[[ids.index(r.id) for r in respondents]]
-    return StudyBundle(
-        criteria=criteria,
-        respondents=respondents,
-        scale=scale,
-        panel=panel,
-        rough_group=rough_group,
-    )
+    return StudyBundle(criteria, respondents, scale, panel, rough_group)
 
 
 def parse_study_bundle(data: bytes | str) -> StudyBundle:

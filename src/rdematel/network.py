@@ -56,7 +56,8 @@ def threshold(tstar: np.ndarray, mode: str = THRESHOLD_MEAN_SIGMA, value: float 
 
     ``mean-sigma`` reads ``value`` as k and returns mean + k * population
     sigma of the off-diagonal entries (self-influence is a structural
-    zero); ``fixed`` returns ``value`` itself as q.  ``value`` must be finite.
+    zero); ``fixed`` returns ``value`` itself as q.  ``value`` and q must be
+    finite.
     """
     if not math.isfinite(value):
         raise InvalidArgumentError(f"threshold value must be a finite number, got {value}")
@@ -70,7 +71,11 @@ def threshold(tstar: np.ndarray, mode: str = THRESHOLD_MEAN_SIGMA, value: float 
     if mode != THRESHOLD_MEAN_SIGMA:
         raise InvalidArgumentError(f"unknown threshold mode {mode!r}")
     entries = tstar[~np.eye(tstar.shape[0], dtype=bool)]
-    return float(entries.mean() + value * entries.std())
+    with np.errstate(over="ignore"):
+        q = float(entries.mean() + value * entries.std())
+    if not math.isfinite(q):
+        raise InvalidArgumentError(f"threshold mean-sigma:{value} gives q = {q}; q must be a finite number")
+    return q
 
 
 def extract_network(tstar: np.ndarray, q: float, criteria: Sequence[str]) -> InfluenceNetwork:

@@ -45,9 +45,6 @@ class Scale:
         if self.minimum >= self.maximum:
             raise InvalidArgumentError("scale minimum must be below maximum")
 
-    def contains(self, v: int) -> bool:
-        return self.minimum <= v <= self.maximum
-
 
 @dataclass(frozen=True)
 class RoughMatrix:
@@ -153,8 +150,8 @@ def rough_group_matrix(panel: np.ndarray) -> RoughMatrix:
     lower, upper = np.zeros((n, n)), np.zeros((n, n))
     for bound, order in ((lower, slice(None)), (upper, slice(None, None, -1))):
         seen_n = np.zeros((n, n), dtype=np.int64)
-        seen_sum = np.zeros((n, n), dtype=np.int64)
-        for c, k in zip(counts[order], levels[order]):
+        seen_sum = np.zeros((n, n))  # float64: an int64 sum wraps past 2**63, a float one is exact below 2**53
+        for c, k in zip(counts[order], levels[order].astype(float)):
             seen_n += c
             seen_sum += c * k
             bound += c * np.divide(seen_sum, seen_n, out=np.zeros((n, n)), where=c > 0)

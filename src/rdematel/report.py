@@ -190,33 +190,15 @@ def render_deviations_csv(entries: Sequence[DeviationEntry]) -> bytes:
     writer = csv.writer(buf)
     writer.writerow(["table", "cell", "reference", "computed", "difference", "tolerance", "status", "note"])
     for d in entries:
-        writer.writerow(
-            [
-                d.table,
-                d.cell,
-                "" if d.reference is None else repr(d.reference),
-                "" if d.computed is None else repr(d.computed),
-                "" if d.difference is None else repr(d.difference),
-                "" if d.tolerance is None else repr(d.tolerance),
-                d.status,
-                d.note,
-            ]
-        )
+        numbers = ("" if v is None else repr(v) for v in (d.reference, d.computed, d.difference, d.tolerance))
+        writer.writerow([d.table, d.cell, *numbers, d.status, d.note])
     return buf.getvalue().encode("utf-8")
 
 
 def _compare(table: str, cell: str, reference: float, computed: float, tol: float, note: str = "") -> DeviationEntry:
-    diff = abs(reference - computed)
-    return DeviationEntry(
-        table=table,
-        cell=cell,
-        reference=float(reference),
-        computed=float(computed),
-        difference=float(diff),
-        tolerance=tol,
-        status=PASS if diff <= tol else FAIL,
-        note=note,
-    )
+    diff = float(abs(reference - computed))
+    status = PASS if diff <= tol else FAIL
+    return DeviationEntry(table, cell, float(reference), float(computed), diff, tol, status, note)
 
 
 def deviation_ledger(analysis: RoughAnalysis, reference: dict) -> list[DeviationEntry]:
@@ -234,73 +216,38 @@ def deviation_ledger(analysis: RoughAnalysis, reference: dict) -> list[Deviation
     if ids != analysis.criteria:
         raise InvalidArgumentError("reference tables and analysis disagree on criterion order")
     n = len(ids)
-    entries: list[DeviationEntry] = []
-
-    ref_nl = np.asarray(reference["normalized_lower"])
-    ref_nu = np.asarray(reference["normalized_upper"])
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            entries.append(_compare("normalized", f"({ids[i]},{ids[j]}).lower", ref_nl[i, j], analysis.normalized.lower[i, j], 5e-4))
-            entries.append(_compare("normalized", f"({ids[i]},{ids[j]}).upper", ref_nu[i, j], analysis.normalized.upper[i, j], 5e-4))
-
-    ref_tl = np.asarray(reference["total_lower"])
-    for i in range(n):
-        for j in range(n):
-            entries.append(
-                _compare("total.lower", f"({ids[i]},{ids[j]})", ref_tl[i, j], analysis.total.lower[i, j], 2e-3,
-                         note="published grid orientation")
-            )
-
+    sides = ("lower", "upper")
+    entries = [
+        _compare("normalized", f"({ids[i]},{ids[j]}).{side}", reference[f"normalized_{side}"][i][j],
+                 getattr(analysis.normalized, side)[i, j], 5e-4)
+        for i in range(n) for j in range(n) if i != j for side in sides
+    ]
+    entries += [
+        _compare("total.lower", f"({ids[i]},{ids[j]})", reference["total_lower"][i][j], analysis.total.lower[i, j],
+                 2e-3, note="published grid orientation")
+        for i in range(n) for j in range(n)
+    ]
     # published x = column sums of the computed total matrix, y = row sums
-    col_l, col_u = analysis.total.lower.sum(axis=0), analysis.total.upper.sum(axis=0)
-    row_l, row_u = analysis.total.lower.sum(axis=1), analysis.total.upper.sum(axis=1)
-    for name, ref_vec, comp_vec in (
-        ("sums.x_lower", reference["sum_x_lower"], col_l),
-        ("sums.x_upper", reference["sum_x_upper"], col_u),
-        ("sums.y_lower", reference["sum_y_lower"], row_l),
-        ("sums.y_upper", reference["sum_y_upper"], row_u),
-    ):
-        for i in range(n):
-            entries.append(_compare(name, ids[i], ref_vec[i], comp_vec[i], 1e-3,
-                                    note="transposed grid mapping applied"))
-
+    for name, axis in (("x", 0), ("y", 1)):
+        for side in sides:
+            sums = getattr(analysis.total, side).sum(axis=axis)
+            entries += [_compare(f"sums.{name}_{side}", ids[i], reference[f"sum_{name}_{side}"][i], sums[i], 1e-3,
+                                 note="transposed grid mapping applied") for i in range(n)]
     # the published crisp X/Y cannot be recovered from the published sums
-    for kind in ("crisp_x", "crisp_y"):
-        for i in range(n):
-            entries.append(
-                DeviationEntry(
-                    table=kind,
-                    cell=ids[i],
-                    reference=float(reference[kind][i]),
-                    computed=None,
-                    difference=None,
-                    tolerance=None,
-                    status=NOT_COMPARABLE,
-                    note="published crisp values do not follow from the published sums via the stated conversion",
-                )
-            )
-
+    entries += [
+        DeviationEntry(kind, ids[i], float(reference[kind][i]), None, None, None, NOT_COMPARABLE,
+                       note="published crisp values do not follow from the published sums via the stated conversion")
+        for kind in ("crisp_x", "crisp_y") for i in range(n)
+    ]
     # weight table, recomputed from the published crisp X/Y values
-    ref_x = np.asarray(reference["crisp_x"], dtype=float)
-    ref_y = np.asarray(reference["crisp_y"], dtype=float)
-    m, rel = ref_x + ref_y, ref_x - ref_y
-    omega, w, ranks = pipeline.weights(m, rel)
+    ref_x, ref_y = (np.asarray(reference[kind], dtype=float) for kind in ("crisp_x", "crisp_y"))
+    omega, w, ranks = pipeline.weights(ref_x + ref_y, ref_x - ref_y)
     for i in range(n):
-        entries.append(_compare("weights.omega", ids[i], reference["omega"][i], omega[i], 1e-3))
-        entries.append(_compare("weights.weight", ids[i], reference["weight"][i], w[i], 1e-3))
-        entries.append(
-            DeviationEntry(
-                table="weights.rank",
-                cell=ids[i],
-                reference=float(reference["rank"][i]),
-                computed=float(ranks[i]),
-                difference=float(abs(reference["rank"][i] - ranks[i])),
-                tolerance=0.0,
-                status=PASS if int(reference["rank"][i]) == int(ranks[i]) else FAIL,
-            )
-        )
+        entries += [
+            _compare("weights.omega", ids[i], reference["omega"][i], omega[i], 1e-3),
+            _compare("weights.weight", ids[i], reference["weight"][i], w[i], 1e-3),
+            _compare("weights.rank", ids[i], reference["rank"][i], ranks[i], 0.0),
+        ]
     entries.append(_compare("weights.sum", "sum(W)", 1.0, float(w.sum()), 1e-9))
     return entries
 

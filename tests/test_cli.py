@@ -171,6 +171,23 @@ class TestAnalyze:
             "analysis error: normalization: tau (max-total-sum) is inf; the rough group's row sums must be finite\n"
         )
 
+    @pytest.mark.parametrize("k, q", [("1e308", "inf"), ("-1e308", "-inf")])
+    def test_non_finite_q_exits_2(self, runner, tmp_path, k, q):
+        # sigma of T* is about 23 here, so k * sigma overflows
+        doc = {
+            "criteria": [{"id": c} for c in "ABC"],
+            "respondents": [],
+            "rough_group": [[[0, 0], [1e-3, 100], [0, 0]], [[1e-3, 99], [0, 0], [0, 0]], [[0, 1], [0, 0], [0, 0]]],
+        }
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["analyze", str(p), "--threshold", f"mean-sigma:{k}", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == (
+            f"analysis error: threshold mean-sigma:{float(k)} gives q = {q}; q must be a finite number\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_scale_above_zero_study_via_csv_and_bundle(self, runner, tmp_path):
         scale = Scale(1, 9)
         csvs = [",A,B,C\nA,0,9,1\nB,2,0,5\nC,7,3,0\n", ",A,B,C\nA,0,8,2\nB,1,0,5\nC,9,4,0\n"]

@@ -169,6 +169,58 @@ class TestBundleParsing:
         assert any("shape" in m for m in msgs)
         assert any("role" in m for m in msgs)
 
+    @pytest.mark.parametrize("criteria", ["read", "not-a-list"])
+    def test_error_order_is_pinned(self, criteria):
+        # scale, criteria, respondents, mode, then each matrices fault in document order, then rough_group
+        ok = [[0, 1, 2], [3, 0, 4], [1, 1, 0]]
+        doc = {
+            "scale": [0, 4],
+            "criteria": [{"id": "A"}, {"id": "A"}, {"id": "B", "name": 7}, {"id": "C", "category": "alien"}],
+            "respondents": [{"id": r} for r in ("R0", "R1", "R1", "R2", "R3", "R4", "R5")],
+            "matrices": {
+                "R4": [[0, 1, 2], [3, 2, 4], [1, 1, 0]],
+                "ghost": ok,
+                "R0": [[0, 1, 2], [3, 0], [1, 1, 0]],
+                "R1": [[0, 1, 2], [3, 0, 4], [1.5, 1, 0]],
+                "R2": ok,
+                "R3": [[0, 1, 9], [3, 0, 4], [1, 1, 0]],
+            },
+            "rough_group": [[[0, 0], [1, 2]], [[1, 2], [0, 0]]],
+        }
+        ragged = (
+            "matrices[R0]: setting an array element with a sequence. The requested array has an inhomogeneous"
+            " shape after 1 dimensions. The detected shape was (3,) + inhomogeneous part."
+        )
+        if criteria == "read":
+            middle = [
+                "criteria[1]: duplicate id 'A'",
+                "criteria[2]: name must be a string",
+                "criteria[3] (C): unknown category 'alien'",
+            ]
+            grids = [
+                "matrices[R4]: cell (B,B) = 2 on the diagonal, must be 0",
+                ragged,
+                "matrices[R1]: non-integer cell (C,A) 1.5",
+                "matrices[R3]: cell (A,C) = 9 outside scale 0..4",
+                "rough_group: is 2x2 but 3 criteria given",
+            ]
+        else:  # no criteria are read, so every grid that is not ragged has the wrong shape
+            doc["criteria"] = {"id": "A"}
+            middle = ["criteria: must be a list of objects", "criteria: list is empty or missing"]
+            grids = [f"matrices[{rid}]: shape (3, 3) does not match 0 criteria" for rid in doc["matrices"]]
+            grids[2] = ragged
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == [
+            "scale: must be an object with min/max",
+            *middle,
+            "respondents[2]: duplicate id 'R1'",
+            "bundle must carry exactly one of 'matrices' or 'rough_group'",
+            "matrices[ghost]: dangling respondent reference",
+            "matrices: no matrix for respondent R5",
+            *grids,
+        ]
+
     @pytest.mark.parametrize("cell", [1.7, "3", True], ids=["float", "string", "bool"])
     def test_non_integer_matrix_cell_named(self, cell):
         doc = json.loads(write_bundle(make_raw_bundle(n=3, m=2)))

@@ -83,6 +83,12 @@ class TestThreshold:
         with pytest.raises(InvalidArgumentError, match="finite"):
             threshold(np.ones((3, 3)), mode, value)
 
+    @pytest.mark.parametrize("k, q", [(1e308, "inf"), (-1e308, "-inf")])
+    def test_overflowing_q_rejected(self, k, q):
+        # off-diagonal entries {10, 0}: sigma 5, so k * sigma overflows
+        with pytest.raises(InvalidArgumentError, match=f"gives q = {q}; q must be a finite number"):
+            threshold(np.array([[0.0, 10.0], [0.0, 0.0]]), value=k)
+
 
 class TestExtractNetwork:
     def test_above_max_gives_isolated_nodes(self):

@@ -117,6 +117,18 @@ class TestRoughGroupMatrix:
             with pytest.raises(ShapeError, match="panel must be an"):
                 rough_group_matrix(np.zeros(shape, dtype=np.int64))
 
+    def test_judgments_near_the_int64_limit_do_not_wrap(self):
+        # two judgments of 2**62 sum to 2**63, one past the largest int64
+        big = 2**62
+        doc = {
+            "scale": {"min": 0, "max": big},
+            "criteria": [{"id": "A"}, {"id": "B"}],
+            "respondents": [{"id": "e1"}, {"id": "e2"}],
+            "matrices": {"e1": [[0, big], [0, 0]], "e2": [[0, big], [0, 0]]},
+        }
+        r = rough_group_matrix(parse_study_bundle(json.dumps(doc)).panel)
+        assert r.lower[0, 1] == r.upper[0, 1] == float(big)
+
     @settings(deadline=None)
     @given(expert_panels())
     def test_matches_per_cell_oracle_in_any_expert_order(self, panel):

@@ -13,7 +13,7 @@ from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
 from rdematel.ingest import parse_study_bundle
 from rdematel.network import CRISPIFY_MODES, Edge, InfluenceNetwork
-from rdematel.pipeline import TAU_MAX_UPPER_SUM, TAU_STRATEGIES
+from rdematel.pipeline import TAU_MAX_TOTAL_SUM, TAU_MAX_UPPER_SUM, TAU_STRATEGIES
 from rdematel.report import (
     FAIL,
     NOT_COMPARABLE,
@@ -125,11 +125,33 @@ class TestGraphDot:
         assert "E1" not in sources and "E2" not in sources
 
 
+def ledger_sequence(ids, replay):
+    """(table, cell, status, note) of each ledger entry in order; ``replay`` is every replayed cell's status."""
+    cells = [(a, b) for a in ids for b in ids]
+    seq = [("normalized", f"({a},{b}).{side}", replay, "") for a, b in cells if a != b for side in ("lower", "upper")]
+    seq += [("total.lower", f"({a},{b})", replay, "published grid orientation") for a, b in cells]
+    seq += [
+        (f"sums.{xy}_{side}", c, replay, "transposed grid mapping applied")
+        for xy in "xy" for side in ("lower", "upper") for c in ids
+    ]
+    note = "published crisp values do not follow from the published sums via the stated conversion"
+    seq += [(kind, c, NOT_COMPARABLE, note) for kind in ("crisp_x", "crisp_y") for c in ids]
+    seq += [(f"weights.{kind}", c, PASS, "") for c in ids for kind in ("omega", "weight", "rank")]
+    return seq + [("weights.sum", "sum(W)", PASS, "")]
+
+
 class TestDeviationLedger:
     def test_default_strategy_passes(self, fixture_report):
         entries = deviation_ledger(fixture_report.analysis, load_reference_tables())
         assert ledger_passes(entries)
         assert all(e.status in (PASS, NOT_COMPARABLE) for e in entries)
+
+    @pytest.mark.parametrize("tau, replay", [(TAU_MAX_TOTAL_SUM, PASS), (TAU_MAX_UPPER_SUM, FAIL)])
+    def test_entry_sequence_is_pinned(self, tau, replay):
+        # the stated tau misses every replayed cell; the weight table is checked from the published X/Y either way
+        rep = run_analysis(load_study_bundle(), AnalysisConfig(tau_strategy=tau))
+        entries = deviation_ledger(rep.analysis, load_reference_tables())
+        assert [(e.table, e.cell, e.status, e.note) for e in entries] == ledger_sequence(rep.analysis.criteria, replay)
 
     def test_crisp_conversion_marked_not_comparable(self, fixture_report):
         entries = deviation_ledger(fixture_report.analysis, load_reference_tables())
