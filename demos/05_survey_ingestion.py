@@ -5,13 +5,14 @@ would come back from a survey spreadsheet) and a JSON study bundle
 carrying several experts at once, plus what validation errors look like.
 """
 
+from importlib import resources
+
 from rdematel.errors import BundleValidationError, ParseError
-from rdematel.fixtures import _read
 from rdematel.ingest import parse_expert_csv, parse_study_bundle, write_bundle
 from rdematel.pipeline import analyze_rough
 
 # A single expert's matrix, straight from the bundled survey sheet.
-csv_bytes = _read("expert1_direct_relation.csv")
+csv_bytes = resources.files("rdematel.fixtures").joinpath("expert1_direct_relation.csv").read_bytes()
 print("raw CSV:")
 print(csv_bytes.decode().strip())
 

@@ -82,10 +82,11 @@ def validate(bundle):
     click.echo(f"OK: {b.n} criteria, {len(b.respondents)} respondents, {mode} mode")
 
 
+_tau_option = click.option("--tau", "tau_strategy", type=click.Choice(pipeline.TAU_STRATEGIES),
+                           default=pipeline.TAU_MAX_TOTAL_SUM, show_default=True,
+                           help="Normalization scalar strategy.")
 _analysis_options = [
-    click.option("--tau", "tau_strategy", type=click.Choice(pipeline.TAU_STRATEGIES),
-                 default=pipeline.TAU_MAX_TOTAL_SUM, show_default=True,
-                 help="Normalization scalar strategy."),
+    _tau_option,
     click.option("--crispify", "crispify_mode", type=click.Choice(net_mod.CRISPIFY_MODES),
                  default=net_mod.CRISPIFY_MIDPOINT, show_default=True,
                  help="How the rough total matrix is collapsed to crisp values."),
@@ -152,8 +153,7 @@ def graph(bundle, tau_strategy, crispify_mode, threshold_spec, out_file):
 
 
 @cli.command("reproduce-paper")
-@click.option("--tau", "tau_strategy", type=click.Choice(pipeline.TAU_STRATEGIES),
-              default=pipeline.TAU_MAX_TOTAL_SUM, show_default=True)
+@_tau_option
 @click.option("--out", "out_dir", default=None, help="Directory for the deviation ledger CSV.")
 def reproduce_paper(tau_strategy, out_dir):
     """Rerun the shipped reference study and reconcile it against the published tables."""

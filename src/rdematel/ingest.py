@@ -64,8 +64,9 @@ def _decode(data: bytes | str) -> str:
 def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
     """Parse one expert's int64 n x n matrix: header of criterion ids, then rows of ``id,v1,...,vn``.
 
-    Raises ParseError naming the first fault in reading order: a malformed
-    row before its cells, each cell before the next.
+    Raises ParseError naming the first fault in reading order: a blank or
+    repeated header id (the bundle's criterion-id rule), a malformed row
+    before its cells, each cell before the next.
     """
     text = _decode(data)
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
@@ -74,6 +75,10 @@ def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
     ids = [c.strip() for c in rows[0]]
     if ids and ids[0] == "":
         ids = ids[1:]
+    errors: list[str] = []
+    _read_entries([{"id": c} for c in ids], "header", CriterionMeta, "category", CATEGORIES, errors)
+    if errors:
+        raise ParseError(errors[0])
     n = len(ids)
     if n == 0:
         raise ParseError("header row carries no criterion ids")
@@ -185,7 +190,7 @@ def _read_entries(
     return read
 
 
-def _validate_bundle_dict(doc: dict, maybe_bool: bool = True) -> StudyBundle:
+def _validate_bundle_dict(doc: dict, maybe_bool: bool) -> StudyBundle:
     """Build the bundle, or raise BundleValidationError listing every violation found.
 
     ``maybe_bool`` is false when the text has no ``true``/``false`` token.
@@ -298,29 +303,38 @@ def write_bundle(bundle: StudyBundle) -> bytes:
     """Serialize a bundle; parse(write(b)) is structurally equal to b.
 
     The bytes are exactly those of ``json.dumps(doc, indent=2,
-    ensure_ascii=False) + "\n"``; the grids are rendered by ``_json_grid``.
+    ensure_ascii=False) + "\n"`` with each array as its ``tolist()``.
     """
     doc: dict = {
         "scale": {"min": bundle.scale.minimum, "max": bundle.scale.maximum},
-        "criteria": [
-            {"id": c.id, "name": c.name, "category": c.category, "description": c.description}
-            for c in bundle.criteria
-        ],
-        "respondents": [
-            {"id": r.id, "role": r.role, "description": r.description}
-            for r in bundle.respondents
-        ],
+        "criteria": [vars(c) for c in bundle.criteria],
+        "respondents": [vars(r) for r in bundle.respondents],
     }
-    text = json.dumps(doc, indent=2, ensure_ascii=False).removesuffix("\n}")
     if bundle.panel is not None:
-        grids = ",\n".join(
-            f"    {json.dumps(r.id, ensure_ascii=False)}: {_json_grid(g, 2)}"
-            for r, g in zip(bundle.respondents, bundle.panel)
-        )
-        text += ',\n  "matrices": ' + ("{\n" + grids + "\n  }" if grids else "{}")
+        doc["matrices"] = dict(zip([r.id for r in bundle.respondents], bundle.panel))
+        if not len(doc["matrices"]) == len(bundle.respondents) == len(bundle.panel):
+            raise InvalidArgumentError("a raw bundle needs one panel slice per respondent and distinct respondent ids")
     if bundle.rough_group is not None:
-        text += ',\n  "rough_group": ' + _json_grid(bundle.rough_group.stacked(), 1)
-    return (text + "\n}\n").encode("utf-8")
+        doc["rough_group"] = bundle.rough_group.stacked()
+    return (dump_json(doc, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def dump_json(value, level: int = 0, ensure_ascii: bool = True) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=...)`` opened at indent ``level``, each ndarray as its ``tolist()``.
+
+    Any ``indent`` sends every value through the stdlib's pure-Python encoder, which
+    for 280k floats (four n x n grids at n = 200) cost ~1 s and a ~60 MB transient.
+    So arrays go through ``_json_grid``, a dict (string keys) is walked key by key.
+    """
+    if isinstance(value, np.ndarray):
+        return _json_grid(value, level)
+    if isinstance(value, dict) and value:
+        pad = "\n" + "  " * (level + 1)
+        items = (json.dumps(k, ensure_ascii=ensure_ascii) + ": " + dump_json(v, level + 1, ensure_ascii)
+                 for k, v in value.items())
+        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+    # JSON escapes newlines inside strings, so every "\n" in a dumped value is layout
+    return json.dumps(value, indent=2, ensure_ascii=ensure_ascii).replace("\n", "\n" + "  " * level)
 
 
 def _json_grid(a: np.ndarray, level: int) -> str:

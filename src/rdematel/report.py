@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import network as net_mod
 from . import pipeline
 from .errors import InvalidArgumentError
-from .ingest import StudyBundle, _json_grid
+from .ingest import StudyBundle, dump_json
 from .network import InfluenceNetwork
 from .pipeline import AnalysisResult, RoughAnalysis
 
@@ -93,6 +92,10 @@ def run_analysis(bundle: StudyBundle, config: AnalysisConfig = AnalysisConfig())
     )
 
 
+# the result table's columns, one per AnalysisResult field in declaration order
+_RESULT_COLUMNS = ("criterion", "x", "y", "prominence", "relation", "omega", "weight", "rank", "group")
+
+
 def _fmt(v: float) -> str:
     # 4 fractional digits, round-half-even (python's default float formatting)
     return f"{v:.4f}"
@@ -102,7 +105,7 @@ def render_results_csv(report: AnalysisReport) -> bytes:
     """Result table mirroring the X / Y / X+Y / X-Y and weight/ranking columns."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["criterion", "x", "y", "prominence", "relation", "omega", "weight", "rank", "group"])
+    writer.writerow(_RESULT_COLUMNS)
     for r in report.results:
         writer.writerow(
             [r.criterion_id, _fmt(r.x), _fmt(r.y), _fmt(r.prominence), _fmt(r.relation),
@@ -112,61 +115,33 @@ def render_results_csv(report: AnalysisReport) -> bytes:
 
 
 def render_report_json(report: AnalysisReport) -> bytes:
-    """Full-precision structured form of the whole report, each value written once.
+    """Full-precision structured form of the whole report.
 
     Schema 2: the normalized grid is ``rough_group / config.tau`` and is not
-    written.  The bytes are exactly those of ``json.dumps(doc, indent=2) +
-    "\n"``.  Any ``indent`` sends every value through the stdlib's
-    pure-Python encoder and holds each chunk until the end, which for
-    280k floats (four n x n grids at n = 200) cost ~1 s and a ~60 MB transient.
-    So the grids are rendered by joining float reprs (``_json_grid``), every
-    other value by ``json.dumps`` re-indented one level, and the
-    ``"key": value`` parts are joined into the document.
+    written; ``config.threshold_q`` and ``network.threshold`` hold the same
+    q, and ``network.nodes`` the ids in ``criteria``.  The bytes are exactly
+    those of ``json.dumps(doc, indent=2) + "\n"`` with each grid as its
+    ``tolist()`` (``ingest.dump_json``).
     """
     a = report.analysis
-    grids = {
-        "rough_group": a.group_matrix.stacked(),
-        "total": a.total.stacked(),
-        "tstar": report.tstar,
-    }
     doc = {
         "schema": 2,
         "config": report.config,
         "criteria": a.criteria,
-        "results": [
-            {
-                "criterion": r.criterion_id,
-                "x": r.x,
-                "y": r.y,
-                "prominence": r.prominence,
-                "relation": r.relation,
-                "omega": r.omega,
-                "weight": r.weight,
-                "rank": r.rank,
-                "group": r.group,
-            }
-            for r in report.results
-        ],
-        **grids,
+        "results": [dict(zip(_RESULT_COLUMNS, vars(r).values())) for r in report.results],
+        "rough_group": a.group_matrix.stacked(),
+        "total": a.total.stacked(),
+        "tstar": report.tstar,
         "network": {
             "threshold": report.network.threshold,
             "nodes": list(report.network.nodes),
-            "edges": [
-                {"source": e.source, "target": e.target, "strength": e.strength}
-                for e in report.network.edges
-            ],
+            "edges": [vars(e) for e in report.network.edges],
         },
         # vars() lists a dataclass's fields in declaration order; dataclasses.asdict
         # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
         "deviations": [vars(d) for d in report.deviations],
     }
-    # JSON escapes newlines inside strings, so every "\n" in a dumped value is layout
-    parts = [
-        f'  {json.dumps(key)}: '
-        + (_json_grid(value, 1) if key in grids else json.dumps(value, indent=2).replace("\n", "\n  "))
-        for key, value in doc.items()
-    ]
-    return ("{\n" + ",\n".join(parts) + "\n}\n").encode("utf-8")
+    return (dump_json(doc) + "\n").encode("utf-8")
 
 
 def render_graph_dot(network: InfluenceNetwork) -> bytes:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdematel.errors import BundleValidationError, ParseError
+from rdematel.errors import BundleValidationError, InvalidArgumentError, ParseError
 from rdematel.fixtures import load_first_expert_matrix, load_study_bundle
 from rdematel.ingest import (
     CriterionMeta,
@@ -88,6 +88,18 @@ class TestExpertCsv:
         with pytest.raises(ParseError, match="row 2, column A: value 0 outside scale 1..9"):
             parse_expert_csv(",A,B\nA,0,9\nB,0,0\n", scale=Scale(1, 9))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",A,A\nA,0,1\nA,1,0\n", "header[1]: duplicate id 'A'"),
+            (",A,,B\nA,0,1,2\n,1,0,3\nB,1,1,0\n", "header[1]: missing id"),
+        ],
+    )
+    def test_header_ids_follow_bundle_rule(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_expert_csv(text)
+        assert str(exc.value) == message
+
 
 class TestBundleParsing:
     def test_reference_fixture_is_aggregate_mode(self):
@@ -111,6 +123,15 @@ class TestBundleParsing:
         b = make_raw_bundle(n=4, m=3) if mode == "raw" else load_study_bundle()
         b.criteria[0] = CriterionMeta(b.criteria[0].id, name="\u00e9t\u00e9 \"q\"\n")
         assert write_bundle(b) == (json.dumps(bundle_doc(b), indent=2, ensure_ascii=False) + "\n").encode()
+
+    def test_write_rejects_panel_respondent_mismatch(self):
+        repeated = make_raw_bundle(n=2, m=2)
+        repeated.respondents[1] = RespondentMeta(repeated.respondents[0].id)
+        extra_slice = make_raw_bundle(n=2, m=2)
+        extra_slice.panel = np.concatenate([extra_slice.panel, extra_slice.panel[:1]])
+        for b in (repeated, extra_slice):
+            with pytest.raises(InvalidArgumentError, match="one panel slice per respondent"):
+                write_bundle(b)
 
     def test_write_without_criteria(self):
         b = StudyBundle(criteria=[], respondents=[RespondentMeta("r")], panel=np.zeros((1, 0, 0), dtype=np.int64))

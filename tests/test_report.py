@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
-from rdematel.ingest import parse_study_bundle
+from rdematel.ingest import dump_json, parse_study_bundle
 from rdematel.network import CRISPIFY_MODES, Edge, InfluenceNetwork
 from rdematel.pipeline import TAU_MAX_TOTAL_SUM, TAU_MAX_UPPER_SUM, TAU_STRATEGIES
 from rdematel.report import (
@@ -19,7 +19,6 @@ from rdematel.report import (
     NOT_COMPARABLE,
     PASS,
     AnalysisConfig,
-    _json_grid,
     deviation_ledger,
     ledger_passes,
     render_deviations_csv,
@@ -220,17 +219,13 @@ def oracle_report_json(report):
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def nested(value, depth):
-    for _ in range(depth):
-        value = [value]
+def tolisted(value):
+    """``value`` with each ndarray as its ``tolist()``, for the stdlib encoder."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: tolisted(v) for k, v in value.items()}
     return value
-
-
-def wrapped(body, depth):
-    """``body`` as it sits inside ``depth`` one-element lists rendered with indent=2."""
-    for d in range(depth - 1, -1, -1):
-        body = "[\n" + "  " * (d + 1) + body + "\n" + "  " * d + "]"
-    return body
 
 
 grid_floats = st.one_of(
@@ -239,19 +234,30 @@ grid_floats = st.one_of(
 )
 
 
+array_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+json_docs = st.recursive(
+    hnp.arrays(np.float64, array_shapes, elements=grid_floats)
+    | hnp.arrays(np.int64, array_shapes)
+    | st.none() | st.booleans() | st.integers() | grid_floats | st.text(max_size=3)
+    | st.lists(st.integers() | st.text(max_size=3), max_size=3),
+    lambda docs: st.dictionaries(st.sampled_from(["a", "\u00e9t\u00e9", "\u4e2d", 'q"\\\n']) | st.text(max_size=3),
+                                 docs, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestReportJsonLayout:
     @settings(max_examples=300, deadline=None)
-    @given(
-        hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4), elements=grid_floats),
-        st.integers(min_value=0, max_value=3),
-    )
-    def test_grid_matches_encoder(self, a, level):
-        assert wrapped(_json_grid(a, level), level) == json.dumps(nested(a.tolist(), level), indent=2)
+    @given(json_docs, st.integers(min_value=0, max_value=3), st.booleans())
+    def test_grid_matches_encoder(self, doc, level, ensure_ascii):
+        """Grids, nested dicts (empty ones too) and non-ASCII keys, at any level, under both ``ensure_ascii``."""
+        expected = json.dumps(tolisted(doc), indent=2, ensure_ascii=ensure_ascii).replace("\n", "\n" + "  " * level)
+        assert dump_json(doc, level, ensure_ascii) == expected
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_rejects_non_finite(self, bad):
         with pytest.raises(InvalidArgumentError):
-            _json_grid(np.array([[0.0, bad], [1.0, 0.0]]), 1)
+            dump_json({"tstar": np.array([[0.0, bad], [1.0, 0.0]])}, 1)
 
     def test_bundled_study_with_ledger_matches_encoder(self, fixture_report):
         rep = dataclasses.replace(
