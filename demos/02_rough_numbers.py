@@ -5,7 +5,7 @@ all judgments at or below k and the mean of all judgments at or above k.
 Wide spread in opinion produces wide intervals; unanimity collapses the
 interval to a point.  The group judgment is the mean of the experts'
 rough numbers, which ``rough_group_matrix`` computes for every cell of a
-panel at once.
+panel at once, as an (n, n, 2) array of ``[lower, upper]`` pairs.
 """
 
 import numpy as np
@@ -30,17 +30,17 @@ for k in sorted(set(judgments)):
 
 mean_lo = sum(forms[k][0] for k in judgments) / len(judgments)
 mean_up = sum(forms[k][1] for k in judgments) / len(judgments)
-cell = (float(group.lower[0, 1]), float(group.upper[0, 1]))
+cell = group[0, 1].tolist()
 print(f"\nmean of the four rough forms: [{mean_lo:.4f}, {mean_up:.4f}]")
 print(f"rough_group_matrix cell A -> B: [{cell[0]:.4f}, {cell[1]:.4f}]")
 assert abs(cell[0] - mean_lo) <= 1e-12 and abs(cell[1] - mean_up) <= 1e-12
 
 # Unanimity gives a degenerate (point) interval.
 print("\nunanimous judgments on B -> A: [2, 2, 2, 2]")
-print(f"  rough_group_matrix cell B -> A: [{group.lower[1, 0]:.4f}, {group.upper[1, 0]:.4f}]")
+print(f"  rough_group_matrix cell B -> A: [{group[1, 0, 0]:.4f}, {group[1, 0, 1]:.4f}]")
 
-# Crisp conversion takes a family of intervals as lower and upper bound
-# arrays, normalizes them to [0, 1], blends each pair of bounds by the
+# Crisp conversion takes a family of intervals as one array of [lower, upper]
+# pairs, normalizes them to [0, 1], blends each pair of bounds by the
 # interval's own relative width, and maps back.
-crisp = crisp_convert([0.0, 1.0], [1.0, 2.0])
+crisp = crisp_convert([[0.0, 1.0], [1.0, 2.0]])
 print("\ncrisp conversion of {[0,1], [1,2]}:", [round(v, 4) for v in crisp.tolist()])

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import BundleValidationError, InvalidArgumentError, ParseError
-from .pipeline import RoughMatrix, Scale
+from .errors import BundleValidationError, IntervalOrderError, InvalidArgumentError, ParseError
+from .pipeline import Scale, check_intervals
 
 CATEGORIES = ("internal", "external", "custom")
 ROLES = ("practitioner", "academic")
@@ -38,13 +38,16 @@ class RespondentMeta:
 
 @dataclass
 class StudyBundle:
-    """Study metadata and either ``panel``, int64 (experts, n, n) in respondent order, or ``rough_group``."""
+    """Study metadata and either ``panel``, int64 (experts, n, n) in respondent order, or ``rough_group``.
+
+    ``rough_group`` is a float (n, n, 2) array of ``[lower, upper]`` pairs.
+    """
 
     criteria: list[CriterionMeta]
     respondents: list[RespondentMeta]
     scale: Scale = field(default_factory=Scale)
     panel: np.ndarray | None = None
-    rough_group: RoughMatrix | None = None
+    rough_group: np.ndarray | None = None
 
     @property
     def criterion_ids(self) -> list[str]:
@@ -135,9 +138,7 @@ def _read_grid(grid, criteria: list[CriterionMeta], scale: Scale, maybe_bool: bo
     n = len(criteria)
     try:
         a = np.asarray(grid)
-        if a.shape != (n, n):
-            return f"shape {a.shape} does not match {n} criteria"
-        if a.dtype != np.int64 or maybe_bool:
+        if a.shape == (n, n) and (a.dtype != np.int64 or maybe_bool):
             bad = next(((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if type(v) is not int), None)
             if bad is not None:
                 i, j, v = bad
@@ -145,11 +146,54 @@ def _read_grid(grid, criteria: list[CriterionMeta], scale: Scale, maybe_bool: bo
             a = np.asarray(grid, dtype=np.int64)
     except (ValueError, OverflowError) as exc:  # a ragged grid; an int beyond 64 bits
         return str(exc)
+    fault = _grid_fault(a, criteria, scale)
+    return a if fault is None else fault
+
+
+def _grid_fault(a: np.ndarray, criteria: list[CriterionMeta], scale: Scale) -> str | None:
+    """What is wrong with an integer grid of judgments: its shape against the criteria, else its first bad cell."""
+    n = len(criteria)
+    if a.shape != (n, n):
+        return f"shape {a.shape} does not match {n} criteria"
     if (bad := _first_bad_cell(a, scale)) is None:
-        return a
+        return None
     i, j = bad
     why = "on the diagonal, must be 0" if i == j else f"outside scale {scale.minimum}..{scale.maximum}"
     return f"cell ({criteria[i].id},{criteria[j].id}) = {a[i, j]} {why}"
+
+
+def _read_rough_group(grid, n: int, maybe_bool: bool) -> np.ndarray | str:
+    """The ``rough_group`` grid as a float (n, n, 2) array, or the first thing wrong with it.
+
+    ``n`` is 0 when no criteria were read; the size is then not checked.
+    """
+    try:
+        arr = np.asarray(grid)
+    except ValueError as exc:  # a ragged grid
+        return str(exc)
+    if arr.dtype.kind not in "if":
+        return "bounds must be numbers"
+    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+        return "must be an n x n grid of [lower, upper] pairs"
+    if n and arr.shape[0] != n:
+        return f"is {arr.shape[0]}x{arr.shape[1]} but {n} criteria given"
+    # numpy reads JSON true/false as 1/0, so bools need a look at the leaves
+    if maybe_bool and bool in (leaf_types := [type(v) for row in grid for pair in row for v in pair]):
+        i, j = divmod(leaf_types.index(bool) // 2, arr.shape[0])
+        return f"boolean bound in cell ({i},{j})"
+    if not np.isfinite(arr).all():
+        i, j, _ = np.argwhere(~np.isfinite(arr))[0]
+        return f"non-finite bound in cell ({i},{j})"
+    if (arr < 0).any():
+        i, j, _ = np.argwhere(arr < 0)[0]
+        return f"negative bound in cell ({i},{j})"
+    if np.diagonal(arr).any():
+        i = np.flatnonzero(np.diagonal(arr).any(axis=0))[0]
+        return f"non-zero diagonal in cell ({i},{i})"
+    try:
+        return check_intervals(arr)
+    except IntervalOrderError as exc:
+        return str(exc)
 
 
 def _entry_list(doc: dict, key: str, errors: list[str]) -> list[dict]:
@@ -244,34 +288,11 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool) -> StudyBundle:
             elif rid in rows:
                 panel[rows[rid]] = a
 
-    rough_group: RoughMatrix | None = None
+    rough_group: np.ndarray | None = None
     if has_agg:
-        grid = doc["rough_group"]
-        try:
-            arr = np.asarray(grid)
-            if arr.dtype.kind not in "if":
-                errors.append("rough_group: bounds must be numbers")
-            elif arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-                errors.append("rough_group: must be an n x n grid of [lower, upper] pairs")
-            elif n and arr.shape[0] != n:
-                errors.append(f"rough_group: is {arr.shape[0]}x{arr.shape[1]} but {n} criteria given")
-            # numpy reads JSON true/false as 1/0, so bools need a look at the leaves
-            elif maybe_bool and bool in (leaf_types := [type(v) for row in grid for pair in row for v in pair]):
-                i, j = divmod(leaf_types.index(bool) // 2, arr.shape[0])
-                errors.append(f"rough_group: boolean bound in cell ({i},{j})")
-            elif not np.isfinite(arr).all():
-                i, j, _ = np.argwhere(~np.isfinite(arr))[0]
-                errors.append(f"rough_group: non-finite bound in cell ({i},{j})")
-            elif (arr < 0).any():
-                i, j, _ = np.argwhere(arr < 0)[0]
-                errors.append(f"rough_group: negative bound in cell ({i},{j})")
-            elif np.diagonal(arr).any():
-                i = np.flatnonzero(np.diagonal(arr).any(axis=0))[0]
-                errors.append(f"rough_group: non-zero diagonal in cell ({i},{i})")
-            else:
-                rough_group = RoughMatrix(arr[:, :, 0], arr[:, :, 1])
-        except Exception as exc:
-            errors.append(f"rough_group: {exc}")
+        rough_group = _read_rough_group(doc["rough_group"], n, maybe_bool)
+        if isinstance(rough_group, str):
+            errors.append(f"rough_group: {rough_group}")
 
     if errors:
         raise BundleValidationError(errors)
@@ -302,6 +323,9 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
 def write_bundle(bundle: StudyBundle) -> bytes:
     """Serialize a bundle; parse(write(b)) is structurally equal to b.
 
+    A panel or rough group that the parser would reject raises
+    InvalidArgumentError naming the respondent or grid and the cell.
+
     The bytes are exactly those of ``json.dumps(doc, indent=2,
     ensure_ascii=False) + "\n"`` with each array as its ``tolist()``.
     """
@@ -311,11 +335,20 @@ def write_bundle(bundle: StudyBundle) -> bytes:
         "respondents": [vars(r) for r in bundle.respondents],
     }
     if bundle.panel is not None:
-        doc["matrices"] = dict(zip([r.id for r in bundle.respondents], bundle.panel))
-        if not len(doc["matrices"]) == len(bundle.respondents) == len(bundle.panel):
+        panel = np.asarray(bundle.panel)
+        if panel.dtype.kind not in "iu":
+            raise InvalidArgumentError(f"panel: judgments must be integers, got dtype {panel.dtype}")
+        doc["matrices"] = dict(zip([r.id for r in bundle.respondents], panel))
+        if not len(doc["matrices"]) == len(bundle.respondents) == len(panel):
             raise InvalidArgumentError("a raw bundle needs one panel slice per respondent and distinct respondent ids")
+        for rid, grid in doc["matrices"].items():
+            if (fault := _grid_fault(grid, bundle.criteria, bundle.scale)) is not None:
+                raise InvalidArgumentError(f"matrices[{rid}]: {fault}")
     if bundle.rough_group is not None:
-        doc["rough_group"] = bundle.rough_group.stacked()
+        rough_group = _read_rough_group(bundle.rough_group, bundle.n, False)
+        if isinstance(rough_group, str):
+            raise InvalidArgumentError(f"rough_group: {rough_group}")
+        doc["rough_group"] = rough_group
     return (dump_json(doc, ensure_ascii=False) + "\n").encode("utf-8")
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .pipeline import RoughMatrix, crisp_convert
+from .pipeline import crisp_convert
 
 CRISPIFY_MIDPOINT = "midpoint"
 CRISPIFY_GLOBAL = "global-crisp"
@@ -38,16 +38,16 @@ class InfluenceNetwork:
     threshold: float
 
 
-def crispify_total(t: RoughMatrix, mode: str = CRISPIFY_MIDPOINT) -> np.ndarray:
-    """Collapse the rough total matrix to crisp entries.
+def crispify_total(t: np.ndarray, mode: str = CRISPIFY_MIDPOINT) -> np.ndarray:
+    """Collapse the (n, n, 2) rough total matrix to crisp entries.
 
     ``midpoint`` takes interval midpoints; ``global-crisp`` runs the
     envelope-based crisp conversion over all n*n entries at once.
     """
     if mode == CRISPIFY_MIDPOINT:
-        return t.midpoint
+        return t.mean(axis=-1)
     if mode == CRISPIFY_GLOBAL:
-        return crisp_convert(t.lower, t.upper)
+        return crisp_convert(t)
     raise InvalidArgumentError(f"unknown crispify mode {mode!r}; use one of {CRISPIFY_MODES}")
 
 

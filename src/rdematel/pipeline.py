@@ -4,11 +4,14 @@ Expert judgment panel -> per-cell judgment counts -> rough group matrix ->
 normalized rough matrix -> rough total-relation matrix -> interval row and
 column sums -> crisp prominence/relation -> weights, ranking and
 cause/effect classification.
+
+Every interval grid is a float array whose last axis is ``[lower, upper]``,
+the (n, n, 2) layout bundles and ``report.json`` store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,49 +50,6 @@ class Scale:
 
 
 @dataclass(frozen=True)
-class RoughMatrix:
-    """Interval-valued square matrix stored as two bound matrices."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        up = np.asarray(self.upper, dtype=float)
-        if lo.shape != up.shape or lo.ndim != 2 or lo.shape[0] != lo.shape[1]:
-            raise ShapeError(f"bound matrices must be square and congruent, got {lo.shape} / {up.shape}")
-        if np.any(lo > up + 1e-12):
-            i, j = np.unravel_index(int(np.argmax(lo - up)), lo.shape)
-            raise IntervalOrderError(f"entry ({i},{j}) has lower {lo[i, j]} > upper {up[i, j]}")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return (self.lower + self.upper) / 2.0
-
-    def stacked(self) -> np.ndarray:
-        """The grid as an (n, n, 2) array of ``[lower, upper]`` pairs, its JSON form in bundles and reports."""
-        return np.stack([self.lower, self.upper], axis=-1)
-
-
-@dataclass(frozen=True)
-class RoughScores:
-    """Interval row/column sums of the rough total matrix plus their crisp forms."""
-
-    x_lower: np.ndarray
-    x_upper: np.ndarray
-    y_lower: np.ndarray
-    y_upper: np.ndarray
-    x_crisp: np.ndarray
-    y_crisp: np.ndarray
-
-
-@dataclass(frozen=True)
 class AnalysisResult:
     """Per-criterion outcome of a rough DEMATEL run."""
 
@@ -106,19 +66,48 @@ class AnalysisResult:
 
 @dataclass
 class RoughAnalysis:
-    """Everything a single pipeline run produces, intermediates included."""
+    """Everything a single pipeline run produces, intermediates included.
+
+    The three grids are float (n, n, 2) arrays of ``[lower, upper]`` pairs.
+    """
 
     criteria: list[str]
     tau: float
-    group_matrix: RoughMatrix
-    normalized: RoughMatrix
-    total: RoughMatrix
-    scores: RoughScores
-    results: list[AnalysisResult] = field(default_factory=list)
+    group_matrix: np.ndarray
+    normalized: np.ndarray
+    total: np.ndarray
+    results: list[AnalysisResult]
 
 
-def rough_group_matrix(panel: np.ndarray) -> RoughMatrix:
-    """Pool an (experts, n, n) panel of integer judgments into the averaged rough group matrix.
+def check_intervals(intervals) -> np.ndarray:
+    """``intervals`` as a float array whose last axis is ``[lower, upper]``, with no lower bound above its upper.
+
+    Raises ShapeError for a last axis other than 2 and IntervalOrderError
+    naming the first reversed entry in row-major order.
+    """
+    a = np.asarray(intervals, dtype=float)
+    if a.ndim == 0 or a.shape[-1] != 2:
+        raise ShapeError(f"intervals need a last axis of [lower, upper], got shape {a.shape}")
+    reversed_entries = np.argwhere(a[..., 0] > a[..., 1])
+    if reversed_entries.size:
+        entry = tuple(reversed_entries[0].tolist())
+        lo, up = a[entry]
+        raise IntervalOrderError(f"entry ({','.join(map(str, entry))}) has lower {lo} > upper {up}")
+    return a
+
+
+def interval_sums(g: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of an (n, n, 2) interval grid along ``axis`` (1: rows, 0: columns), as (n, 2) ``[lower, upper]`` pairs.
+
+    Each bound is summed on its own, so the sums round as a bound matrix's
+    own would: numpy's order of addition follows the memory layout, and
+    ``g.sum(axis=axis)`` can add in another order.
+    """
+    return np.stack([g[..., 0].sum(axis=axis), g[..., 1].sum(axis=axis)], axis=-1)
+
+
+def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
+    """Pool an (experts, n, n) panel of integer judgments into the averaged (n, n, 2) rough group matrix.
 
     A rough number summarizes one judgment k against the cell's judgment
     multiset, duplicates counted: its lower bound is the mean of all
@@ -147,29 +136,31 @@ def rough_group_matrix(panel: np.ndarray) -> RoughMatrix:
     counts = np.zeros((levels.size, n, n), dtype=np.int64)
     for grid in panel:
         counts += grid == levels[:, None, None]
-    lower, upper = np.zeros((n, n)), np.zeros((n, n))
-    for bound, order in ((lower, slice(None)), (upper, slice(None, None, -1))):
+    group = np.zeros((n, n, 2))
+    for side, order in ((0, slice(None)), (1, slice(None, None, -1))):
+        bound = group[..., side]
         seen_n = np.zeros((n, n), dtype=np.int64)
         seen_sum = np.zeros((n, n))  # float64: an int64 sum wraps past 2**63, a float one is exact below 2**53
         for c, k in zip(counts[order], levels[order].astype(float)):
             seen_n += c
             seen_sum += c * k
             bound += c * np.divide(seen_sum, seen_n, out=np.zeros((n, n)), where=c > 0)
-    return RoughMatrix(lower / m, upper / m)
+    return group / m
 
 
-def normalization_factor(r: RoughMatrix, strategy: str = TAU_MAX_TOTAL_SUM) -> float:
-    """Scalar tau dividing the rough group matrix.
+def normalization_factor(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> float:
+    """Scalar tau dividing the (n, n, 2) rough group matrix.
 
     ``max-upper-sum`` is the stated linear-scale rule (largest row sum of
     upper bounds); ``max-total-sum`` (largest row sum of lower plus upper
     bounds) is the variant the reference tables actually satisfy.
     """
     with np.errstate(over="ignore"):
+        rows = interval_sums(g, axis=1)
         if strategy == TAU_MAX_UPPER_SUM:
-            tau = float(r.upper.sum(axis=1).max())
+            tau = float(rows[:, 1].max())
         elif strategy == TAU_MAX_TOTAL_SUM:
-            tau = float((r.lower.sum(axis=1) + r.upper.sum(axis=1)).max())
+            tau = float(rows.sum(axis=1).max())
         else:
             raise InvalidArgumentError(f"unknown tau strategy {strategy!r}; use one of {TAU_STRATEGIES}")
     if not np.isfinite(tau):
@@ -181,24 +172,24 @@ def normalization_factor(r: RoughMatrix, strategy: str = TAU_MAX_TOTAL_SUM) -> f
     return tau
 
 
-def normalize_rough(r: RoughMatrix, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[RoughMatrix, float]:
-    tau = normalization_factor(r, strategy)
-    return RoughMatrix(r.lower / tau, r.upper / tau), tau
+def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[np.ndarray, float]:
+    tau = normalization_factor(g, strategy)
+    return g / tau, tau
 
 
-def rough_total_relation(rn: RoughMatrix) -> RoughMatrix:
+def rough_total_relation(rn: np.ndarray) -> np.ndarray:
     """Apply the total-relation closure to the lower and upper bound matrices independently."""
     totals = []
-    for bound in ("lower", "upper"):
+    for side, bound in enumerate(("lower", "upper")):
         try:
-            totals.append(crisp_mod.solve_total_relation(getattr(rn, bound)))
+            totals.append(crisp_mod.solve_total_relation(rn[..., side]))
         except (InvalidArgumentError, SingularMatrixError) as exc:
             raise type(exc)(f"{bound}-bound matrix: {exc}") from exc
-    return RoughMatrix(*totals)
+    return np.stack(totals, axis=-1)
 
 
-def crisp_convert(lower, upper) -> np.ndarray:
-    """Convert intervals [lower, upper], given as two same-shaped arrays, to crisp values.
+def crisp_convert(intervals) -> np.ndarray:
+    """Convert intervals, an array whose last axis is ``[lower, upper]``, to crisp values of the leading shape.
 
     Each interval is normalized against the global envelope
     [min lower, max upper] of all intervals, blended into a single
@@ -206,14 +197,10 @@ def crisp_convert(lower, upper) -> np.ndarray:
     envelope is degenerate (all intervals the same point) the common point
     is returned for every entry.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape:
-        raise InvalidArgumentError(f"bound arrays differ in shape: {lower.shape} / {upper.shape}")
-    if lower.size == 0:
+    a = check_intervals(intervals)
+    if a.size == 0:
         raise InvalidArgumentError("cannot crisp-convert an empty interval list")
-    if np.any(lower > upper):
-        raise IntervalOrderError("an interval has its lower bound above its upper bound")
+    lower, upper = a[..., 0], a[..., 1]
     lo = lower.min()
     span = upper.max() - lo
     if span == 0.0:
@@ -224,15 +211,9 @@ def crisp_convert(lower, upper) -> np.ndarray:
     return lo + alpha * span
 
 
-def rough_sums(t: RoughMatrix) -> RoughScores:
-    """Interval row sums X and column sums Y, each crisped against its own envelope."""
-    xl, xu = t.lower.sum(axis=1), t.upper.sum(axis=1)
-    yl, yu = t.lower.sum(axis=0), t.upper.sum(axis=0)
-    return RoughScores(xl, xu, yl, yu, crisp_convert(xl, xu), crisp_convert(yl, yu))
-
-
-def prominence_relation(scores: RoughScores) -> tuple[np.ndarray, np.ndarray]:
-    return scores.x_crisp + scores.y_crisp, scores.x_crisp - scores.y_crisp
+def rough_sums(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Crisp X and Y: the interval row and column sums of T, each crisped against its own envelope."""
+    return crisp_convert(interval_sums(t, axis=1)), crisp_convert(interval_sums(t, axis=0))
 
 
 def weights(prominence: np.ndarray, relation: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,48 +245,27 @@ def analyze_rough(
     criteria: Sequence[str],
     *,
     panel: np.ndarray | None = None,
-    group_matrix: RoughMatrix | None = None,
+    group_matrix: np.ndarray | None = None,
     tau_strategy: str = TAU_MAX_TOTAL_SUM,
 ) -> RoughAnalysis:
-    """Run the full pipeline from either an (experts, n, n) judgment panel or a prebuilt rough group matrix."""
+    """Run the full pipeline from an (experts, n, n) judgment panel or an (n, n, 2) rough group matrix."""
     criteria = list(criteria)
-    if len(criteria) < 2:
+    n = len(criteria)
+    if n < 2:
         raise InvalidArgumentError("DEMATEL needs at least two criteria")
     if (panel is None) == (group_matrix is None):
         raise InvalidArgumentError("provide exactly one of panel or group_matrix")
-    if panel is not None:
-        group_matrix = rough_group_matrix(panel)
-    assert group_matrix is not None
-    if group_matrix.n != len(criteria):
-        raise ShapeError(
-            f"group matrix is {group_matrix.n}x{group_matrix.n} but {len(criteria)} criteria given"
-        )
+    group_matrix = rough_group_matrix(panel) if panel is not None else check_intervals(group_matrix)
+    if group_matrix.shape != (n, n, 2):
+        raise ShapeError(f"group matrix has shape {group_matrix.shape} but {n} criteria need ({n}, {n}, 2)")
     normalized, tau = normalize_rough(group_matrix, tau_strategy)
     total = rough_total_relation(normalized)
-    scores = rough_sums(total)
-    m, n = prominence_relation(scores)
-    omega, w, ranks = weights(m, n)
-    labels = classify(n)
-    results = [
-        AnalysisResult(
-            criterion_id=cid,
-            x=float(scores.x_crisp[i]),
-            y=float(scores.y_crisp[i]),
-            prominence=float(m[i]),
-            relation=float(n[i]),
-            omega=float(omega[i]),
-            weight=float(w[i]),
-            rank=int(ranks[i]),
-            group=labels[i],
-        )
-        for i, cid in enumerate(criteria)
-    ]
-    return RoughAnalysis(
-        criteria=criteria,
-        tau=tau,
-        group_matrix=group_matrix,
-        normalized=normalized,
-        total=total,
-        scores=scores,
-        results=results,
-    )
+    x, y = rough_sums(total)
+    prominence, relation = x + y, x - y
+    omega, w, ranks = weights(prominence, relation)
+    labels = classify(relation)
+    # one row of x, y, prominence, relation, omega and weight per criterion, as python floats
+    rows = np.stack([x, y, prominence, relation, omega, w], axis=-1).tolist()
+    results = [AnalysisResult(cid, *row, rank, group)
+               for cid, row, rank, group in zip(criteria, rows, ranks.tolist(), labels)]
+    return RoughAnalysis(criteria, tau, group_matrix, normalized, total, results)

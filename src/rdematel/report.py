@@ -129,8 +129,8 @@ def render_report_json(report: AnalysisReport) -> bytes:
         "config": report.config,
         "criteria": a.criteria,
         "results": [dict(zip(_RESULT_COLUMNS, vars(r).values())) for r in report.results],
-        "rough_group": a.group_matrix.stacked(),
-        "total": a.total.stacked(),
+        "rough_group": a.group_matrix,
+        "total": a.total,
         "tstar": report.tstar,
         "network": {
             "threshold": report.network.threshold,
@@ -194,19 +194,19 @@ def deviation_ledger(analysis: RoughAnalysis, reference: dict) -> list[Deviation
     sides = ("lower", "upper")
     entries = [
         _compare("normalized", f"({ids[i]},{ids[j]}).{side}", reference[f"normalized_{side}"][i][j],
-                 getattr(analysis.normalized, side)[i, j], 5e-4)
-        for i in range(n) for j in range(n) if i != j for side in sides
+                 analysis.normalized[i, j, k], 5e-4)
+        for i in range(n) for j in range(n) if i != j for k, side in enumerate(sides)
     ]
     entries += [
-        _compare("total.lower", f"({ids[i]},{ids[j]})", reference["total_lower"][i][j], analysis.total.lower[i, j],
+        _compare("total.lower", f"({ids[i]},{ids[j]})", reference["total_lower"][i][j], analysis.total[i, j, 0],
                  2e-3, note="published grid orientation")
         for i in range(n) for j in range(n)
     ]
     # published x = column sums of the computed total matrix, y = row sums
     for name, axis in (("x", 0), ("y", 1)):
-        for side in sides:
-            sums = getattr(analysis.total, side).sum(axis=axis)
-            entries += [_compare(f"sums.{name}_{side}", ids[i], reference[f"sum_{name}_{side}"][i], sums[i], 1e-3,
+        sums = pipeline.interval_sums(analysis.total, axis)
+        for k, side in enumerate(sides):
+            entries += [_compare(f"sums.{name}_{side}", ids[i], reference[f"sum_{name}_{side}"][i], sums[i, k], 1e-3,
                                  note="transposed grid mapping applied") for i in range(n)]
     # the published crisp X/Y cannot be recovered from the published sums
     entries += [

@@ -63,12 +63,12 @@ def test_01_normalization_reproduces_reference(bundle, reference):
         ref_u = np.asarray(reference["normalized_upper"])
         off = ~np.eye(7, dtype=bool)
         assert off.sum() * 2 == 84
-        assert np.abs(normalized.lower - ref_l)[off].max() <= 5e-4
-        assert np.abs(normalized.upper - ref_u)[off].max() <= 5e-4
-        assert normalized.lower[0, 1] == pytest.approx(0.0643, abs=5e-4)
-        assert normalized.upper[0, 1] == pytest.approx(0.1153, abs=5e-4)
-        assert normalized.lower[1, 0] == pytest.approx(0.0638, abs=5e-4)
-        assert normalized.upper[1, 0] == pytest.approx(0.1250, abs=5e-4)
+        assert np.abs(normalized[..., 0] - ref_l)[off].max() <= 5e-4
+        assert np.abs(normalized[..., 1] - ref_u)[off].max() <= 5e-4
+        assert normalized[0, 1, 0] == pytest.approx(0.0643, abs=5e-4)
+        assert normalized[0, 1, 1] == pytest.approx(0.1153, abs=5e-4)
+        assert normalized[1, 0, 0] == pytest.approx(0.0638, abs=5e-4)
+        assert normalized[1, 0, 1] == pytest.approx(0.1250, abs=5e-4)
 
 
 def test_02_total_relation_reproduces_reference(reference):
@@ -123,7 +123,7 @@ def test_06_crisp_conversion_marked_not_comparable(bundle, reference):
         ncomp = [e for e in entries if e.status == NOT_COMPARABLE]
         assert {e.table for e in ncomp} == {"crisp_x", "crisp_y"}
         # the published value really is unreachable from the published sums
-        hand = crisp_convert(reference["sum_x_lower"], reference["sum_x_upper"])
+        hand = crisp_convert(np.stack([reference["sum_x_lower"], reference["sum_x_upper"]], axis=-1))
         assert hand[0] == pytest.approx(1.30, abs=0.01)
         assert abs(hand[0] - reference["crisp_x"][0]) > 1.0
         # and the run still succeeds overall
@@ -150,9 +150,11 @@ def test_07_degenerate_expert_oracle():
                 tau_strategy=TAU_MAX_UPPER_SUM,
             )
             scores = crisp_mod.crisp_scores(crisp_mod.solve_total_relation(d))
-            assert np.abs(analysis.scores.x_crisp - scores.r).max() <= 1e-9
-            assert np.abs(analysis.scores.y_crisp - scores.d).max() <= 1e-9
-            m_vec, n_vec = analysis.scores.x_crisp + analysis.scores.y_crisp, analysis.scores.x_crisp - analysis.scores.y_crisp
+            x = np.array([r.x for r in analysis.results])
+            y = np.array([r.y for r in analysis.results])
+            assert np.abs(x - scores.r).max() <= 1e-9
+            assert np.abs(y - scores.d).max() <= 1e-9
+            m_vec, n_vec = x + y, x - y
             assert np.abs(m_vec - scores.prominence).max() <= 1e-9
             assert np.abs(n_vec - scores.relation).max() <= 1e-9
             trials += 1
@@ -191,10 +193,11 @@ def test_09_rough_core_enumeration_oracle():
             panel[:, 1, 0] = c
             r = rough_group_matrix(panel)
             exp_lo, exp_up = group_cell(values)
-            assert abs(r.lower[0, 1] - exp_lo) <= 1e-12 and abs(r.upper[0, 1] - exp_up) <= 1e-12
-            assert min(values) <= r.lower[0, 1] <= r.upper[0, 1] <= max(values)
+            lo, up = r[0, 1]
+            assert abs(lo - exp_lo) <= 1e-12 and abs(up - exp_up) <= 1e-12
+            assert min(values) <= lo <= up <= max(values)
             # unanimity collapses the cell to its one judgment
-            assert r.lower[1, 0] == r.upper[1, 0] == c
+            assert r[1, 0, 0] == r[1, 0, 1] == c
 
 
 def test_10_structural_laws(bundle):
@@ -210,10 +213,10 @@ def test_10_structural_laws(bundle):
             experts.append(v)
         analysis = analyze_rough([f"C{i}" for i in range(n)], panel=np.stack(experts))
         for stage in (analysis.group_matrix, analysis.normalized, analysis.total):
-            assert np.all(stage.lower <= stage.upper + 1e-12)
+            assert np.all(stage[..., 0] <= stage[..., 1] + 1e-12)
 
         # threshold monotonicity
-        tstar = analysis.total.midpoint
+        tstar = analysis.total.mean(axis=-1)
         ids = analysis.criteria
         edges_at = lambda q: {(e.source, e.target) for e in extract_network(tstar, q, ids).edges}
         qs = sorted(rng.random(4) * tstar.max())
@@ -224,8 +227,7 @@ def test_10_structural_laws(bundle):
         shuffled = list(experts)
         rng.shuffle(shuffled)
         again = analyze_rough([f"C{i}" for i in range(n)], panel=np.stack(shuffled))
-        assert np.array_equal(analysis.total.lower, again.total.lower)
-        assert np.array_equal(analysis.total.upper, again.total.upper)
+        assert np.array_equal(analysis.total, again.total)
         assert analysis.results == again.results
 
         # parse/write round trip

@@ -71,10 +71,17 @@ class TestValidate:
                 {"criteria": [{"id": "A"}], "respondents": [], "rough_group": [[[0, 0]]]},
                 "criteria: DEMATEL needs at least two criteria, got 1",
             ),
+            (
+                {"criteria": [{"id": c} for c in "ABC"], "respondents": [],
+                 "rough_group": [[[0, 0], [0.5000000000004, 0.5], [1, 1]],
+                                 [[1, 1], [0, 0], [2, 2]],
+                                 [[0.5, 0.5], [1, 1], [0, 0]]]},
+                "rough_group: entry (0,1) has lower 0.5000000000004 > upper 0.5",
+            ),
         ],
-        ids=["one-respondent", "one-criterion"],
+        ids=["one-respondent", "one-criterion", "reversed-interval"],
     )
-    def test_agrees_with_analyze_on_too_small_study(self, runner, tmp_path, doc, error):
+    def test_agrees_with_analyze_on_rejected_study(self, runner, tmp_path, doc, error):
         p = tmp_path / "small.json"
         p.write_text(json.dumps(doc))
         for args in (["validate", str(p)], ["analyze", str(p), "--out", str(tmp_path / "o")]):

@@ -39,7 +39,7 @@ def bundle_doc(b):
     if b.panel is not None:
         doc["matrices"] = {r.id: g.tolist() for r, g in zip(b.respondents, b.panel)}
     if b.rough_group is not None:
-        doc["rough_group"] = b.rough_group.stacked().tolist()
+        doc["rough_group"] = b.rough_group.tolist()
     return doc
 
 
@@ -108,7 +108,8 @@ class TestBundleParsing:
         assert len(b.respondents) == 21
         assert b.panel is None
         assert b.rough_group is not None
-        assert b.rough_group.lower[0, 1] == pytest.approx(1.8186)
+        assert b.rough_group.shape == (7, 7, 2) and b.rough_group.dtype == float
+        assert b.rough_group[0, 1, 0] == pytest.approx(1.8186)
 
     def test_raw_mode_round_trip(self):
         b = make_raw_bundle()
@@ -133,6 +134,26 @@ class TestBundleParsing:
             with pytest.raises(InvalidArgumentError, match="one panel slice per respondent"):
                 write_bundle(b)
 
+    def test_write_rejects_what_parse_rejects(self):
+        wide = make_raw_bundle(n=2, m=2)
+        wide.panel = np.ones((2, 3, 3), dtype=np.int64)
+        off_scale = make_raw_bundle(n=3, m=2)
+        off_scale.panel[1, 0, 2] = 9
+        floats = make_raw_bundle(n=2, m=2)
+        floats.panel = floats.panel.astype(float)
+        reversed_group = load_study_bundle()
+        reversed_group.rough_group = reversed_group.rough_group.copy()
+        reversed_group.rough_group[2, 1] = [1.5, 1.0]
+        for b, error in [
+            (wide, "matrices[R0]: shape (3, 3) does not match 2 criteria"),
+            (off_scale, "matrices[R1]: cell (C0,C2) = 9 outside scale 0..4"),
+            (floats, "panel: judgments must be integers, got dtype float64"),
+            (reversed_group, "rough_group: entry (2,1) has lower 1.5 > upper 1.0"),
+        ]:
+            with pytest.raises(InvalidArgumentError) as exc_info:
+                write_bundle(b)
+            assert str(exc_info.value) == error
+
     def test_write_without_criteria(self):
         b = StudyBundle(criteria=[], respondents=[RespondentMeta("r")], panel=np.zeros((1, 0, 0), dtype=np.int64))
         assert json.loads(write_bundle(b))["matrices"] == {"r": []}
@@ -146,8 +167,7 @@ class TestBundleParsing:
     def test_aggregate_round_trip(self):
         b = load_study_bundle()
         b2 = parse_study_bundle(write_bundle(b))
-        assert np.array_equal(b2.rough_group.lower, b.rough_group.lower)
-        assert np.array_equal(b2.rough_group.upper, b.rough_group.upper)
+        assert np.array_equal(b2.rough_group, b.rough_group)
         assert b2.criteria == b.criteria
 
     def test_reserialization_is_byte_stable(self):

@@ -3,7 +3,6 @@ import pytest
 
 from rdematel.errors import InvalidArgumentError
 from rdematel.network import Edge, InfluenceNetwork, crispify_total, extract_network, threshold
-from rdematel.pipeline import RoughMatrix
 
 RNG = np.random.default_rng(99)
 
@@ -19,7 +18,7 @@ def loop_network(tstar, q, criteria):
 
 
 def rough(lower, upper):
-    return RoughMatrix(np.asarray(lower, float), np.asarray(upper, float))
+    return np.stack([np.asarray(lower, float), np.asarray(upper, float)], axis=-1)
 
 
 class TestCrispify:
@@ -38,8 +37,8 @@ class TestCrispify:
         lo = RNG.random((5, 5)) * 0.5
         t = rough(lo, lo + RNG.random((5, 5)) * 0.5)
         out = crispify_total(t, "global-crisp")
-        assert out.min() >= t.lower.min() - 1e-12
-        assert out.max() <= t.upper.max() + 1e-12
+        assert out.min() >= t[..., 0].min() - 1e-12
+        assert out.max() <= t[..., 1].max() + 1e-12
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidArgumentError):

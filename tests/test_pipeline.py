@@ -11,6 +11,7 @@ from rdematel.errors import (
     BundleValidationError,
     DegenerateInputError,
     InsufficientExpertsError,
+    IntervalOrderError,
     InvalidArgumentError,
     ShapeError,
     SingularMatrixError,
@@ -20,14 +21,12 @@ from rdematel.ingest import parse_study_bundle
 from rdematel.pipeline import (
     TAU_MAX_TOTAL_SUM,
     TAU_MAX_UPPER_SUM,
-    RoughMatrix,
-    RoughScores,
     Scale,
     analyze_rough,
     classify,
     normalize_rough,
-    prominence_relation,
     rough_group_matrix,
+    interval_sums,
     rough_sums,
     rough_total_relation,
     weights,
@@ -42,6 +41,11 @@ def random_expert_panel(n, m, rng=RNG):
     panel = rng.integers(0, 5, size=(m, n, n))
     panel[:, range(n), range(n)] = 0
     return panel
+
+
+def rough(lower, upper):
+    """An (n, n, 2) interval grid from its lower and upper bound matrices."""
+    return np.stack([np.asarray(lower, float), np.asarray(upper, float)], axis=-1)
 
 
 @pytest.fixture(scope="module")
@@ -96,17 +100,17 @@ class TestRoughGroupMatrix:
     def test_two_judgment_cell(self):
         r = rough_group_matrix(np.array([[[0, 2], [1, 0]], [[0, 4], [1, 0]]]))
         # {2,4}: judgment 2 -> [2,3], judgment 4 -> [3,4]; averaged [2.5, 3.5]
-        assert r.lower[0, 1] == pytest.approx(2.5)
-        assert r.upper[0, 1] == pytest.approx(3.5)
-        assert r.lower[1, 0] == r.upper[1, 0] == 1.0
+        assert r[0, 1, 0] == pytest.approx(2.5)
+        assert r[0, 1, 1] == pytest.approx(3.5)
+        assert r[1, 0, 0] == r[1, 0, 1] == 1.0
 
     def test_unanimous_cell_collapses(self):
         r = rough_group_matrix(np.tile([[0, 3], [2, 0]], (3, 1, 1)))
-        assert np.array_equal(r.lower, r.upper)
+        assert np.array_equal(r[..., 0], r[..., 1])
 
     def test_diagonal_is_point_zero(self):
         r = rough_group_matrix(random_expert_panel(5, 4))
-        assert not np.diag(r.lower).any() and not np.diag(r.upper).any()
+        assert not np.diagonal(r).any()
 
     def test_single_expert_rejected(self):
         with pytest.raises(InsufficientExpertsError):
@@ -127,7 +131,7 @@ class TestRoughGroupMatrix:
             "matrices": {"e1": [[0, big], [0, 0]], "e2": [[0, big], [0, 0]]},
         }
         r = rough_group_matrix(parse_study_bundle(json.dumps(doc)).panel)
-        assert r.lower[0, 1] == r.upper[0, 1] == float(big)
+        assert r[0, 1, 0] == r[0, 1, 1] == float(big)
 
     @settings(deadline=None)
     @given(expert_panels())
@@ -135,100 +139,104 @@ class TestRoughGroupMatrix:
         experts, shuffled = panel
         r = rough_group_matrix(experts)
         lower, upper = oracle_group_matrix(experts)
-        assert np.abs(r.lower - lower).max() <= 1e-12
-        assert np.abs(r.upper - upper).max() <= 1e-12
+        assert np.abs(r[..., 0] - lower).max() <= 1e-12
+        assert np.abs(r[..., 1] - upper).max() <= 1e-12
         again = rough_group_matrix(shuffled)
-        assert np.array_equal(r.lower, again.lower) and np.array_equal(r.upper, again.upper)
+        assert np.array_equal(r, again)
 
 
 class TestNormalizeRough:
     def test_paper_tau_total(self, paper_group):
         normalized, tau = normalize_rough(paper_group, TAU_MAX_TOTAL_SUM)
         assert tau == pytest.approx(28.2619, abs=1e-4)
-        assert normalized.lower[0, 1] == pytest.approx(0.0643, abs=5e-5)
-        assert normalized.upper[0, 1] == pytest.approx(0.1153, abs=5e-5)
+        assert normalized[0, 1, 0] == pytest.approx(0.0643, abs=5e-5)
+        assert normalized[0, 1, 1] == pytest.approx(0.1153, abs=5e-5)
 
     def test_paper_tau_upper(self, paper_group):
         normalized, tau = normalize_rough(paper_group, TAU_MAX_UPPER_SUM)
         assert tau == pytest.approx(18.9857, abs=1e-4)
-        assert normalized.lower[0, 1] == pytest.approx(0.0958, abs=5e-5)
-        assert normalized.upper[0, 1] == pytest.approx(0.1717, abs=5e-5)
+        assert normalized[0, 1, 0] == pytest.approx(0.0958, abs=5e-5)
+        assert normalized[0, 1, 1] == pytest.approx(0.1717, abs=5e-5)
 
     def test_already_normalized_with_unit_tau(self):
-        r = RoughMatrix(np.array([[0, 0.2], [0.3, 0]]), np.array([[0, 0.5], [0.5, 0]]))
+        r = rough([[0, 0.2], [0.3, 0]], [[0, 0.5], [0.5, 0]])
         normalized, tau = normalize_rough(r, TAU_MAX_UPPER_SUM)
-        rescaled = RoughMatrix(normalized.lower * tau, normalized.upper * tau)
-        assert np.allclose(rescaled.lower, r.lower) and np.allclose(rescaled.upper, r.upper)
+        assert np.allclose(normalized * tau, r)
 
     def test_unknown_strategy_rejected(self, paper_group):
         with pytest.raises(InvalidArgumentError):
             normalize_rough(paper_group, "median")
 
     def test_zero_matrix_rejected(self):
-        z = RoughMatrix(np.zeros((2, 2)), np.zeros((2, 2)))
+        z = np.zeros((2, 2, 2))
         with pytest.raises(DegenerateInputError):
             normalize_rough(z)
 
     def test_normalized_uppers_at_most_one(self, paper_group):
         for strategy in (TAU_MAX_TOTAL_SUM, TAU_MAX_UPPER_SUM):
             normalized, _ = normalize_rough(paper_group, strategy)
-            assert normalized.upper.max() <= 1.0
+            assert normalized[..., 1].max() <= 1.0
 
 
 class TestRoughTotalRelation:
     def test_zero_matrix(self):
-        z = RoughMatrix(np.zeros((3, 3)), np.zeros((3, 3)))
-        t = rough_total_relation(z)
-        assert not t.lower.any() and not t.upper.any()
+        t = rough_total_relation(np.zeros((3, 3, 2)))
+        assert t.shape == (3, 3, 2) and not t.any()
 
     def test_degenerate_intervals_match_crisp(self):
         d = crisp_mod.normalize_crisp(random_expert_panel(5, 1)[0].astype(float)) * 0.9
-        t = rough_total_relation(RoughMatrix(d, d))
+        t = rough_total_relation(rough(d, d))
         t_crisp = crisp_mod.solve_total_relation(d)
-        assert np.allclose(t.lower, t_crisp, atol=1e-12)
-        assert np.allclose(t.upper, t_crisp, atol=1e-12)
+        assert np.allclose(t[..., 0], t_crisp, atol=1e-12)
+        assert np.allclose(t[..., 1], t_crisp, atol=1e-12)
 
     def test_interval_order_preserved(self, paper_group):
         normalized, _ = normalize_rough(paper_group)
         t = rough_total_relation(normalized)
-        assert np.all(t.lower <= t.upper + 1e-12)
+        assert np.all(t[..., 0] <= t[..., 1] + 1e-12)
 
     def test_near_singular_bound_named(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(SingularMatrixError, match=r"^upper-bound matrix: .*rho\(D\)"):
-            rough_total_relation(RoughMatrix(0.5 * swap, (1 - 1e-10) * swap))
+            rough_total_relation(rough(0.5 * swap, (1 - 1e-10) * swap))
 
     def test_negative_bound_named(self):
         lower = np.array([[0.0, -0.1], [0.2, 0.0]])
         with pytest.raises(InvalidArgumentError, match="^lower-bound matrix: .*non-negative"):
-            rough_total_relation(RoughMatrix(lower, np.abs(lower)))
+            rough_total_relation(rough(lower, np.abs(lower)))
 
     def test_paper_anchor(self, paper_group):
         normalized, _ = normalize_rough(paper_group, TAU_MAX_TOTAL_SUM)
         t = rough_total_relation(normalized)
-        assert t.lower[0, 1] == pytest.approx(0.0870, abs=2e-3)
+        assert t[0, 1, 0] == pytest.approx(0.0870, abs=2e-3)
 
 
 class TestRoughSums:
     def test_interval_sums_balance(self, paper_group):
         normalized, _ = normalize_rough(paper_group)
-        scores = rough_sums(rough_total_relation(normalized))
-        assert scores.x_lower.sum() == pytest.approx(scores.y_lower.sum(), abs=1e-9)
-        assert scores.x_upper.sum() == pytest.approx(scores.y_upper.sum(), abs=1e-9)
+        t = rough_total_relation(normalized)
+        x, y = interval_sums(t, axis=1), interval_sums(t, axis=0)
+        assert x[:, 0].sum() == pytest.approx(y[:, 0].sum(), abs=1e-9)
+        assert x[:, 1].sum() == pytest.approx(y[:, 1].sum(), abs=1e-9)
+
+    def test_interval_sums_round_like_each_closed_bound_alone(self):
+        normalized, _ = normalize_rough(rough_group_matrix(random_expert_panel(40, 3)))
+        t = rough_total_relation(normalized)
+        bounds = [crisp_mod.solve_total_relation(normalized[..., k]) for k in (0, 1)]
+        for axis in (0, 1):
+            assert np.array_equal(interval_sums(t, axis), np.stack([b.sum(axis=axis) for b in bounds], axis=-1))
 
     def test_constant_matrix(self):
         c = 0.05
-        t = RoughMatrix(np.full((4, 4), c), np.full((4, 4), c))
-        scores = rough_sums(t)
-        assert np.allclose(scores.x_lower, 4 * c) and np.allclose(scores.y_upper, 4 * c)
+        x, y = rough_sums(np.full((4, 4, 2), c))
+        assert np.allclose(x, 4 * c) and np.allclose(y, 4 * c)
 
 
 class TestScoresToResults:
     def test_prominence_relation_from_table3(self):
         x = np.array([3.6135, 2.8362])
         y = np.array([3.4314, 3.1900])
-        z = np.zeros(2)
-        m, n = prominence_relation(RoughScores(z, z, z, z, x_crisp=x, y_crisp=y))
+        m, n = x + y, x - y
         assert m[0] == pytest.approx(7.0448, abs=1e-3)
         assert n[0] == pytest.approx(0.1821, abs=1e-9)
         assert n[1] == pytest.approx(-0.3539, abs=1e-4)
@@ -279,16 +287,15 @@ class TestAnalyzeRough:
         )
         d = crisp_mod.normalize_crisp(base.astype(float))
         s = crisp_mod.crisp_scores(crisp_mod.solve_total_relation(d))
-        assert np.allclose(analysis.scores.x_crisp, s.r, atol=1e-9)
-        assert np.allclose(analysis.scores.y_crisp, s.d, atol=1e-9)
+        assert np.allclose([r.x for r in analysis.results], s.r, atol=1e-9)
+        assert np.allclose([r.y for r in analysis.results], s.d, atol=1e-9)
 
     def test_expert_order_invariance(self):
         experts = random_expert_panel(5, 7)
         crit = [f"C{i}" for i in range(5)]
         a1 = analyze_rough(crit, panel=experts)
         a2 = analyze_rough(crit, panel=experts[::-1])
-        assert np.array_equal(a1.total.lower, a2.total.lower)
-        assert np.array_equal(a1.total.upper, a2.total.upper)
+        assert np.array_equal(a1.total, a2.total)
         assert a1.results == a2.results
 
     def test_criterion_permutation_equivariance(self):
@@ -313,15 +320,15 @@ class TestAnalyzeRough:
         a2 = analyze_rough(crit, panel=dup)
         # group bounds must equal the enumeration over the enlarged multiset
         lower, upper = group_cell(dup[:, 0, 1].tolist())
-        assert a2.group_matrix.lower[0, 1] == pytest.approx(lower, abs=1e-12)
-        assert a2.group_matrix.upper[0, 1] == pytest.approx(upper, abs=1e-12)
-        assert a1.group_matrix.n == a2.group_matrix.n
+        assert a2.group_matrix[0, 1, 0] == pytest.approx(lower, abs=1e-12)
+        assert a2.group_matrix[0, 1, 1] == pytest.approx(upper, abs=1e-12)
+        assert a1.group_matrix.shape == a2.group_matrix.shape
 
     def test_interval_order_through_all_stages(self):
         experts = random_expert_panel(6, 5)
         a = analyze_rough([f"C{i}" for i in range(6)], panel=experts)
         for m in (a.group_matrix, a.normalized, a.total):
-            assert np.all(m.lower <= m.upper + 1e-12)
+            assert np.all(m[..., 0] <= m[..., 1] + 1e-12)
 
     def test_unanimous_panel_at_unit_row_sums_rejected(self):
         # every row of D sums to 1 under max-upper-sum, so rho(D) = 1 and (I - D) is singular
@@ -332,7 +339,22 @@ class TestAnalyzeRough:
 
     def test_one_criterion_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            analyze_rough(["only"], group_matrix=RoughMatrix(np.zeros((1, 1)), np.zeros((1, 1))))
+            analyze_rough(["only"], group_matrix=np.zeros((1, 1, 2)))
+
+    @pytest.mark.parametrize(
+        "shape, why",
+        [((3, 3, 3), "last axis"), ((3, 4, 2), "shape"), ((2, 2, 2), "3 criteria"), ((3, 3), "last axis")],
+        ids=["last-axis-3", "non-square", "size-mismatch", "no-interval-axis"],
+    )
+    def test_group_matrix_shape_rejected(self, shape, why):
+        with pytest.raises(ShapeError, match=why):
+            analyze_rough(["A", "B", "C"], group_matrix=np.zeros(shape))
+
+    def test_reversed_group_interval_names_cell(self):
+        g = np.zeros((3, 3, 2))
+        g[0, 1] = [0.5000000000004, 0.5]
+        with pytest.raises(IntervalOrderError, match=r"^entry \(0,1\) has lower 0.5000000000004 > upper 0.5$"):
+            analyze_rough(["A", "B", "C"], group_matrix=g)
 
     def test_requires_exactly_one_input_mode(self):
         with pytest.raises(InvalidArgumentError):

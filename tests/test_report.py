@@ -80,8 +80,7 @@ class TestResultTables:
         rep = run_analysis(load_study_bundle(), AnalysisConfig(tau_strategy=tau))
         doc = json.loads(render_report_json(rep))
         normalized = np.asarray(doc["rough_group"]) / doc["config"]["tau"]
-        assert np.array_equal(normalized[..., 0], rep.analysis.normalized.lower)
-        assert np.array_equal(normalized[..., 1], rep.analysis.normalized.upper)
+        assert np.array_equal(normalized, rep.analysis.normalized)
 
     def test_config_echo_is_complete(self, fixture_report):
         echo = fixture_report.config
@@ -203,8 +202,8 @@ def oracle_report_json(report):
             }
             for r in report.results
         ],
-        "rough_group": np.stack([a.group_matrix.lower, a.group_matrix.upper], axis=-1).tolist(),
-        "total": np.stack([a.total.lower, a.total.upper], axis=-1).tolist(),
+        "rough_group": a.group_matrix.tolist(),
+        "total": a.total.tolist(),
         "tstar": report.tstar.tolist(),
         "network": {
             "threshold": report.network.threshold,

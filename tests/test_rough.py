@@ -4,10 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import bounds, group_cell
 
-from rdematel.errors import InsufficientExpertsError, IntervalOrderError, InvalidArgumentError
-from rdematel.pipeline import RoughMatrix, crisp_convert, rough_group_matrix
+from rdematel.errors import InsufficientExpertsError, IntervalOrderError, InvalidArgumentError, ShapeError
+from rdematel.pipeline import check_intervals, crisp_convert, rough_group_matrix
 
 multisets = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=12)
+
+
+def intervals(lower, upper):
+    """Intervals as one array whose last axis is [lower, upper]."""
+    return np.stack([np.asarray(lower, float), np.asarray(upper, float)], axis=-1)
 
 
 def group_cell_of(values):
@@ -15,8 +20,8 @@ def group_cell_of(values):
     panel = np.zeros((len(values), 2, 2), dtype=np.int64)
     panel[:, 0, 1] = values
     panel[:, 1, 0] = 2
-    r = rough_group_matrix(panel)
-    return r.lower[0, 1], r.upper[0, 1]
+    lo, up = rough_group_matrix(panel)[0, 1]
+    return lo, up
 
 
 class TestApproximations:
@@ -100,28 +105,28 @@ class TestAverageRough:
 
 class TestCrispConvert:
     def test_two_intervals(self):
-        out = crisp_convert([0, 1], [1, 2])
+        out = crisp_convert(intervals([0, 1], [1, 2]))
         assert out[0] == pytest.approx(1 / 3, abs=1e-9)
         assert out[1] == pytest.approx(5 / 3, abs=1e-9)
 
     def test_degenerate_envelope(self):
-        out = crisp_convert([2.5, 2.5], [2.5, 2.5])
+        out = crisp_convert(intervals([2.5, 2.5], [2.5, 2.5]))
         assert out.tolist() == [2.5, 2.5]
 
     def test_point_intervals_are_fixed(self):
         # crisping a list of points is the identity, which is what makes the
         # crisp method the degenerate case of the rough pipeline
         pts = [0.5, 1.0, 3.5]
-        out = crisp_convert(pts, pts)
+        out = crisp_convert(intervals(pts, pts))
         assert out == pytest.approx(pts, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            crisp_convert([], [])
+            crisp_convert(np.empty((0, 2)))
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=8))
     def test_point_list_preserves_order(self, vs):
-        out = crisp_convert(vs, vs)
+        out = crisp_convert(intervals(vs, vs))
         for (a, oa), (b, ob) in zip(zip(vs, out), zip(vs[1:], out[1:])):
             if a < b:
                 assert oa <= ob
@@ -137,12 +142,12 @@ class TestCrispConvert:
     def test_envelope_and_permutation_equivariance(self, pairs, rng):
         lower = np.array([lo for lo, _ in pairs])
         upper = np.array([lo + w for lo, w in pairs])
-        out = crisp_convert(lower, upper)
+        out = crisp_convert(intervals(lower, upper))
         assert out.tolist() == scalar_crisp_convert(lower.tolist(), upper.tolist())
         assert np.all((lower.min() - 1e-9 <= out) & (out <= upper.max() + 1e-9))
         perm = list(range(len(pairs)))
         rng.shuffle(perm)
-        out_p = crisp_convert(lower[perm], upper[perm])
+        out_p = crisp_convert(intervals(lower[perm], upper[perm]))
         assert out_p == pytest.approx(out[perm], abs=1e-12)
 
 
@@ -160,7 +165,13 @@ def scalar_crisp_convert(lower, upper):
 
 
 def test_reversed_bounds_rejected():
-    with pytest.raises(IntervalOrderError):
-        RoughMatrix(np.array([[0.0, 2.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(IntervalOrderError):
-        crisp_convert([0.0, 2.0], [1.0, 1.5])
+    with pytest.raises(IntervalOrderError, match=r"^entry \(0,1\) has lower 2.0 > upper 1.0$"):
+        check_intervals(intervals([[0.0, 2.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(IntervalOrderError, match=r"^entry \(1\) has lower 2.0 > upper 1.5$"):
+        crisp_convert(intervals([0.0, 2.0], [1.0, 1.5]))
+
+
+def test_intervals_need_a_bound_axis():
+    for shape in [(3,), (2, 3), ()]:
+        with pytest.raises(ShapeError, match="last axis"):
+            crisp_convert(np.zeros(shape))
