@@ -26,7 +26,7 @@ class SingularMatrixError(RDematelError):
 
 
 class InsufficientExpertsError(RDematelError, ValueError):
-    """Fewer than two experts: rough aggregation is undefined, use the crisp method."""
+    """Fewer than two experts: the rough aggregation of a cell needs at least two judgments."""
 
 
 class ParseError(RDematelError, ValueError):

@@ -10,9 +10,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-import numpy as np
-
-from ..ingest import StudyBundle, parse_expert_csv, parse_study_bundle
+from ..ingest import StudyBundle, parse_study_bundle
 
 
 def _read(name: str) -> bytes:
@@ -22,11 +20,6 @@ def _read(name: str) -> bytes:
 def load_study_bundle() -> StudyBundle:
     """The reference study in aggregate (rough-group-matrix) mode."""
     return parse_study_bundle(_read("fbsc_study.json"))
-
-
-def load_first_expert_matrix() -> np.ndarray:
-    """The one published raw expert matrix (respondent R1)."""
-    return parse_expert_csv(_read("expert1_direct_relation.csv"))
 
 
 def load_reference_tables() -> dict:

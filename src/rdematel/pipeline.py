@@ -113,8 +113,8 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     multiset, duplicates counted: its lower bound is the mean of all
     judgments at or below k, its upper bound the mean of all judgments at or
     above k.  The group cell is the mean of the experts' rough numbers.  A
-    unanimous cell collapses to a point, which is what makes the crisp method
-    a degenerate case of the rough pipeline.
+    unanimous cell collapses to a point, which is what makes classic crisp
+    DEMATEL a degenerate case of the rough pipeline.
 
     ``counts[s, i, j]`` is how many experts gave cell (i, j) the s-th judgment
     level present in the panel.  The lower bounds are a cumulative sum over
@@ -127,9 +127,7 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
         raise ShapeError(f"panel must be an (experts, n, n) array, got shape {panel.shape}")
     m, n = panel.shape[:2]
     if m < 2:
-        raise InsufficientExpertsError(
-            "rough aggregation needs at least two experts; use the crisp method for one"
-        )
+        raise InsufficientExpertsError(f"rough aggregation needs at least two experts, got {m}")
     # the sorted distinct values; np.unique takes ~7x as long as this one sort at 21 x 200 x 200
     flat = np.sort(panel, axis=None)
     levels = flat[np.diff(flat, prepend=flat[:1] - 1) != 0]
@@ -148,8 +146,8 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     return group / m
 
 
-def normalization_factor(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> float:
-    """Scalar tau dividing the (n, n, 2) rough group matrix.
+def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[np.ndarray, float]:
+    """The (n, n, 2) rough group matrix divided by the scalar tau, and tau.
 
     ``max-upper-sum`` is the stated linear-scale rule (largest row sum of
     upper bounds); ``max-total-sum`` (largest row sum of lower plus upper
@@ -169,11 +167,6 @@ def normalization_factor(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> fl
         )
     if tau == 0.0:
         raise DegenerateInputError("all-zero rough matrix cannot be normalized")
-    return tau
-
-
-def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[np.ndarray, float]:
-    tau = normalization_factor(g, strategy)
     return g / tau, tau
 
 

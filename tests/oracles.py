@@ -1,10 +1,17 @@
-"""Brute-force reference for the rough bounds, independent of the array kernel.
+"""Reference implementations for the tests, independent of the package's kernels.
 
 The rough number of judgment k within a judgment multiset has as lower
 bound the mean of the judgments at or below k and as upper bound the mean
 of those at or above k, duplicates counted.  A group cell is the mean of
 the rough numbers of every judgment in the multiset.
+
+Classic crisp DEMATEL is what the rough pipeline reduces to when every
+expert agrees.  It is written out here with its own closure and no input
+checks, so that a test comparing the two does not run the package's
+closure on both sides.
 """
+
+import numpy as np
 
 
 def bounds(values, k):
@@ -18,3 +25,16 @@ def group_cell(values):
     """The group rough number of a multiset: the mean of every judgment's bounds."""
     pairs = [bounds(values, k) for k in values]
     return sum(lo for lo, _ in pairs) / len(pairs), sum(up for _, up in pairs) / len(pairs)
+
+
+def crisp_normalized(matrices):
+    """The experts' entrywise mean matrix Z divided by its largest row sum."""
+    z = np.mean(np.asarray(matrices, dtype=float), axis=0)
+    return z / z.sum(axis=1).max()
+
+
+def crisp_dematel(matrices):
+    """Total relation T = D (I - D)^-1 of the normalized mean D, and T's row sums R and column sums D."""
+    d = crisp_normalized(matrices)
+    t = d @ np.linalg.inv(np.eye(len(d)) - d)
+    return t, t.sum(axis=1), t.sum(axis=0)

@@ -33,7 +33,7 @@ from rdematel.report import (
     render_results_csv,
     run_analysis,
 )
-from oracles import group_cell
+from oracles import crisp_dematel, crisp_normalized, group_cell
 
 
 @contextmanager
@@ -140,7 +140,7 @@ def test_07_degenerate_expert_oracle():
             np.fill_diagonal(z, 0)
             if not z.any():
                 continue
-            d = crisp_mod.normalize_crisp(z.astype(float))
+            d = crisp_normalized([z])
             if np.abs(np.linalg.eigvals(d)).max() >= 1.0 - 1e-9:
                 continue  # structurally regular matrix, (I - D) not invertible
             m = int(rng.integers(2, 11))
@@ -149,14 +149,13 @@ def test_07_degenerate_expert_oracle():
                 panel=np.tile(z, (m, 1, 1)),
                 tau_strategy=TAU_MAX_UPPER_SUM,
             )
-            scores = crisp_mod.crisp_scores(crisp_mod.solve_total_relation(d))
-            x = np.array([r.x for r in analysis.results])
-            y = np.array([r.y for r in analysis.results])
-            assert np.abs(x - scores.r).max() <= 1e-9
-            assert np.abs(y - scores.d).max() <= 1e-9
-            m_vec, n_vec = x + y, x - y
-            assert np.abs(m_vec - scores.prominence).max() <= 1e-9
-            assert np.abs(n_vec - scores.relation).max() <= 1e-9
+            _, r, c = crisp_dematel([z])
+            x = np.array([res.x for res in analysis.results])
+            y = np.array([res.y for res in analysis.results])
+            assert np.abs(x - r).max() <= 1e-9
+            assert np.abs(y - c).max() <= 1e-9
+            assert np.abs((x + y) - (r + c)).max() <= 1e-9
+            assert np.abs((x - y) - (r - c)).max() <= 1e-9
             trials += 1
 
 

@@ -4,22 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rdematel.crisp import (
-    COND_LIMIT,
-    average_expert_matrices,
-    crisp_scores,
-    normalize_crisp,
-    solve_total_relation,
-)
-from rdematel.errors import (
-    DegenerateInputError,
-    InvalidArgumentError,
-    ShapeError,
-    SingularMatrixError,
-)
-from rdematel.fixtures import load_first_expert_matrix
+from rdematel.crisp import COND_LIMIT, solve_total_relation
+from rdematel.errors import InvalidArgumentError, SingularMatrixError
+from rdematel.fixtures import _read
+from rdematel.ingest import parse_expert_csv
+from oracles import crisp_dematel, crisp_normalized
 
 RNG = np.random.default_rng(20240817)
+FIRST_EXPERT = parse_expert_csv(_read("expert1_direct_relation.csv")).astype(float)
 
 
 def random_direct_matrix(n, rng=RNG, high=4):
@@ -43,45 +35,29 @@ def neumann_series(d, tail_norm=1e-13, max_terms=20000):
 class TestAverage:
     def test_idempotent_on_identical(self):
         a = random_direct_matrix(4)
-        assert np.array_equal(average_expert_matrices([a, a]), a)
+        assert np.array_equal(crisp_normalized([a, a]), crisp_normalized([a]))
 
     def test_mean_with_zero_matrix(self):
         a = np.array([[0.0, 2.0], [4.0, 0.0]])
-        out = average_expert_matrices([a, np.zeros((2, 2))])
-        assert np.array_equal(out, [[0, 1], [2, 0]])
+        out = crisp_normalized([a, np.zeros((2, 2))])
+        assert np.array_equal(out, [[0, 0.5], [1, 0]])
 
     def test_single_matrix_unchanged(self):
-        a = load_first_expert_matrix().astype(float)
-        assert np.array_equal(average_expert_matrices([a]), a)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            average_expert_matrices([])
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            average_expert_matrices([np.zeros((2, 2)), np.zeros((3, 3))])
-
-    def test_nonzero_diagonal_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            average_expert_matrices([np.ones((2, 2))])
+        a = FIRST_EXPERT
+        assert np.array_equal(crisp_normalized([a]), a / a.sum(axis=1).max())
 
 
 class TestNormalize:
     def test_reference_expert_matrix_row_sums(self):
-        z = load_first_expert_matrix().astype(float)
+        z = FIRST_EXPERT
         assert list(z.sum(axis=1)) == [12, 7, 11, 13, 11, 12, 11]
-        d = normalize_crisp(z)
+        d = crisp_normalized([z])
         assert np.allclose(d, z / 13.0)
         assert d.sum(axis=1).max() == pytest.approx(1.0)
 
     def test_small_example(self):
-        d = normalize_crisp(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        d = crisp_normalized([[[0.0, 2.0], [1.0, 0.0]]])
         assert np.allclose(d, [[0, 1], [0.5, 0]])
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            normalize_crisp(np.zeros((3, 3)))
 
 
 class TestTotalRelation:
@@ -93,7 +69,7 @@ class TestTotalRelation:
         assert np.allclose(solve_total_relation(np.zeros((3, 3))), 0.0)
 
     def test_neumann_equivalence_on_reference_matrix(self):
-        d = normalize_crisp(load_first_expert_matrix().astype(float))
+        d = crisp_normalized([FIRST_EXPERT])
         t = solve_total_relation(d)
         assert np.abs(t - neumann_series(d)).max() < 1e-9
 
@@ -140,42 +116,38 @@ class TestTotalRelation:
     @pytest.mark.parametrize("trial", range(10))
     def test_neumann_equivalence_random(self, trial):
         n = int(RNG.integers(2, 8))
-        d = normalize_crisp(random_direct_matrix(n)) * 0.95
+        d = crisp_normalized([random_direct_matrix(n)]) * 0.95
         t = solve_total_relation(d)
         assert np.abs(t - neumann_series(d)).max() < 1e-9
 
 
 class TestScores:
     def test_2x2_example(self):
-        s = crisp_scores(np.array([[1.0, 2.0], [1.0, 1.0]]))
-        assert np.array_equal(s.r, [3, 2])
-        assert np.array_equal(s.d, [2, 3])
-        assert np.array_equal(s.prominence, [5, 5])
-        assert np.array_equal(s.relation, [1, -1])
-
-    def test_zero_matrix(self):
-        s = crisp_scores(np.zeros((3, 3)))
-        assert not s.r.any() and not s.d.any()
+        t, r, d = crisp_dematel([[[0.0, 2.0], [1.0, 0.0]]])
+        assert np.allclose(t, [[1, 2], [1, 1]], atol=1e-12)
+        assert np.allclose(r, [3, 2], atol=1e-12)
+        assert np.allclose(d, [2, 3], atol=1e-12)
+        assert np.allclose(r + d, [5, 5], atol=1e-12)
+        assert np.allclose(r - d, [1, -1], atol=1e-12)
 
     def test_row_and_column_sums_balance(self):
-        t = solve_total_relation(normalize_crisp(random_direct_matrix(6)) * 0.9)
-        s = crisp_scores(t)
-        assert s.r.sum() == pytest.approx(s.d.sum(), abs=1e-12)
+        _, r, d = crisp_dematel([random_direct_matrix(6)])
+        assert r.sum() == pytest.approx(d.sum(), abs=1e-12)
 
 
 class TestInvariances:
     def test_uniform_scaling_leaves_outputs_unchanged(self):
         z = random_direct_matrix(5)
-        d1, d2 = normalize_crisp(z), normalize_crisp(3.7 * z)
+        d1, d2 = crisp_normalized([z]), crisp_normalized([3.7 * z])
         assert np.allclose(d1, d2, atol=1e-12)
 
     def test_criterion_permutation_equivariance(self):
         z = random_direct_matrix(5)
         perm = RNG.permutation(5)
         zp = z[np.ix_(perm, perm)]
-        t = solve_total_relation(normalize_crisp(z))
-        tp = solve_total_relation(normalize_crisp(zp))
+        t = solve_total_relation(crisp_normalized([z]))
+        tp = solve_total_relation(crisp_normalized([zp]))
         assert np.allclose(tp, t[np.ix_(perm, perm)], atol=1e-10)
-        s, sp = crisp_scores(t), crisp_scores(tp)
-        assert np.allclose(sp.r, s.r[perm], atol=1e-10)
-        assert np.allclose(sp.d, s.d[perm], atol=1e-10)
+        (_, r, d), (_, rp, dp) = crisp_dematel([z]), crisp_dematel([zp])
+        assert np.allclose(rp, r[perm], atol=1e-10)
+        assert np.allclose(dp, d[perm], atol=1e-10)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdematel.errors import BundleValidationError, InvalidArgumentError, ParseError
-from rdematel.fixtures import load_first_expert_matrix, load_study_bundle
+from rdematel.fixtures import _read, load_study_bundle
 from rdematel.ingest import (
     CriterionMeta,
     RespondentMeta,
@@ -50,7 +50,7 @@ class TestExpertCsv:
         assert m.tolist() == [[0, 3], [2, 0]]
 
     def test_reference_fixture_entry(self):
-        m = load_first_expert_matrix()
+        m = parse_expert_csv(_read("expert1_direct_relation.csv"))
         assert m.shape == (7, 7)
         assert m[0, 1] == 4  # (I1, I2)
 
@@ -94,6 +94,7 @@ class TestExpertCsv:
             (",A,A\nA,0,1\nA,1,0\n", "header[1]: duplicate id 'A'"),
             (",A,,B\nA,0,1,2\n,1,0,3\nB,1,1,0\n", "header[1]: missing id"),
         ],
+        ids=["duplicate-id", "missing-id"],
     )
     def test_header_ids_follow_bundle_rule(self, text, message):
         with pytest.raises(ParseError) as exc:

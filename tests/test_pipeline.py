@@ -31,7 +31,7 @@ from rdematel.pipeline import (
     rough_total_relation,
     weights,
 )
-from oracles import group_cell
+from oracles import crisp_dematel, crisp_normalized, group_cell
 
 RNG = np.random.default_rng(7121)
 
@@ -184,9 +184,10 @@ class TestRoughTotalRelation:
         assert t.shape == (3, 3, 2) and not t.any()
 
     def test_degenerate_intervals_match_crisp(self):
-        d = crisp_mod.normalize_crisp(random_expert_panel(5, 1)[0].astype(float)) * 0.9
+        z = random_expert_panel(5, 1)[0]
+        d = crisp_normalized([z])
         t = rough_total_relation(rough(d, d))
-        t_crisp = crisp_mod.solve_total_relation(d)
+        t_crisp, _, _ = crisp_dematel([z])
         assert np.allclose(t[..., 0], t_crisp, atol=1e-12)
         assert np.allclose(t[..., 1], t_crisp, atol=1e-12)
 
@@ -285,10 +286,9 @@ class TestAnalyzeRough:
             panel=np.tile(base, (4, 1, 1)),
             tau_strategy=TAU_MAX_UPPER_SUM,
         )
-        d = crisp_mod.normalize_crisp(base.astype(float))
-        s = crisp_mod.crisp_scores(crisp_mod.solve_total_relation(d))
-        assert np.allclose([r.x for r in analysis.results], s.r, atol=1e-9)
-        assert np.allclose([r.y for r in analysis.results], s.d, atol=1e-9)
+        _, r, d = crisp_dematel([base])
+        assert np.allclose([res.x for res in analysis.results], r, atol=1e-9)
+        assert np.allclose([res.y for res in analysis.results], d, atol=1e-9)
 
     def test_expert_order_invariance(self):
         experts = random_expert_panel(5, 7)
