@@ -190,7 +190,7 @@ def reproduce_paper(tau_strategy, out_dir):
 @click.option("--out", "out_file", default=None, help="Write the bundle here instead of stdout.")
 def synth(n_criteria, n_experts, seed, out_file):
     """Generate a synthetic random study bundle (raw matrices)."""
-    scale = pipeline.Scale()
+    scale = ingest.Scale()
     criteria = [ingest.CriterionMeta(f"C{i + 1}", name=f"Criterion {i + 1}") for i in range(n_criteria)]
     respondents = [ingest.RespondentMeta(f"X{k + 1}") for k in range(n_experts)]
     panel = np.random.default_rng(seed).integers(

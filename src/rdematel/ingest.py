@@ -15,10 +15,24 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import BundleValidationError, IntervalOrderError, InvalidArgumentError, ParseError
-from .pipeline import Scale, check_intervals
+from .pipeline import check_intervals
 
 CATEGORIES = ("internal", "external", "custom")
 ROLES = ("practitioner", "academic")
+
+
+@dataclass(frozen=True)
+class Scale:
+    """Likert scale bounds for influence judgments (default 0..4)."""
+
+    minimum: int = 0
+    maximum: int = 4
+
+    def __post_init__(self):
+        if self.minimum < 0:
+            raise InvalidArgumentError("scale minimum must be non-negative")
+        if self.minimum >= self.maximum:
+            raise InvalidArgumentError("scale minimum must be below maximum")
 
 
 @dataclass(frozen=True)
@@ -67,9 +81,9 @@ def _decode(data: bytes | str) -> str:
 def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
     """Parse one expert's int64 n x n matrix: header of criterion ids, then rows of ``id,v1,...,vn``.
 
-    Raises ParseError naming the first fault in reading order: a blank or
-    repeated header id (the bundle's criterion-id rule), a malformed row
-    before its cells, each cell before the next.
+    Raises ParseError naming the first fault: a blank or repeated header id
+    (the bundle's criterion-id rule), then a malformed row, then the grid's
+    first bad cell in row-major order, worded as in a bundle.
     """
     text = _decode(data)
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
@@ -79,7 +93,7 @@ def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
     if ids and ids[0] == "":
         ids = ids[1:]
     errors: list[str] = []
-    _read_entries([{"id": c} for c in ids], "header", CriterionMeta, "category", CATEGORIES, errors)
+    criteria = _read_entries([{"id": c} for c in ids], "header", CriterionMeta, "category", CATEGORIES, errors)
     if errors:
         raise ParseError(errors[0])
     n = len(ids)
@@ -87,79 +101,58 @@ def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
         raise ParseError("header row carries no criterion ids")
     if len(rows) - 1 != n:
         raise ParseError(f"expected {n} data rows for {n} criteria, found {len(rows) - 1}")
-    judgments: list[int] = []  # row-major, up to the first malformed row or cell
-    fault = ""
+    grid = []
     for i, row in enumerate(rows[1:], start=1):
         cells = [c.strip() for c in row]
         if len(cells) != n + 1:
-            fault = f"row {i}: expected {n + 1} cells, found {len(cells)}"
-        elif cells[0] != ids[i - 1]:
-            fault = f"row {i}: row id {cells[0]!r} does not match header id {ids[i - 1]!r}"
-        else:
-            for j, cell in enumerate(cells[1:]):
-                try:
-                    judgments.append(int(cell))
-                except ValueError:
-                    fault = f"row {i}, column {ids[j]}: non-integer cell {cell!r}"
-                    break
-        if fault:
-            break
-    # python ints, so a judgment beyond 64 bits is reported as off the scale
-    values = np.array(judgments + [0] * (n * n - len(judgments)), dtype=object).reshape(n, n)
-    bad = _first_bad_cell(values, scale)
-    if bad is not None and bad[0] * n + bad[1] < len(judgments):  # a cell read before the fault
-        i, j = bad
-        v = values[i, j]
-        why = f"diagonal must be 0, got {v}" if i == j else f"value {v} outside scale {scale.minimum}..{scale.maximum}"
-        raise ParseError(f"row {i + 1}, column {ids[j]}: {why}")
-    if fault:
-        raise ParseError(fault)
-    return values.astype(np.int64)
+            raise ParseError(f"row {i}: expected {n + 1} cells, found {len(cells)}")
+        if cells[0] != ids[i - 1]:
+            raise ParseError(f"row {i}: row id {cells[0]!r} does not match header id {ids[i - 1]!r}")
+        grid.append(list(map(_int_or_text, cells[1:])))
+    a = _read_grid(grid, criteria, scale, False)
+    if isinstance(a, str):
+        raise ParseError(a)
+    return a
 
 
-def _first_bad_cell(grid: np.ndarray, scale: Scale) -> tuple[int, int] | None:
-    """The first cell (i, j), row-major, of an n x n grid of judgments that breaks the judgment rule.
-
-    The diagonal is a structural zero, not a judgment: it must be 0, and
-    only the off-diagonal cells must lie on the scale.
-    """
-    off = np.where(np.eye(len(grid), dtype=bool), grid != 0, (grid < scale.minimum) | (grid > scale.maximum))
-    bad = np.flatnonzero(off)
-    return divmod(int(bad[0]), len(grid)) if bad.size else None
+def _int_or_text(cell: str) -> int | str:
+    try:
+        return int(cell)
+    except ValueError:
+        return cell
 
 
 def _read_grid(grid, criteria: list[CriterionMeta], scale: Scale, maybe_bool: bool) -> np.ndarray | str:
-    """One raw grid as an int64 n x n array, or the first thing wrong with it.
+    """One grid of judgments as an int64 n x n array, or its first fault: its shape, else its first bad cell.
 
-    The cells get a look one by one when numpy does not read an int64 grid,
-    or when the text holds a ``true``/``false`` token (``maybe_bool``),
-    since numpy reads those as the ints 1/0.
+    Cells are taken in row-major order. A cell is bad when it is not an int
+    (a bool is not one), when it lies off the diagonal and off the scale, or
+    when it lies on the diagonal, a structural zero, and is not 0. A grid
+    that numpy reads with an integer dtype is checked in one pass, unless its
+    text holds a ``true``/``false`` token (``maybe_bool``), which numpy reads
+    as the ints 1/0. Any other grid is walked as Python values, so an int
+    beyond 64 bits is reported as off the scale.
     """
-    n = len(criteria)
+    n, lo, hi = len(criteria), scale.minimum, scale.maximum
     try:
         a = np.asarray(grid)
-        if a.shape == (n, n) and (a.dtype != np.int64 or maybe_bool):
-            bad = next(((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row) if type(v) is not int), None)
-            if bad is not None:
-                i, j, v = bad
-                return f"non-integer cell ({criteria[i].id},{criteria[j].id}) {json.dumps(v)}"
-            a = np.asarray(grid, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:  # a ragged grid; an int beyond 64 bits
+        if a.shape != (n, n):
+            return f"shape {a.shape} does not match {n} criteria"
+        if a.dtype.kind in "iu" and not maybe_bool:
+            off = np.where(np.eye(n, dtype=bool), a != 0, (a < lo) | (a > hi))
+            cells = ((i, j, a[i, j].item()) for i, j in np.argwhere(off))
+        else:
+            cells = ((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row)
+                     if type(v) is not int or (v != 0 if i == j else not lo <= v <= hi))
+        if (bad := next(cells, None)) is None:
+            return a if a.dtype == np.int64 else np.asarray(grid, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:  # a ragged grid; an int beyond 64 bits that the scale allows
         return str(exc)
-    fault = _grid_fault(a, criteria, scale)
-    return a if fault is None else fault
-
-
-def _grid_fault(a: np.ndarray, criteria: list[CriterionMeta], scale: Scale) -> str | None:
-    """What is wrong with an integer grid of judgments: its shape against the criteria, else its first bad cell."""
-    n = len(criteria)
-    if a.shape != (n, n):
-        return f"shape {a.shape} does not match {n} criteria"
-    if (bad := _first_bad_cell(a, scale)) is None:
-        return None
-    i, j = bad
-    why = "on the diagonal, must be 0" if i == j else f"outside scale {scale.minimum}..{scale.maximum}"
-    return f"cell ({criteria[i].id},{criteria[j].id}) = {a[i, j]} {why}"
+    i, j, v = bad
+    cell = f"({criteria[i].id},{criteria[j].id})"
+    if type(v) is not int:
+        return f"non-integer cell {cell} {json.dumps(v)}"
+    return f"cell {cell} = {v} " + ("on the diagonal, must be 0" if i == j else f"outside scale {lo}..{hi}")
 
 
 def _read_rough_group(grid, n: int, maybe_bool: bool) -> np.ndarray | str:
@@ -342,7 +335,7 @@ def write_bundle(bundle: StudyBundle) -> bytes:
         if not len(doc["matrices"]) == len(bundle.respondents) == len(panel):
             raise InvalidArgumentError("a raw bundle needs one panel slice per respondent and distinct respondent ids")
         for rid, grid in doc["matrices"].items():
-            if (fault := _grid_fault(grid, bundle.criteria, bundle.scale)) is not None:
+            if isinstance(fault := _read_grid(grid, bundle.criteria, bundle.scale, False), str):
                 raise InvalidArgumentError(f"matrices[{rid}]: {fault}")
     if bundle.rough_group is not None:
         rough_group = _read_rough_group(bundle.rough_group, bundle.n, False)

@@ -36,20 +36,6 @@ NEUTRAL = "neutral"
 
 
 @dataclass(frozen=True)
-class Scale:
-    """Likert scale bounds for influence judgments (default 0..4)."""
-
-    minimum: int = 0
-    maximum: int = 4
-
-    def __post_init__(self):
-        if self.minimum < 0:
-            raise InvalidArgumentError("scale minimum must be non-negative")
-        if self.minimum >= self.maximum:
-            raise InvalidArgumentError("scale minimum must be below maximum")
-
-
-@dataclass(frozen=True)
 class AnalysisResult:
     """Per-criterion outcome of a rough DEMATEL run."""
 

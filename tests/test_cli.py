@@ -12,9 +12,9 @@ import numpy as np
 import rdematel
 from rdematel.cli import cli
 from rdematel.fixtures import _read
-from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, parse_expert_csv, write_bundle
+from rdematel.ingest import CriterionMeta, RespondentMeta, Scale, StudyBundle, parse_expert_csv, write_bundle
 from rdematel.network import CRISPIFY_MODES
-from rdematel.pipeline import TAU_STRATEGIES, Scale
+from rdematel.pipeline import TAU_STRATEGIES
 
 import pytest
 

@@ -10,12 +10,12 @@ from rdematel.fixtures import _read, load_study_bundle
 from rdematel.ingest import (
     CriterionMeta,
     RespondentMeta,
+    Scale,
     StudyBundle,
     parse_expert_csv,
     parse_study_bundle,
     write_bundle,
 )
-from rdematel.pipeline import Scale
 
 CSV_OK = ",A,B\nA,0,3\nB,2,0\n"
 
@@ -85,8 +85,24 @@ class TestExpertCsv:
     def test_scale_above_zero_checks_only_off_diagonal(self):
         m = parse_expert_csv(",A,B\nA,0,9\nB,1,0\n", scale=Scale(1, 9))
         assert m.tolist() == [[0, 9], [1, 0]]
-        with pytest.raises(ParseError, match="row 2, column A: value 0 outside scale 1..9"):
+        with pytest.raises(ParseError) as exc:
             parse_expert_csv(",A,B\nA,0,9\nB,0,0\n", scale=Scale(1, 9))
+        assert str(exc.value) == "cell (B,A) = 0 outside scale 1..9"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",A,B\nA,0,x\nB,2,0\n", 'non-integer cell (A,B) "x"'),
+            (",A,B\nA,1,3\nB,2,0\n", "cell (A,A) = 1 on the diagonal, must be 0"),
+            (f",A,B\nA,0,{2**70}\nB,2,0\n", "cell (A,B) = 1180591620717411303424 outside scale 0..4"),
+            (",A,B\nA,0,x\nC,2,0\n", "row 2: row id 'C' does not match header id 'B'"),
+        ],
+        ids=["non-integer", "diagonal", "beyond-64-bits", "row-before-cell"],
+    )
+    def test_cell_faults_take_bundle_wording(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_expert_csv(text)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "text, message",
@@ -272,16 +288,19 @@ class TestBundleParsing:
         assert exc_info.value.errors == [f"matrices[R1]: non-integer cell (C2,C0) {json.dumps(cell)}"]
 
     @pytest.mark.parametrize(
-        "cell, fault",
+        "cells, fault",
         [
-            (1.0, "non-integer cell (C2,C0) 1.0"),
-            ("3", 'non-integer cell (C2,C0) "3"'),
+            ({(2, 0): 1.0}, "non-integer cell (C2,C0) 1.0"),
+            ({(2, 0): "3"}, 'non-integer cell (C2,C0) "3"'),
+            ({(0, 1): 9, (1, 0): "x"}, "cell (C0,C1) = 9 outside scale 0..4"),
+            ({(2, 0): 2**70}, "cell (C2,C0) = 1180591620717411303424 outside scale 0..4"),
         ],
-        ids=["float", "string"],
+        ids=["float", "string", "off-scale-before-string", "beyond-64-bits"],
     )
-    def test_non_int64_panel_names_respondent(self, cell, fault):
+    def test_non_int64_panel_names_respondent(self, cells, fault):
         doc = json.loads(write_bundle(make_raw_bundle(n=3, m=3)))
-        doc["matrices"]["R1"][2][0] = cell
+        for (i, j), cell in cells.items():
+            doc["matrices"]["R1"][i][j] = cell
         with pytest.raises(BundleValidationError) as exc_info:
             parse_study_bundle(json.dumps(doc))
         assert exc_info.value.errors == [f"matrices[R1]: {fault}"]
@@ -401,3 +420,56 @@ class TestRoundTripProperty:
         assert b2.criteria[0].name == name
         assert b2.criteria[0].description == desc
         assert write_bundle(b2) == data
+
+
+@st.composite
+def judgment_grids(draw):
+    """A scale and an n x n grid of Python ints: on and off the scale, negative, beyond 64 bits."""
+    n = draw(st.integers(2, 4))
+    lo = draw(st.integers(0, 2))
+    hi = draw(st.integers(lo + 1, 5))
+    beyond_64_bits = st.sampled_from([2**63, 2**70, -(2**64)])
+    cells = st.one_of(st.integers(lo, hi), st.integers(-1, hi + 1), st.integers(), beyond_64_bits)
+    grid = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        for i in range(n):
+            grid[i][i] = 0
+    return Scale(lo, hi), grid
+
+
+class TestOneGridRule:
+    @settings(max_examples=200, deadline=None)
+    @given(judgment_grids())
+    def test_bundle_csv_and_write_agree(self, scale_grid):
+        # each entry point gives the grid back, or the same fault text after its own prefix
+        scale, grid = scale_grid
+        ids = [f"C{i}" for i in range(len(grid))]
+        doc = {
+            "scale": {"min": scale.minimum, "max": scale.maximum},
+            "criteria": [{"id": c} for c in ids],
+            "respondents": [{"id": "R0"}, {"id": "R1"}],
+            "matrices": {"R0": grid, "R1": grid},
+        }
+        try:
+            panel = parse_study_bundle(json.dumps(doc)).panel
+            assert panel.tolist() == [grid, grid]
+            want = grid
+        except BundleValidationError as exc:
+            want = exc.errors[0].removeprefix("matrices[R0]: ")
+            assert exc.errors == [f"matrices[R0]: {want}", f"matrices[R1]: {want}"]
+
+        text = "," + ",".join(ids) + "\n" + "".join(f"{c},{','.join(map(str, row))}\n" for c, row in zip(ids, grid))
+        try:
+            got = parse_expert_csv(text, scale).tolist()
+        except ParseError as exc:
+            got = str(exc)
+        assert got == want
+
+        if all(-(2**63) <= v < 2**63 for row in grid for v in row):
+            b = StudyBundle([CriterionMeta(c) for c in ids], [RespondentMeta("R0"), RespondentMeta("R1")], scale,
+                            panel=np.array([grid, grid], dtype=np.int64))
+            try:
+                got = parse_study_bundle(write_bundle(b)).panel[0].tolist()
+            except InvalidArgumentError as exc:
+                got = str(exc).removeprefix("matrices[R0]: ")
+            assert got == want

@@ -17,11 +17,10 @@ from rdematel.errors import (
     SingularMatrixError,
 )
 from rdematel.fixtures import load_study_bundle
-from rdematel.ingest import parse_study_bundle
+from rdematel.ingest import Scale, parse_study_bundle
 from rdematel.pipeline import (
     TAU_MAX_TOTAL_SUM,
     TAU_MAX_UPPER_SUM,
-    Scale,
     analyze_rough,
     classify,
     normalize_rough,
