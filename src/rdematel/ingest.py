@@ -23,7 +23,7 @@ ROLES = ("practitioner", "academic")
 
 @dataclass(frozen=True)
 class Scale:
-    """Likert scale bounds for influence judgments (default 0..4)."""
+    """Likert scale bounds for influence judgments (default 0..4); the bounds must fit a panel's int64."""
 
     minimum: int = 0
     maximum: int = 4
@@ -33,6 +33,8 @@ class Scale:
             raise InvalidArgumentError("scale minimum must be non-negative")
         if self.minimum >= self.maximum:
             raise InvalidArgumentError("scale minimum must be below maximum")
+        if self.maximum > (top := int(np.iinfo(np.int64).max)):
+            raise InvalidArgumentError(f"scale maximum must be at most {top}")
 
 
 @dataclass(frozen=True)
@@ -345,12 +347,18 @@ def write_bundle(bundle: StudyBundle) -> bytes:
     return (dump_json(doc, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+_SCALARS = (str, int, float, type(None))  # the values a row table holds; bool is an int
+
+
 def dump_json(value, level: int = 0, ensure_ascii: bool = True) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=...)`` opened at indent ``level``, each ndarray as its ``tolist()``.
 
     Any ``indent`` sends every value through the stdlib's pure-Python encoder, which
     for 280k floats (four n x n grids at n = 200) cost ~1 s and a ~60 MB transient.
-    So arrays go through ``_json_grid``, a dict (string keys) is walked key by key.
+    So arrays go through ``_json_grid``, which reprs each distinct value once; a
+    dict (string keys) is walked key by key; and a row table, a non-empty list of
+    non-empty dicts of JSON scalars (result rows, network edges, ledger entries),
+    is one call of the C encoder with the row layout as its item separator.
     """
     if isinstance(value, np.ndarray):
         return _json_grid(value, level)
@@ -359,6 +367,15 @@ def dump_json(value, level: int = 0, ensure_ascii: bool = True) -> str:
         items = (json.dumps(k, ensure_ascii=ensure_ascii) + ": " + dump_json(v, level + 1, ensure_ascii)
                  for k, v in value.items())
         return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+    if isinstance(value, list) and value and all(
+        isinstance(row, dict) and row and all(isinstance(v, _SCALARS) for v in row.values()) for row in value
+    ):
+        # the item separator lays out each row's keys; JSON escapes newlines inside
+        # strings and no scalar ends in "}", so each "}," + inner is a row boundary
+        outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+        rows = json.dumps(value, ensure_ascii=ensure_ascii, separators=("," + inner, ": "))[2:-2]  # no "[{", "}]"
+        rows = rows.replace("}," + inner + "{", outer + "}," + outer + "{" + inner)
+        return "[" + outer + "{" + inner + rows + outer + "}\n" + "  " * level + "]"
     # JSON escapes newlines inside strings, so every "\n" in a dumped value is layout
     return json.dumps(value, indent=2, ensure_ascii=ensure_ascii).replace("\n", "\n" + "  " * level)
 
@@ -366,17 +383,26 @@ def dump_json(value, level: int = 0, ensure_ascii: bool = True) -> str:
 def _json_grid(a: np.ndarray, level: int) -> str:
     """``json.dumps(a.tolist(), indent=2)`` for a finite int or float array, opened at indent ``level``.
 
-    The reprs are joined innermost axis first; each axis has one separator
-    and one closing bracket, so no per-element encoder call is made.
+    Each distinct value is repr'd once (a float's bit pattern keeps -0.0 apart
+    from 0.0). Every element is followed by the text that ends its k innermost
+    axes, k closing brackets, a comma and k opening brackets (the last element
+    ends all of them and takes the closing brackets only), taken from a table
+    of ndim + 1 entries; the reprs and that text are joined once.
     """
     if not np.isfinite(a).all():
         raise InvalidArgumentError("JSON grids must be finite")
     if a.size == 0:  # an empty axis has no reprs to join
         return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
-    parts = list(map(float.__repr__ if a.dtype.kind == "f" else int.__repr__, a.ravel().tolist()))
-    for depth in range(a.ndim, 0, -1):
-        width = a.shape[depth - 1]
-        pad = "\n" + "  " * (level + depth)
-        head, sep, tail = "[" + pad, "," + pad, "\n" + "  " * (level + depth - 1) + "]"
-        parts = [head + sep.join(parts[k:k + width]) + tail for k in range(0, len(parts), width)]
-    return parts[0]
+    bits, where = np.unique(a.ravel().view(f"i{a.itemsize}"), return_inverse=True)
+    reprs = list(map(float.__repr__ if a.dtype.kind == "f" else int.__repr__, bits.view(a.dtype).tolist()))
+    pads = ["\n" + "  " * (level + depth) for depth in range(a.ndim + 1)]
+    closes = ["".join(pads[depth - 1] + "]" for depth in range(a.ndim, a.ndim - k, -1)) for k in range(a.ndim + 1)]
+    opens = ["".join("[" + pads[depth] for depth in range(a.ndim - k + 1, a.ndim + 1)) for k in range(a.ndim + 1)]
+    after = [closes[k] + "," + pads[a.ndim - k] + opens[k] for k in range(a.ndim)] + [closes[a.ndim]]
+    # element i ends a list along axis d (and each list inside it) when i + 1 is a multiple of its size
+    ends = np.arange(1, a.size + 1)
+    k = sum(ends % np.prod(a.shape[d:]) == 0 for d in range(a.ndim))
+    text = np.empty(2 * a.size, dtype=object)
+    text[0::2] = np.array(reprs, dtype=object)[where.ravel()]
+    text[1::2] = np.array(after, dtype=object)[k]
+    return opens[a.ndim] + "".join(text.tolist())

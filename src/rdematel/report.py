@@ -121,7 +121,10 @@ def render_report_json(report: AnalysisReport) -> bytes:
     written; ``config.threshold_q`` and ``network.threshold`` hold the same
     q, and ``network.nodes`` the ids in ``criteria``.  The bytes are exactly
     those of ``json.dumps(doc, indent=2) + "\n"`` with each grid as its
-    ``tolist()`` (``ingest.dump_json``).
+    ``tolist()``.  ``ingest.dump_json`` writes them: each grid is one join that
+    reprs every distinct value once (a raw panel's rough group repeats values:
+    a cell's bounds depend only on how many experts chose each judgment), and
+    the results, edges and deviations tables are one C-encoder call each.
     """
     a = report.analysis
     doc = {
@@ -146,11 +149,12 @@ def render_report_json(report: AnalysisReport) -> bytes:
 
 def render_graph_dot(network: InfluenceNetwork) -> bytes:
     """Plain-text directed graph (DOT); nodes and edges in sorted order."""
+    quoted = {node: _dot_id(node) for node in network.nodes}  # each id quoted once, not twice per edge
     lines = ["digraph influence {"]
-    for node in sorted(network.nodes):
-        lines.append(f"  {_dot_id(node)};")
+    lines += [f"  {quoted[node]};" for node in sorted(network.nodes)]
     for e in sorted(network.edges, key=lambda e: (e.source, e.target)):
-        lines.append(f"  {_dot_id(e.source)} -> {_dot_id(e.target)} [weight={e.strength:.6f}];")
+        source, target = quoted.get(e.source) or _dot_id(e.source), quoted.get(e.target) or _dot_id(e.target)
+        lines.append(f"  {source} -> {target} [weight={e.strength:.6f}];")
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -366,6 +366,25 @@ class TestBundleParsing:
             parse_study_bundle(json.dumps(doc))
         assert exc_info.value.errors == ["scale: scale minimum must be non-negative"]
 
+    def test_scale_bound_beyond_int64_rejected(self):
+        doc = json.loads(write_bundle(make_raw_bundle()))
+        doc["scale"]["max"] = 2**70
+        doc["matrices"]["R1"][0][1] = 2**65
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == [
+            "scale: scale maximum must be at most 9223372036854775807",
+            "matrices[R1]: cell (C0,C1) = 36893488147419103232 outside scale 0..4",
+        ]
+
+    def test_scale_bound_at_int64_max_parses(self):
+        doc = json.loads(write_bundle(make_raw_bundle()))
+        doc["scale"]["max"] = 2**63 - 1
+        doc["matrices"]["R1"][0][1] = 2**63 - 1
+        b = parse_study_bundle(json.dumps(doc))
+        assert b.scale == Scale(0, 2**63 - 1)
+        assert b.panel[1, 0, 1] == 2**63 - 1
+
     @pytest.mark.parametrize("key, value", [("min", 0.7), ("min", "0"), ("max", True)], ids=["float", "string", "bool"])
     def test_non_integer_scale_bound_named(self, key, value):
         doc = json.loads(write_bundle(make_raw_bundle()))

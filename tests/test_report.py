@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
-from rdematel.ingest import dump_json, parse_study_bundle
-from rdematel.network import CRISPIFY_MODES, Edge, InfluenceNetwork
+from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, dump_json, parse_study_bundle
+from rdematel.network import CRISPIFY_GLOBAL, CRISPIFY_MODES, Edge, InfluenceNetwork
 from rdematel.pipeline import TAU_MAX_TOTAL_SUM, TAU_MAX_UPPER_SUM, TAU_STRATEGIES
 from rdematel.report import (
     FAIL,
@@ -111,6 +111,11 @@ class TestGraphDot:
         dot = render_graph_dot(net).decode()
         assert '  "A\\"x";' in dot and '  "b\\\\c";' in dot
         assert '"A\\"x" -> "b\\\\c" [weight=1.000000];' in dot
+
+    def test_edge_id_outside_nodes_is_quoted(self):
+        net = InfluenceNetwork(("a",), (Edge('x"y', "a", 1.0), Edge("a", "b\\c", 0.5)), 0.5)
+        dot = render_graph_dot(net).decode()
+        assert '  "x\\"y" -> "a" [weight=1.000000];' in dot and '  "a" -> "b\\\\c" [weight=0.500000];' in dot
 
     def test_sorted_deterministic_order(self):
         e = [Edge("b", "a", 0.2), Edge("a", "b", 0.4)]
@@ -234,9 +239,21 @@ grid_floats = st.one_of(
 
 
 array_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+# a grid of two or three distinct values, 0.0 and -0.0 among them
+few_valued_grids = grid_floats.flatmap(
+    lambda v: hnp.arrays(np.float64, array_shapes, elements=st.sampled_from([0.0, -0.0, v]))
+)
+# text that looks like the row layout: braces, quotes, newlines, non-ASCII
+row_text = st.text(st.sampled_from('{}",: \n\u00e9\u4e2d') | st.characters(), max_size=4)
+row_values = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**70, -(2**64)]) | st.floats() | row_text
+    | st.lists(st.integers(), max_size=2)  # not a scalar: the list is not a row table
+)
+row_tables = st.lists(st.dictionaries(row_text, row_values, max_size=3), min_size=1, max_size=3)
 json_docs = st.recursive(
     hnp.arrays(np.float64, array_shapes, elements=grid_floats)
     | hnp.arrays(np.int64, array_shapes)
+    | few_valued_grids | row_tables
     | st.none() | st.booleans() | st.integers() | grid_floats | st.text(max_size=3)
     | st.lists(st.integers() | st.text(max_size=3), max_size=3),
     lambda docs: st.dictionaries(st.sampled_from(["a", "\u00e9t\u00e9", "\u4e2d", 'q"\\\n']) | st.text(max_size=3),
@@ -249,7 +266,8 @@ class TestReportJsonLayout:
     @settings(max_examples=300, deadline=None)
     @given(json_docs, st.integers(min_value=0, max_value=3), st.booleans())
     def test_grid_matches_encoder(self, doc, level, ensure_ascii):
-        """Grids, nested dicts (empty ones too) and non-ASCII keys, at any level, under both ``ensure_ascii``."""
+        """Grids (few-valued ones too), row tables, nested dicts (empty ones too) and non-ASCII keys, at any level,
+        under both ``ensure_ascii``."""
         expected = json.dumps(tolisted(doc), indent=2, ensure_ascii=ensure_ascii).replace("\n", "\n" + "  " * level)
         assert dump_json(doc, level, ensure_ascii) == expected
 
@@ -262,6 +280,18 @@ class TestReportJsonLayout:
         rep = dataclasses.replace(
             fixture_report, deviations=deviation_ledger(fixture_report.analysis, load_reference_tables())
         )
+        assert render_report_json(rep) == oracle_report_json(rep)
+
+    def test_synth_raw_panel_matches_encoder(self):
+        # a raw panel's rough group repeats its values; hundreds of edges make a long row table
+        n, m = 40, 6
+        panel = np.random.default_rng(5).integers(0, 4, size=(m, n, n), endpoint=True)
+        panel[:, range(n), range(n)] = 0
+        bundle = StudyBundle([CriterionMeta(f"C{i + 1}") for i in range(n)],
+                             [RespondentMeta(f"X{k + 1}") for k in range(m)], panel=panel)
+        rep = run_analysis(bundle, AnalysisConfig(crispify_mode=CRISPIFY_GLOBAL))
+        assert len(rep.network.edges) >= 200
+        assert len(np.unique(rep.analysis.group_matrix)) < rep.analysis.group_matrix.size / 4
         assert render_report_json(rep) == oracle_report_json(rep)
 
     def test_escaped_ids_match_encoder(self):
