@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import click
 import numpy as np
@@ -27,10 +28,15 @@ def _read_file(path: str) -> bytes:
         sys.exit(3)
 
 
-def _write_file(path: Path, data: bytes) -> None:
+def _write_file(path: Path, data: bytes | Iterable[str]) -> None:
+    """Write ``data``, bytes or text chunks written as they come (UTF-8); exit 3 on an I/O error."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            with path.open("w", encoding="utf-8", newline="") as f:
+                f.writelines(data)
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
         sys.exit(3)
@@ -130,7 +136,7 @@ def analyze(bundle, tau_strategy, crispify_mode, threshold_spec, out_dir):
     rep = _run(bundle, config)
     out = Path(out_dir)
     _write_file(out / "results.csv", report_mod.render_results_csv(rep))
-    _write_file(out / "report.json", report_mod.render_report_json(rep))
+    _write_file(out / "report.json", report_mod.report_json_chunks(rep))
     _write_file(out / "network.dot", report_mod.render_graph_dot(rep.network))
     for key, value in rep.config.items():
         click.echo(f"{key}: {value}")
@@ -170,7 +176,7 @@ def reproduce_paper(tau_strategy, out_dir):
     if out_dir:
         out = Path(out_dir)
         _write_file(out / "deviations.csv", report_mod.render_deviations_csv(entries))
-        _write_file(out / "report.json", report_mod.render_report_json(rep))
+        _write_file(out / "report.json", report_mod.report_json_chunks(rep))
     tables = sorted({e.table for e in entries})
     for table in tables:
         rows = [e for e in entries if e.table == table]

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -75,9 +76,10 @@ class StudyBundle:
 
 
 def _decode(data: bytes | str) -> str:
+    """The text with one leading byte-order mark dropped (Excel's "CSV UTF-8" writes one) and newlines as "\\n"."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return data.replace("\r\n", "\n").replace("\r", "\n")
+    return data.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
@@ -205,13 +207,17 @@ def _read_entries(
 ) -> list:
     """One ``meta`` per entry with a new, non-blank id; every fault found is added to ``errors``.
 
-    Each field of ``meta`` but ``enum`` must be a JSON string, and ``enum`` one of ``choices``.
+    Each field of ``meta`` but ``enum`` must be a JSON string that UTF-8 can encode, and ``enum`` one of ``choices``.
     """
     texts = [f.name for f in fields(meta) if f.name != enum]
     read, seen = [], set()
     for idx, entry in enumerate(entries):
         where = f"{key}[{idx}]"
-        errors.extend(f"{where}: {name} must be a string" for name in texts if not isinstance(entry.get(name, ""), str))
+        for name in texts:
+            if not isinstance(text := entry.get(name, ""), str):
+                errors.append(f"{where}: {name} must be a string")
+            elif not _encodes(text):
+                errors.append(f"{where}: {name} is not valid Unicode text")
         eid = entry.get("id", "")
         if not isinstance(eid, str):
             continue
@@ -227,6 +233,15 @@ def _read_entries(
                 errors.append(f"{where} ({eid}): unknown {enum} {value!r}")
             read.append(item)
     return read
+
+
+def _encodes(text: str) -> bool:
+    """Whether ``text`` can be written as UTF-8; a JSON escape such as ``"\\ud800"`` reads as a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _validate_bundle_dict(doc: dict, maybe_bool: bool) -> StudyBundle:
@@ -353,21 +368,33 @@ _SCALARS = (str, int, float, type(None))  # the values a row table holds; bool i
 def dump_json(value, level: int = 0, ensure_ascii: bool = True) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=...)`` opened at indent ``level``, each ndarray as its ``tolist()``.
 
+    The join of ``json_chunks``; a caller that writes the text out can take the chunks instead.
+    """
+    return "".join(json_chunks(value, level, ensure_ascii))
+
+
+def json_chunks(value, level: int = 0, ensure_ascii: bool = True) -> Iterator[str]:
+    """Yield the text of ``dump_json(value, level, ensure_ascii)`` in chunks, each grid one leading-axis row at a time.
+
     Any ``indent`` sends every value through the stdlib's pure-Python encoder, which
     for 280k floats (four n x n grids at n = 200) cost ~1 s and a ~60 MB transient.
     So arrays go through ``_json_grid``, which reprs each distinct value once; a
     dict (string keys) is walked key by key; and a row table, a non-empty list of
     non-empty dicts of JSON scalars (result rows, network edges, ledger entries),
-    is one call of the C encoder with the row layout as its item separator.
+    is one call of the C encoder with the row layout as its item separator.  No
+    chunk holds more than one row of a grid, one row table or one other value.
     """
     if isinstance(value, np.ndarray):
-        return _json_grid(value, level)
-    if isinstance(value, dict) and value:
+        yield from _json_grid(value, level)
+    elif isinstance(value, dict) and value:
         pad = "\n" + "  " * (level + 1)
-        items = (json.dumps(k, ensure_ascii=ensure_ascii) + ": " + dump_json(v, level + 1, ensure_ascii)
-                 for k, v in value.items())
-        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
-    if isinstance(value, list) and value and all(
+        opening = "{" + pad
+        for k, v in value.items():
+            yield opening + json.dumps(k, ensure_ascii=ensure_ascii) + ": "
+            yield from json_chunks(v, level + 1, ensure_ascii)
+            opening = "," + pad
+        yield "\n" + "  " * level + "}"
+    elif isinstance(value, list) and value and all(
         isinstance(row, dict) and row and all(isinstance(v, _SCALARS) for v in row.values()) for row in value
     ):
         # the item separator lays out each row's keys; JSON escapes newlines inside
@@ -375,34 +402,50 @@ def dump_json(value, level: int = 0, ensure_ascii: bool = True) -> str:
         outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
         rows = json.dumps(value, ensure_ascii=ensure_ascii, separators=("," + inner, ": "))[2:-2]  # no "[{", "}]"
         rows = rows.replace("}," + inner + "{", outer + "}," + outer + "{" + inner)
-        return "[" + outer + "{" + inner + rows + outer + "}\n" + "  " * level + "]"
-    # JSON escapes newlines inside strings, so every "\n" in a dumped value is layout
-    return json.dumps(value, indent=2, ensure_ascii=ensure_ascii).replace("\n", "\n" + "  " * level)
+        yield "[" + outer + "{" + inner + rows + outer + "}\n" + "  " * level + "]"
+    else:
+        # JSON escapes newlines inside strings, so every "\n" in a dumped value is layout
+        yield json.dumps(value, indent=2, ensure_ascii=ensure_ascii).replace("\n", "\n" + "  " * level)
 
 
-def _json_grid(a: np.ndarray, level: int) -> str:
-    """``json.dumps(a.tolist(), indent=2)`` for a finite int or float array, opened at indent ``level``.
+def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
+    """Yield ``json.dumps(a.tolist(), indent=2)`` for a finite int or float array, opened at indent ``level``.
 
-    Each distinct value is repr'd once (a float's bit pattern keeps -0.0 apart
-    from 0.0). Every element is followed by the text that ends its k innermost
-    axes, k closing brackets, a comma and k opening brackets (the last element
-    ends all of them and takes the closing brackets only), taken from a table
-    of ndim + 1 entries; the reprs and that text are joined once.
+    The text comes one leading-axis row at a time, after the opening brackets.
+    Each distinct value of the whole grid is repr'd once (a float's bit pattern
+    keeps -0.0 apart from 0.0), not once per row: a raw panel's rough group
+    repeats its values across rows.  Every element is followed by the text that
+    ends its k innermost axes, k closing brackets, a comma and k opening
+    brackets (the grid's last element ends all of them and takes the closing
+    brackets only), taken from a table of ndim + 1 entries; the k of each
+    position in a row is the same in every row.
     """
     if not np.isfinite(a).all():
         raise InvalidArgumentError("JSON grids must be finite")
     if a.size == 0:  # an empty axis has no reprs to join
-        return json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+        yield json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+        return
     bits, where = np.unique(a.ravel().view(f"i{a.itemsize}"), return_inverse=True)
-    reprs = list(map(float.__repr__ if a.dtype.kind == "f" else int.__repr__, bits.view(a.dtype).tolist()))
+    values, fmt = bits.view(a.dtype), float.__repr__ if a.dtype.kind == "f" else int.__repr__
+    reprs = np.empty(values.size, dtype=object)
+    for start in range(0, values.size, 4096):  # listed a slice at a time: a listed float costs 32 bytes
+        reprs[start:start + 4096] = list(map(fmt, values[start:start + 4096].tolist()))
     pads = ["\n" + "  " * (level + depth) for depth in range(a.ndim + 1)]
     closes = ["".join(pads[depth - 1] + "]" for depth in range(a.ndim, a.ndim - k, -1)) for k in range(a.ndim + 1)]
     opens = ["".join("[" + pads[depth] for depth in range(a.ndim - k + 1, a.ndim + 1)) for k in range(a.ndim + 1)]
     after = [closes[k] + "," + pads[a.ndim - k] + opens[k] for k in range(a.ndim)] + [closes[a.ndim]]
-    # element i ends a list along axis d (and each list inside it) when i + 1 is a multiple of its size
-    ends = np.arange(1, a.size + 1)
-    k = sum(ends % np.prod(a.shape[d:]) == 0 for d in range(a.ndim))
-    text = np.empty(2 * a.size, dtype=object)
-    text[0::2] = np.array(reprs, dtype=object)[where.ravel()]
+    # element i of a row ends a list along axis d >= 1 (and each list inside it) when i + 1 is a multiple of its size
+    where = where.reshape(len(a), -1)
+    ends = np.arange(1, where.shape[1] + 1)
+    k = np.zeros(where.shape[1], dtype=np.intp)
+    for d in range(1, a.ndim):
+        k += ends % np.prod(a.shape[d:]) == 0
+    text = np.empty(2 * where.shape[1], dtype=object)
     text[1::2] = np.array(after, dtype=object)[k]
-    return opens[a.ndim] + "".join(text.tolist())
+    yield opens[a.ndim]
+    for row in where[:-1]:
+        text[0::2] = reprs[row]
+        yield "".join(text.tolist())
+    text[0::2] = reprs[where[-1]]
+    text[-1] = after[a.ndim]
+    yield "".join(text.tolist())

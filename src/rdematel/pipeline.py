@@ -107,6 +107,10 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     the levels from the bottom, the upper bounds one from the top, and the
     group bound is their count-weighted mean.  Counts do not depend on expert
     order.
+
+    The levels come from one sorted copy of the panel, marked where a value
+    differs from the one before it and freed before counting, so the call
+    peaks at about 9/8 of an int64 panel's bytes: the copy and one bool a judgment.
     """
     panel = np.asarray(panel)
     if panel.ndim != 3 or panel.shape[1] != panel.shape[2]:
@@ -116,7 +120,10 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
         raise InsufficientExpertsError(f"rough aggregation needs at least two experts, got {m}")
     # the sorted distinct values; np.unique takes ~7x as long as this one sort at 21 x 200 x 200
     flat = np.sort(panel, axis=None)
-    levels = flat[np.diff(flat, prepend=flat[:1] - 1) != 0]
+    first = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    levels = flat[first]
+    del flat, first
     counts = np.zeros((levels.size, n, n), dtype=np.int64)
     for grid in panel:
         counts += grid == levels[:, None, None]

@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import network as net_mod
 from . import pipeline
 from .errors import InvalidArgumentError
-from .ingest import StudyBundle, dump_json
+from .ingest import StudyBundle, json_chunks
 from .network import InfluenceNetwork
 from .pipeline import AnalysisResult, RoughAnalysis
 
@@ -115,16 +115,22 @@ def render_results_csv(report: AnalysisReport) -> bytes:
 
 
 def render_report_json(report: AnalysisReport) -> bytes:
-    """Full-precision structured form of the whole report.
+    """Full-precision structured form of the whole report: the join of ``report_json_chunks``, encoded."""
+    return "".join(report_json_chunks(report)).encode("utf-8")
+
+
+def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
+    """Yield the text of ``report.json`` in chunks, for a caller that writes it as it renders.
 
     Schema 2: the normalized grid is ``rough_group / config.tau`` and is not
     written; ``config.threshold_q`` and ``network.threshold`` hold the same
-    q, and ``network.nodes`` the ids in ``criteria``.  The bytes are exactly
-    those of ``json.dumps(doc, indent=2) + "\n"`` with each grid as its
-    ``tolist()``.  ``ingest.dump_json`` writes them: each grid is one join that
-    reprs every distinct value once (a raw panel's rough group repeats values:
-    a cell's bounds depend only on how many experts chose each judgment), and
-    the results, edges and deviations tables are one C-encoder call each.
+    q, and ``network.nodes`` the ids in ``criteria``.  The text is exactly
+    that of ``json.dumps(doc, indent=2) + "\n"`` with each grid as its
+    ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes one row
+    at a time and reprs every distinct value once (a raw panel's rough group
+    repeats values: a cell's bounds depend only on how many experts chose
+    each judgment), and the results, edges and deviations tables are one
+    C-encoder call each.
     """
     a = report.analysis
     doc = {
@@ -144,7 +150,8 @@ def render_report_json(report: AnalysisReport) -> bytes:
         # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
         "deviations": [vars(d) for d in report.deviations],
     }
-    return (dump_json(doc) + "\n").encode("utf-8")
+    yield from json_chunks(doc)
+    yield "\n"
 
 
 def render_graph_dot(network: InfluenceNetwork) -> bytes:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -10,11 +11,21 @@ from hypothesis import strategies as st
 import numpy as np
 
 import rdematel
+from rdematel import report as report_mod
 from rdematel.cli import cli
-from rdematel.fixtures import _read
-from rdematel.ingest import CriterionMeta, RespondentMeta, Scale, StudyBundle, parse_expert_csv, write_bundle
+from rdematel.fixtures import _read, load_reference_tables, load_study_bundle
+from rdematel.ingest import (
+    CriterionMeta,
+    RespondentMeta,
+    Scale,
+    StudyBundle,
+    parse_expert_csv,
+    parse_study_bundle,
+    write_bundle,
+)
 from rdematel.network import CRISPIFY_MODES
 from rdematel.pipeline import TAU_STRATEGIES
+from rdematel.report import AnalysisConfig, deviation_ledger, render_report_json, run_analysis
 
 import pytest
 
@@ -110,6 +121,37 @@ class TestAnalyze:
             assert runner.invoke(cli, ["analyze", bundle_path, "--out", str(out)]).exit_code == 0
         for name in ("results.csv", "report.json", "network.dot"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("crispify", CRISPIFY_MODES)
+    def test_report_json_is_the_rendered_report(self, runner, tmp_path, crispify):
+        # analyze writes report.json as it renders; the bytes are those of render_report_json
+        bundle = tmp_path / "synth.json"
+        assert runner.invoke(cli, ["synth", "--criteria", "12", "--experts", "5", "--out", str(bundle)]).exit_code == 0
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["analyze", str(bundle), "--crispify", crispify, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rep = run_analysis(parse_study_bundle(bundle.read_bytes()), AnalysisConfig(crispify_mode=crispify))
+        assert (out / "report.json").read_bytes() == render_report_json(rep)
+
+    def test_report_json_write_peaks_below_one_and_a_half_reports(self, runner, tmp_path, monkeypatch, bundle_path):
+        # the analysis of a synth raw study, handed to analyze in place of the small study's
+        bundle = tmp_path / "synth.json"
+        args = ["synth", "--criteria", "100", "--experts", "6", "--seed", "3", "--out", str(bundle)]
+        assert runner.invoke(cli, args).exit_code == 0
+        rep = run_analysis(parse_study_bundle(bundle.read_bytes()))
+        monkeypatch.setattr(report_mod, "run_analysis", lambda bundle, config: rep)
+        args = ["analyze", bundle_path, "--out", str(tmp_path / "out")]
+        assert runner.invoke(cli, args).exit_code == 0  # once untraced, so first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            result = runner.invoke(cli, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        size = (tmp_path / "out" / "report.json").stat().st_size
+        assert size > 10**6
+        assert peak < 1.5 * size
 
     def test_config_flags_respected(self, runner, bundle_path, tmp_path):
         out = tmp_path / "out"
@@ -238,6 +280,15 @@ class TestReproducePaper:
         assert "crisp_x: NOT-COMPARABLE" in result.output
         assert "FAIL" not in result.output.replace("NOT-COMPARABLE", "")
         assert (out / "deviations.csv").exists()
+
+    @pytest.mark.parametrize("tau", TAU_STRATEGIES)
+    def test_report_json_is_the_rendered_report(self, runner, tmp_path, tau):
+        out = tmp_path / "repro"
+        result = runner.invoke(cli, ["reproduce-paper", "--tau", tau, "--out", str(out)])
+        assert result.exit_code in (0, 2), result.output
+        rep = run_analysis(load_study_bundle(), AnalysisConfig(tau_strategy=tau))
+        rep.deviations = deviation_ledger(rep.analysis, load_reference_tables())
+        assert (out / "report.json").read_bytes() == render_report_json(rep)
 
     def test_literal_tau_reading_fails(self, runner):
         result = runner.invoke(cli, ["reproduce-paper", "--tau", "max-upper-sum"])

@@ -78,6 +78,10 @@ class TestExpertCsv:
         m = parse_expert_csv(CSV_OK.replace("\n", "\r\n"))
         assert m.tolist() == [[0, 3], [2, 0]]
 
+    def test_byte_order_mark_dropped(self):
+        # Excel's "CSV UTF-8" export starts with one
+        assert parse_expert_csv(b"\xef\xbb\xbf,A,B\nA,0,1\nB,2,0\n").tolist() == [[0, 1], [2, 0]]
+
     def test_custom_scale(self):
         m = parse_expert_csv(",A,B\nA,0,9\nB,2,0\n", scale=Scale(0, 9))
         assert m[0, 1] == 9
@@ -413,6 +417,20 @@ class TestBundleParsing:
         with pytest.raises(BundleValidationError) as exc_info:
             parse_study_bundle(json.dumps(doc))
         assert exc_info.value.errors[0] == f"{where}[1]: {key} must be a string"
+
+    @pytest.mark.parametrize("where, key", [("criteria", "id"), ("criteria", "name"), ("respondents", "id"),
+                                            ("respondents", "description")])
+    def test_text_that_utf8_cannot_encode_named(self, where, key):
+        # the JSON escape of a lone surrogate parses to text that no artifact could be written in
+        doc = json.loads(write_bundle(make_raw_bundle(n=3, m=2)))
+        doc[where][1][key] = "B\ud800"
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors[0] == f"{where}[1]: {key} is not valid Unicode text"
+
+    def test_byte_order_mark_dropped(self):
+        data = write_bundle(make_raw_bundle())
+        assert write_bundle(parse_study_bundle(b"\xef\xbb\xbf" + data)) == data
 
     def test_validation_is_total(self):
         # any bytes give either a bundle or a diagnostic list, never a crash

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ class TestRoughGroupMatrix:
         for shape in [(2, 3, 4), (3, 3), (2, 2, 2, 2)]:
             with pytest.raises(ShapeError, match="panel must be an"):
                 rough_group_matrix(np.zeros(shape, dtype=np.int64))
+
+    def test_empty_panel_gives_empty_group(self):
+        assert rough_group_matrix(np.zeros((3, 0, 0), dtype=np.int64)).shape == (0, 0, 2)
+
+    def test_peak_memory_below_one_and_a_half_panels(self):
+        # the levels come from one sorted copy of the panel; no other panel-sized array is made
+        panel = random_expert_panel(120, 21)
+        tracemalloc.start()
+        try:
+            rough_group_matrix(panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * panel.nbytes
 
     def test_judgments_near_the_int64_limit_do_not_wrap(self):
         # two judgments of 2**62 sum to 2**63, one past the largest int64

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
-from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, dump_json, parse_study_bundle
+from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, dump_json, json_chunks, parse_study_bundle
 from rdematel.network import CRISPIFY_GLOBAL, CRISPIFY_MODES, Edge, InfluenceNetwork
 from rdematel.pipeline import TAU_MAX_TOTAL_SUM, TAU_MAX_UPPER_SUM, TAU_STRATEGIES
 from rdematel.report import (
@@ -271,6 +271,19 @@ class TestReportJsonLayout:
         expected = json.dumps(tolisted(doc), indent=2, ensure_ascii=ensure_ascii).replace("\n", "\n" + "  " * level)
         assert dump_json(doc, level, ensure_ascii) == expected
 
+    @pytest.mark.parametrize("grid", [
+        np.array([1.5, -0.0, 1.5]), np.array([7]), np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3, 2)),
+        np.array([[[0.25, 0.5], [0.5, 0.25]]]), np.ones((1, 1, 1), dtype=np.int64), np.arange(3).reshape(1, 3),
+    ], ids=["1d", "1d-one", "empty", "empty-inner", "empty-leading", "leading-1", "leading-1-int", "leading-1-2d"])
+    def test_edge_shapes_match_encoder(self, grid):
+        assert dump_json({"g": grid}, 1) == json.dumps({"g": grid.tolist()}, indent=2).replace("\n", "\n  ")
+
+    def test_grid_comes_one_row_at_a_time(self):
+        grid = np.arange(24.0).reshape(4, 3, 2)
+        chunks = list(json_chunks(grid))
+        assert len(chunks) == 1 + len(grid)  # the opening brackets, then each leading-axis row
+        assert "".join(chunks) == json.dumps(grid.tolist(), indent=2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_rejects_non_finite(self, bad):
         with pytest.raises(InvalidArgumentError):
@@ -309,20 +322,26 @@ class TestReportJsonLayout:
 
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 10), st.floats(), st.text(max_size=3))
+# lone surrogates too: json.dumps escapes one as "\ud800", which json.loads reads back as text UTF-8 cannot encode
+id_chars = st.characters() | st.characters(categories=["Cs"])
 
 
 @st.composite
 def json_bundles(draw):
-    """Bundle documents of up to 6 criteria: half well-formed, half with stray values anywhere."""
+    """Bundle documents of up to 6 criteria: half well-formed, half with stray values anywhere.
+
+    A quarter of the well-formed ones, and the stray ones, draw ids from an alphabet with lone surrogates.
+    """
     dirty = draw(st.booleans())
     if dirty:
         n, m, lo = draw(st.integers(0, 6)), draw(st.integers(0, 4)), draw(st.integers(-1, 2))
         hi = draw(st.integers(lo - 1, lo + 9))
-        ids = [draw(st.text(max_size=4) | json_scalars) for _ in range(n)]
+        ids = [draw(st.text(id_chars, max_size=4) | json_scalars) for _ in range(n)]
     else:
         n, m, lo = draw(st.integers(2, 6)), draw(st.integers(2, 4)), draw(st.integers(0, 2))
         hi = draw(st.integers(lo + 1, lo + 9))
-        ids = [draw(st.text(max_size=3)) + f"#{i}" for i in range(n)]
+        id_text = st.text(id_chars if draw(st.integers(0, 3)) == 0 else st.characters(), max_size=3)
+        ids = [draw(id_text) + f"#{i}" for i in range(n)]
     doc = {
         "scale": {"min": lo, "max": hi},
         "criteria": [{"id": cid} for cid in ids],
