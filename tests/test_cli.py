@@ -139,7 +139,7 @@ class TestAnalyze:
         args = ["synth", "--criteria", "100", "--experts", "6", "--seed", "3", "--out", str(bundle)]
         assert runner.invoke(cli, args).exit_code == 0
         rep = run_analysis(parse_study_bundle(bundle.read_bytes()))
-        monkeypatch.setattr(report_mod, "run_analysis", lambda bundle, config: rep)
+        monkeypatch.setattr(report_mod, "run_analysis", lambda *args: rep)
         args = ["analyze", bundle_path, "--out", str(tmp_path / "out")]
         assert runner.invoke(cli, args).exit_code == 0  # once untraced, so first-call set-up is not counted
         tracemalloc.start()

@@ -126,7 +126,7 @@ class TestRoughGroupMatrix:
 
     def test_peak_memory_below_one_and_a_half_panels(self):
         # the levels come from one sorted copy of the panel; no other panel-sized array is made
-        panel = random_expert_panel(120, 21)
+        panel = random_expert_panel(120, 21, np.random.default_rng(0))
         tracemalloc.start()
         try:
             rough_group_matrix(panel)
