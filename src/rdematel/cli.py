@@ -1,12 +1,14 @@
 """Command-line driver: validate bundles, run analyses, export graphs, reproduce the reference study.
 
-Exit codes: 0 success, 2 validation/analysis failure, 3 I/O failure.
+Exit codes: 0 success, 2 validation/analysis failure, 3 I/O failure;
+the command group's ``invoke`` maps every error to its code.
 Every flag can also be set through an RDEMATEL_-prefixed environment
 variable; flags take precedence.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import sys
 from pathlib import Path
@@ -20,26 +22,14 @@ from .errors import BundleValidationError, RDematelError
 from .report import AnalysisConfig
 
 
-def _read_file(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(3)
-
-
 def _write_file(path: Path, data: bytes | Iterable[str]) -> None:
-    """Write ``data``, bytes or text chunks written as they come (UTF-8); exit 3 on an I/O error."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(data, bytes):
-            path.write_bytes(data)
-        else:
-            with path.open("w", encoding="utf-8", newline="") as f:
-                f.writelines(data)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(3)
+    """Write ``data``, bytes or text chunks written as they come (UTF-8), making its directory first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        with path.open("w", encoding="utf-8", newline="") as f:
+            f.writelines(data)
 
 
 def _parse_threshold(spec: str) -> tuple[str, float]:
@@ -64,17 +54,29 @@ def _finite(spec: str, value: str) -> float:
     return x
 
 
-def _load_bundle(path: str) -> ingest.StudyBundle:
-    data = _read_file(path)
-    try:
-        return ingest.parse_study_bundle(data)
-    except BundleValidationError as exc:
-        for err in exc.errors:
-            click.echo(f"invalid: {err}", err=True)
+class _ErrorBoundary(click.Group):
+    """Runs a command, turning a package error into exit 2 and an I/O error into exit 3, each with its message.
+
+    A closed stdout (EPIPE) is left to click, as for any command.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BundleValidationError as exc:
+            for err in exc.errors:
+                click.echo(f"invalid: {err}", err=True)
+        except RDematelError as exc:
+            click.echo(f"analysis error: {exc}", err=True)
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                raise
+            click.echo(f"i/o error: {exc}", err=True)
+            sys.exit(3)
         sys.exit(2)
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 def cli():
     """Rough DEMATEL group decision analysis."""
 
@@ -83,7 +85,7 @@ def cli():
 @click.argument("bundle", type=str)
 def validate(bundle):
     """Validate a study bundle; exit 0 if well-formed."""
-    b = _load_bundle(bundle)
+    b = ingest.parse_study_bundle(Path(bundle).read_bytes())
     mode = "raw" if b.panel is not None else "aggregate"
     click.echo(f"OK: {b.n} criteria, {len(b.respondents)} respondents, {mode} mode")
 
@@ -117,15 +119,6 @@ def _build_config(tau_strategy, crispify_mode, threshold_spec) -> AnalysisConfig
     )
 
 
-def _run(bundle_path: str, config: AnalysisConfig) -> report_mod.AnalysisReport:
-    b = _load_bundle(bundle_path)
-    try:
-        return report_mod.run_analysis(b, config)
-    except RDematelError as exc:
-        click.echo(f"analysis error: {exc}", err=True)
-        sys.exit(2)
-
-
 @cli.command()
 @click.argument("bundle", type=str)
 @_with_analysis_options
@@ -133,7 +126,7 @@ def _run(bundle_path: str, config: AnalysisConfig) -> report_mod.AnalysisReport:
 def analyze(bundle, tau_strategy, crispify_mode, threshold_spec, out_dir):
     """Run the full analysis and write the report artifact set."""
     config = _build_config(tau_strategy, crispify_mode, threshold_spec)
-    rep = _run(bundle, config)
+    rep = report_mod.run_analysis(ingest.parse_study_bundle(Path(bundle).read_bytes()), config)
     out = Path(out_dir)
     _write_file(out / "results.csv", report_mod.render_results_csv(rep))
     _write_file(out / "report.json", report_mod.report_json_chunks(rep))
@@ -150,7 +143,7 @@ def analyze(bundle, tau_strategy, crispify_mode, threshold_spec, out_dir):
 def graph(bundle, tau_strategy, crispify_mode, threshold_spec, out_file):
     """Extract the thresholded influence network as a DOT graph."""
     config = _build_config(tau_strategy, crispify_mode, threshold_spec)
-    rep = _run(bundle, config)
+    rep = report_mod.run_analysis(ingest.parse_study_bundle(Path(bundle).read_bytes()), config)
     dot = report_mod.render_graph_dot(rep.network)
     if out_file:
         _write_file(Path(out_file), dot)
@@ -166,12 +159,8 @@ def reproduce_paper(tau_strategy, out_dir):
     bundle = fixtures.load_study_bundle()
     reference = fixtures.load_reference_tables()
     config = AnalysisConfig(tau_strategy=tau_strategy)
-    try:
-        rep = report_mod.run_analysis(bundle, config)
-        entries = report_mod.deviation_ledger(rep.analysis, reference)
-    except RDematelError as exc:
-        click.echo(f"analysis error: {exc}", err=True)
-        sys.exit(2)
+    rep = report_mod.run_analysis(bundle, config)
+    entries = report_mod.deviation_ledger(rep.analysis, reference)
     rep.deviations = entries
     if out_dir:
         out = Path(out_dir)

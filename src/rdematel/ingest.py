@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
@@ -20,6 +21,7 @@ from .pipeline import check_intervals
 
 CATEGORIES = ("internal", "external", "custom")
 ROLES = ("practitioner", "academic")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,10 @@ def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
     (the bundle's criterion-id rule), then a malformed row, then the grid's
     first bad cell in row-major order, worded as in a bundle.
     """
-    text = _decode(data)
+    try:
+        text = _decode(data)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}") from None
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     if not rows:
         raise ParseError("empty CSV file")
@@ -120,10 +125,8 @@ def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
 
 
 def _int_or_text(cell: str) -> int | str:
-    try:
-        return int(cell)
-    except ValueError:
-        return cell
+    """The cell as an int when it is ASCII digits with an optional sign, else the text; ``int`` reads "1_0" as 10."""
+    return int(cell) if _INTEGER.fullmatch(cell) else cell
 
 
 def _read_grid(grid, criteria: list[CriterionMeta], scale: Scale, maybe_bool: bool) -> np.ndarray | str:
@@ -333,8 +336,8 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
 def write_bundle(bundle: StudyBundle) -> bytes:
     """Serialize a bundle; parse(write(b)) is structurally equal to b.
 
-    A panel or rough group that the parser would reject raises
-    InvalidArgumentError naming the respondent or grid and the cell.
+    A bundle that the parser would reject raises InvalidArgumentError with
+    the parser's first error, e.g. the respondent or grid and the cell.
 
     The bytes are exactly those of ``json.dumps(doc, indent=2,
     ensure_ascii=False) + "\n"`` with each array as its ``tolist()``.
@@ -348,17 +351,20 @@ def write_bundle(bundle: StudyBundle) -> bytes:
         panel = np.asarray(bundle.panel)
         if panel.dtype.kind not in "iu":
             raise InvalidArgumentError(f"panel: judgments must be integers, got dtype {panel.dtype}")
+        if len(panel) != len(bundle.respondents):  # zip would drop extra slices
+            raise InvalidArgumentError(
+                f"a raw bundle needs one panel slice per respondent, got shape {panel.shape} "
+                f"for {len(bundle.respondents)} respondents"
+            )
         doc["matrices"] = dict(zip([r.id for r in bundle.respondents], panel))
-        if not len(doc["matrices"]) == len(bundle.respondents) == len(panel):
-            raise InvalidArgumentError("a raw bundle needs one panel slice per respondent and distinct respondent ids")
-        for rid, grid in doc["matrices"].items():
-            if isinstance(fault := _read_grid(grid, bundle.criteria, bundle.scale, False), str):
-                raise InvalidArgumentError(f"matrices[{rid}]: {fault}")
     if bundle.rough_group is not None:
-        rough_group = _read_rough_group(bundle.rough_group, bundle.n, False)
-        if isinstance(rough_group, str):
-            raise InvalidArgumentError(f"rough_group: {rough_group}")
-        doc["rough_group"] = rough_group
+        doc["rough_group"] = bundle.rough_group
+    try:
+        checked = _validate_bundle_dict(doc, False)
+    except BundleValidationError as exc:
+        raise InvalidArgumentError(exc.errors[0]) from None
+    if checked.rough_group is not None:
+        doc["rough_group"] = checked.rough_group
     return (dump_json(doc, ensure_ascii=False) + "\n").encode("utf-8")
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 import numpy as np
 
 import rdematel
-from rdematel import report as report_mod
+from rdematel import ingest, report as report_mod
 from rdematel.cli import cli
+from rdematel.errors import InvalidArgumentError
 from rdematel.fixtures import _read, load_reference_tables, load_study_bundle
 from rdematel.ingest import (
     CriterionMeta,
@@ -340,6 +342,48 @@ class TestSynth:
         }
         assert result.exit_code == 0
         assert result.output == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+# a stage each command calls, and the arguments that reach it
+STAGES = {
+    "validate": (ingest, "parse_study_bundle", ["{bundle}"]),
+    "analyze": (report_mod, "render_graph_dot", ["{bundle}", "--out", "{out}"]),
+    "graph": (report_mod, "render_graph_dot", ["{bundle}"]),
+    "reproduce-paper": (report_mod, "deviation_ledger", ["--out", "{out}"]),
+    "synth": (ingest, "write_bundle", ["--criteria", "3", "--experts", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", list(STAGES))
+@pytest.mark.parametrize(
+    "error, exit_code, message",
+    [(InvalidArgumentError("boom"), 2, "analysis error: boom"), (OSError("boom"), 3, "i/o error: boom")],
+    ids=["package-error", "os-error"],
+)
+def test_every_command_maps_a_stage_error_to_its_exit_code(
+    runner, monkeypatch, bundle_path, tmp_path, command, error, exit_code, message
+):
+    module, stage, args = STAGES[command]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, stage, fail)
+    args = [a.format(bundle=bundle_path, out=tmp_path / "out") for a in args]
+    result = runner.invoke(cli, [command, *args])
+    assert result.exit_code == exit_code
+    assert result.output == message + "\n"
+
+
+
+def test_closed_stdout_is_left_to_click(runner, monkeypatch, bundle_path):
+    def closed(*args, **kwargs):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(report_mod, "render_graph_dot", closed)
+    result = runner.invoke(cli, ["graph", bundle_path])
+    assert result.exit_code == 1  # click's own exit for a closed stdout
+    assert result.output == ""
 
 
 numbers = st.one_of(st.floats(), st.integers(-10, 10)).map(str)

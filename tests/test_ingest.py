@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rdematel.errors import BundleValidationError, InvalidArgumentError, ParseError
 from rdematel.fixtures import _read, load_study_bundle
 from rdematel.ingest import (
+    CATEGORIES,
+    ROLES,
     CriterionMeta,
     RespondentMeta,
     Scale,
@@ -41,6 +43,33 @@ def bundle_doc(b):
     if b.rough_group is not None:
         doc["rough_group"] = b.rough_group.tolist()
     return doc
+
+
+def rejected_bundles():
+    """(id, bundle, the parser's first error) for bundles whose ids, counts, enums or mode the parser rejects."""
+    duplicate = make_raw_bundle()
+    duplicate.criteria[1] = CriterionMeta("C0")
+    one_criterion = StudyBundle(criteria=[CriterionMeta("A")], respondents=[], rough_group=np.zeros((1, 1, 2)))
+    no_criteria = StudyBundle(criteria=[], respondents=[RespondentMeta("r")], panel=np.zeros((1, 0, 0), dtype=np.int64))
+    category = make_raw_bundle()
+    category.criteria[1] = CriterionMeta("C1", category="alien")
+    role = make_raw_bundle()
+    role.respondents[0] = RespondentMeta("R0", role="alien")
+    neither = make_raw_bundle()
+    neither.panel = None
+    both = make_raw_bundle()
+    both.rough_group = np.zeros((3, 3, 2))
+    mode = "bundle must carry exactly one of 'matrices' or 'rough_group'"
+    return [
+        ("duplicate-criterion", duplicate, "criteria[1]: duplicate id 'C0'"),
+        ("one-criterion", one_criterion, "criteria: DEMATEL needs at least two criteria, got 1"),
+        ("no-criteria", no_criteria, "criteria: list is empty or missing"),
+        ("one-respondent", make_raw_bundle(m=1), "respondents: raw mode needs at least two experts, got 1"),
+        ("unknown-category", category, "criteria[1] (C1): unknown category 'alien'"),
+        ("unknown-role", role, "respondents[0] (R0): unknown role 'alien'"),
+        ("neither-mode", neither, mode),
+        ("both-modes", both, mode),
+    ]
 
 
 class TestExpertCsv:
@@ -82,6 +111,13 @@ class TestExpertCsv:
         # Excel's "CSV UTF-8" export starts with one
         assert parse_expert_csv(b"\xef\xbb\xbf,A,B\nA,0,1\nB,2,0\n").tolist() == [[0, 1], [2, 0]]
 
+    def test_bytes_that_are_not_utf8_named(self):
+        with pytest.raises(ParseError, match="^not valid UTF-8: "):
+            parse_expert_csv(b"\xff,A,B\nA,0,1\nB,2,0\n")
+
+    def test_signed_ascii_digits_read_as_integers(self):
+        assert parse_expert_csv(",A,B\nA,0,+3\nB,02,0\n").tolist() == [[0, 3], [2, 0]]
+
     def test_custom_scale(self):
         m = parse_expert_csv(",A,B\nA,0,9\nB,2,0\n", scale=Scale(0, 9))
         assert m[0, 1] == 9
@@ -97,11 +133,16 @@ class TestExpertCsv:
         "text, message",
         [
             (",A,B\nA,0,x\nB,2,0\n", 'non-integer cell (A,B) "x"'),
+            # int() alone would read these as 10, 3 and 3
+            (",A,B\nA,0,1_0\nB,2,0\n", 'non-integer cell (A,B) "1_0"'),
+            (",A,B\nA,0,\u0663\nB,2,0\n", 'non-integer cell (A,B) "\\u0663"'),
+            (",A,B\nA,0,\uff13\nB,2,0\n", 'non-integer cell (A,B) "\\uff13"'),
             (",A,B\nA,1,3\nB,2,0\n", "cell (A,A) = 1 on the diagonal, must be 0"),
             (f",A,B\nA,0,{2**70}\nB,2,0\n", "cell (A,B) = 1180591620717411303424 outside scale 0..4"),
             (",A,B\nA,0,x\nC,2,0\n", "row 2: row id 'C' does not match header id 'B'"),
         ],
-        ids=["non-integer", "diagonal", "beyond-64-bits", "row-before-cell"],
+        ids=["non-integer", "underscore", "arabic-indic-digit", "fullwidth-digit", "diagonal", "beyond-64-bits",
+             "row-before-cell"],
     )
     def test_cell_faults_take_bundle_wording(self, text, message):
         with pytest.raises(ParseError) as exc:
@@ -149,11 +190,13 @@ class TestBundleParsing:
     def test_write_rejects_panel_respondent_mismatch(self):
         repeated = make_raw_bundle(n=2, m=2)
         repeated.respondents[1] = RespondentMeta(repeated.respondents[0].id)
+        with pytest.raises(InvalidArgumentError) as exc_info:
+            write_bundle(repeated)
+        assert str(exc_info.value) == "respondents[1]: duplicate id 'R0'"
         extra_slice = make_raw_bundle(n=2, m=2)
         extra_slice.panel = np.concatenate([extra_slice.panel, extra_slice.panel[:1]])
-        for b in (repeated, extra_slice):
-            with pytest.raises(InvalidArgumentError, match="one panel slice per respondent"):
-                write_bundle(b)
+        with pytest.raises(InvalidArgumentError, match="one panel slice per respondent"):
+            write_bundle(extra_slice)
 
     def test_write_rejects_what_parse_rejects(self):
         wide = make_raw_bundle(n=2, m=2)
@@ -175,9 +218,11 @@ class TestBundleParsing:
                 write_bundle(b)
             assert str(exc_info.value) == error
 
-    def test_write_without_criteria(self):
-        b = StudyBundle(criteria=[], respondents=[RespondentMeta("r")], panel=np.zeros((1, 0, 0), dtype=np.int64))
-        assert json.loads(write_bundle(b))["matrices"] == {"r": []}
+    @pytest.mark.parametrize("b, error", [pytest.param(*case[1:], id=case[0]) for case in rejected_bundles()])
+    def test_write_rejects_what_parse_rejects_beyond_the_grids(self, b, error):
+        with pytest.raises(InvalidArgumentError) as exc_info:
+            write_bundle(b)
+        assert str(exc_info.value) == error
 
     def test_panel_is_in_respondent_order(self):
         b = make_raw_bundle(n=3, m=3)
@@ -457,6 +502,41 @@ class TestRoundTripProperty:
         assert b2.criteria[0].name == name
         assert b2.criteria[0].description == desc
         assert write_bundle(b2) == data
+
+
+@st.composite
+def near_valid_bundles(draw):
+    """Bundles whose ids, enums, counts, mode and grids each sit on or just past a parser rule."""
+    ids = st.sampled_from(["A", "B", "C", " A", ""])
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    criteria = [CriterionMeta(draw(ids), category=draw(st.sampled_from([*CATEGORIES, "x"]))) for _ in range(n)]
+    respondents = [RespondentMeta(draw(ids), role=draw(st.sampled_from([*ROLES, "x"]))) for _ in range(m)]
+    mode = draw(st.sampled_from(["raw", "aggregate", "both", "neither"]))
+    off_diagonal = ~np.eye(n, dtype=bool)
+    panel = rough_group = None
+    if mode in ("raw", "both"):
+        cells = draw(st.lists(st.integers(0, 4), min_size=m * n * n, max_size=m * n * n))
+        panel = np.array(cells, dtype=np.int64).reshape(m, n, n) * (off_diagonal | draw(st.booleans()))
+    if mode in ("aggregate", "both"):
+        bounds = st.lists(st.floats(0, 2), min_size=2, max_size=2).map(sorted)
+        pairs = draw(st.lists(bounds, min_size=n * n, max_size=n * n))
+        rough_group = np.array(pairs, dtype=float).reshape(n, n, 2) * off_diagonal[..., None]
+    return StudyBundle(criteria, respondents, Scale(), panel, rough_group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_valid_bundles())
+def test_parse_accepts_every_bundle_write_accepts(b):
+    try:
+        data = write_bundle(b)
+    except InvalidArgumentError:
+        event("rejected")
+        return
+    event("written")
+    parsed = parse_study_bundle(data)
+    for got, wrote in ((parsed.panel, b.panel), (parsed.rough_group, b.rough_group)):
+        assert (got is None) == (wrote is None)
+        assert wrote is None or np.array_equal(got, wrote)
 
 
 @st.composite
