@@ -334,7 +334,7 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
 
 
 def write_bundle(bundle: StudyBundle) -> bytes:
-    """Serialize a bundle; parse(write(b)) is structurally equal to b.
+    """Serialize a bundle; parse(write(b)) is structurally equal to b with its ids stripped, as the parser keeps them.
 
     A bundle that the parser would reject raises InvalidArgumentError with
     the parser's first error, e.g. the respondent or grid and the cell.
@@ -356,13 +356,16 @@ def write_bundle(bundle: StudyBundle) -> bytes:
                 f"a raw bundle needs one panel slice per respondent, got shape {panel.shape} "
                 f"for {len(bundle.respondents)} respondents"
             )
-        doc["matrices"] = dict(zip([r.id for r in bundle.respondents], panel))
+        # keyed by the ids the parser keeps; an id that is not a string is rejected below
+        doc["matrices"] = dict(zip([str(r.id).strip() for r in bundle.respondents], panel))
     if bundle.rough_group is not None:
         doc["rough_group"] = bundle.rough_group
     try:
         checked = _validate_bundle_dict(doc, False)
     except BundleValidationError as exc:
         raise InvalidArgumentError(exc.errors[0]) from None
+    doc["criteria"] = [vars(c) for c in checked.criteria]
+    doc["respondents"] = [vars(r) for r in checked.respondents]
     if checked.rough_group is not None:
         doc["rough_group"] = checked.rough_group
     return (dump_json(doc, ensure_ascii=False) + "\n").encode("utf-8")

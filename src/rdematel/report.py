@@ -205,7 +205,7 @@ def deviation_ledger(analysis: RoughAnalysis, reference: dict) -> list[Deviation
     sides = ("lower", "upper")
     entries = [
         _compare("normalized", f"({ids[i]},{ids[j]}).{side}", reference[f"normalized_{side}"][i][j],
-                 analysis.normalized[i, j, k], 5e-4)
+                 analysis.group_matrix[i, j, k] / analysis.tau, 5e-4)  # normalize_rough's division
         for i in range(n) for j in range(n) if i != j for k, side in enumerate(sides)
     ]
     entries += [

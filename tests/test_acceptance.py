@@ -211,7 +211,7 @@ def test_10_structural_laws(bundle):
             np.fill_diagonal(v, 0)
             experts.append(v)
         analysis = analyze_rough([f"C{i}" for i in range(n)], panel=np.stack(experts))
-        for stage in (analysis.group_matrix, analysis.normalized, analysis.total):
+        for stage in (analysis.group_matrix, analysis.group_matrix / analysis.tau, analysis.total):
             assert np.all(stage[..., 0] <= stage[..., 1] + 1e-12)
 
         # threshold monotonicity

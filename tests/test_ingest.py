@@ -237,9 +237,15 @@ class TestBundleParsing:
         assert b2.criteria == b.criteria
 
     def test_reserialization_is_byte_stable(self):
-        b = load_study_bundle()
-        data = write_bundle(b)
-        assert write_bundle(parse_study_bundle(data)) == data
+        padded = make_raw_bundle()
+        padded.criteria[0] = CriterionMeta(" C0\t", name="crit 0")
+        padded.respondents[1] = RespondentMeta(" R1 ", role="academic")
+        for b in (load_study_bundle(), padded):
+            data = write_bundle(b)
+            assert write_bundle(parse_study_bundle(data)) == data
+        # the padded bundle's ids are written as the parser keeps them
+        reread = parse_study_bundle(data)
+        assert reread.criterion_ids[0] == "C0" and reread.respondents[1].id == "R1"
 
     def test_empty_criteria_rejected(self):
         with pytest.raises(BundleValidationError, match="criteria"):

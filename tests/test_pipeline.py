@@ -69,12 +69,12 @@ def expert_panels(draw):
     n = draw(st.integers(2, 8))
     m = draw(st.integers(2, 25))
     lo = draw(st.integers(0, 5))
-    hi = draw(st.integers(lo + 1, 9))
-    # off-diagonal judgments on lo..hi (e.g. 1..9) around the structural-zero diagonal
+    hi = draw(st.integers(lo + 1, 2 ** draw(st.integers(3, 40))))
+    # off-diagonal judgments on lo..hi (e.g. 1..9, or 0..2**40) around the structural-zero diagonal
     grids = draw(hnp.arrays(np.int64, (m, n, n), elements=st.integers(lo, hi)))
     grids[:, np.arange(n), np.arange(n)] = 0
     order = draw(st.permutations(range(m)))
-    return grids, grids[order]
+    return grids, grids[order], hi
 
 
 class TestScale:
@@ -125,7 +125,7 @@ class TestRoughGroupMatrix:
         assert rough_group_matrix(np.zeros((3, 0, 0), dtype=np.int64)).shape == (0, 0, 2)
 
     def test_peak_memory_below_one_and_a_half_panels(self):
-        # the levels come from one sorted copy of the panel; no other panel-sized array is made
+        # one sorted copy of the panel and a few n x n rows; no other panel-sized array is made
         panel = random_expert_panel(120, 21, np.random.default_rng(0))
         tracemalloc.start()
         try:
@@ -134,6 +134,18 @@ class TestRoughGroupMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * panel.nbytes
+
+    def test_peak_memory_does_not_grow_with_the_scale(self):
+        # on 0..10**9 nearly every judgment is distinct; the n x n rows, each a third of this panel, set the peak
+        panel = np.random.default_rng(0).integers(0, 10**9 + 1, size=(3, 40, 40))
+        panel[:, range(40), range(40)] = 0
+        tracemalloc.start()
+        try:
+            rough_group_matrix(panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * panel.nbytes
 
     def test_judgments_near_the_int64_limit_do_not_wrap(self):
         # two judgments of 2**62 sum to 2**63, one past the largest int64
@@ -150,11 +162,11 @@ class TestRoughGroupMatrix:
     @settings(deadline=None)
     @given(expert_panels())
     def test_matches_per_cell_oracle_in_any_expert_order(self, panel):
-        experts, shuffled = panel
+        experts, shuffled, hi = panel
         r = rough_group_matrix(experts)
         lower, upper = oracle_group_matrix(experts)
-        assert np.abs(r[..., 0] - lower).max() <= 1e-12
-        assert np.abs(r[..., 1] - upper).max() <= 1e-12
+        assert np.abs(r[..., 0] - lower).max() <= 1e-13 * hi
+        assert np.abs(r[..., 1] - upper).max() <= 1e-13 * hi
         again = rough_group_matrix(shuffled)
         assert np.array_equal(r, again)
 
@@ -341,7 +353,7 @@ class TestAnalyzeRough:
     def test_interval_order_through_all_stages(self):
         experts = random_expert_panel(6, 5)
         a = analyze_rough([f"C{i}" for i in range(6)], panel=experts)
-        for m in (a.group_matrix, a.normalized, a.total):
+        for m in (a.group_matrix, a.group_matrix / a.tau, a.total):
             assert np.all(m[..., 0] <= m[..., 1] + 1e-12)
 
     def test_unanimous_panel_at_unit_row_sums_rejected(self):

@@ -80,7 +80,7 @@ class TestResultTables:
         rep = run_analysis(load_study_bundle(), AnalysisConfig(tau_strategy=tau))
         doc = json.loads(render_report_json(rep))
         normalized = np.asarray(doc["rough_group"]) / doc["config"]["tau"]
-        assert np.array_equal(normalized, rep.analysis.normalized)
+        assert np.array_equal(normalized, rep.analysis.group_matrix / rep.analysis.tau)
 
     def test_config_echo_is_complete(self, fixture_report):
         echo = fixture_report.config
