@@ -1,20 +1,21 @@
 """Command-line driver: validate bundles, run analyses, export graphs, reproduce the reference study.
 
-Exit codes: 0 success, 2 validation/analysis failure, 3 I/O failure;
-the command group's ``invoke`` maps every error to its code.
-Every flag can also be set through an RDEMATEL_-prefixed environment
-variable; flags take precedence.
+Exit codes: 0 success, 2 usage/validation/analysis failure, 3 I/O failure, 1 for a closed
+stdout (nothing printed) or an interrupt (``Aborted!``); ``main`` maps every error to its code.
+Each option can also be set by an environment variable, RDEMATEL_<COMMAND>_<PARAMETER>
+(e.g. RDEMATEL_SYNTH_N_CRITERIA), checked as the flag is; a flag wins. Output is UTF-8.
 """
 
 from __future__ import annotations
 
+import argparse
 import errno
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
 
-import click
 import numpy as np
 
 from . import fixtures, ingest, network as net_mod, pipeline, report as report_mod
@@ -32,176 +33,173 @@ def _write_file(path: Path, data: bytes | Iterable[str]) -> None:
             f.writelines(data)
 
 
+def _echo(text: str | bytes, err: bool = False) -> None:
+    """Write ``text`` to stdout, or to stderr if ``err``, as UTF-8 whatever the stream's encoding."""
+    stream = sys.stderr if err else sys.stdout
+    data = memoryview(text if isinstance(text, bytes) else text.encode("utf-8", "surrogateescape"))
+    while data:  # a pipe may take part of a large write; writing the rest raises if its reader is gone
+        data = data[stream.buffer.write(data):]
+    stream.flush()
+
+
 def _parse_threshold(spec: str) -> tuple[str, float]:
-    """'mean-sigma:<k>' or 'fixed:<q>' -> (mode, value)."""
+    """'mean-sigma:<k>' (k defaults to 1) or 'fixed:<q>' -> (mode, value), the value a finite number."""
     mode, _, value = spec.partition(":")
-    if mode == "mean-sigma":
-        return net_mod.THRESHOLD_MEAN_SIGMA, _finite(spec, value) if value else 1.0
-    if mode == "fixed":
-        if not value:
-            raise click.BadParameter("fixed threshold needs a value, e.g. fixed:0.5")
-        return net_mod.THRESHOLD_FIXED, _finite(spec, value)
-    raise click.BadParameter(f"unknown threshold spec {spec!r}; use mean-sigma:<k> or fixed:<q>")
-
-
-def _finite(spec: str, value: str) -> float:
+    if mode not in (net_mod.THRESHOLD_MEAN_SIGMA, net_mod.THRESHOLD_FIXED):
+        raise argparse.ArgumentTypeError(f"unknown threshold spec {spec!r}; use mean-sigma:<k> or fixed:<q>")
+    if mode == net_mod.THRESHOLD_FIXED and not value:
+        raise argparse.ArgumentTypeError("fixed threshold needs a value, e.g. fixed:0.5")
     try:
-        x = float(value)
+        x = float(value) if value else 1.0
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
-        raise click.BadParameter(f"threshold spec {spec!r}: {value!r} is not a finite number")
-    return x
+        raise argparse.ArgumentTypeError(f"threshold spec {spec!r}: {value!r} is not a finite number")
+    return mode, x
 
 
-class _ErrorBoundary(click.Group):
-    """Runs a command, turning a package error into exit 2 and an I/O error into exit 3, each with its message.
+def _at_least(low: int):
+    """An option type: an integer no smaller than ``low``."""
 
-    A closed stdout (EPIPE) is left to click, as for any command.
-    """
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except BundleValidationError as exc:
-            for err in exc.errors:
-                click.echo(f"invalid: {err}", err=True)
-        except RDematelError as exc:
-            click.echo(f"analysis error: {exc}", err=True)
-        except OSError as exc:
-            if exc.errno == errno.EPIPE:
-                raise
-            click.echo(f"i/o error: {exc}", err=True)
-            sys.exit(3)
-        sys.exit(2)
+    def integer(text: str) -> int:  # argparse names a ValueError after the function: "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+    return integer
 
 
-@click.group(cls=_ErrorBoundary)
-def cli():
-    """Rough DEMATEL group decision analysis."""
-
-
-@cli.command()
-@click.argument("bundle", type=str)
-def validate(bundle):
+def validate(args):
     """Validate a study bundle; exit 0 if well-formed."""
-    b = ingest.parse_study_bundle(Path(bundle).read_bytes())
+    b = ingest.parse_study_bundle(Path(args.bundle).read_bytes())
     mode = "raw" if b.panel is not None else "aggregate"
-    click.echo(f"OK: {b.n} criteria, {len(b.respondents)} respondents, {mode} mode")
+    _echo(f"OK: {b.n} criteria, {len(b.respondents)} respondents, {mode} mode\n")
 
 
-_tau_option = click.option("--tau", "tau_strategy", type=click.Choice(pipeline.TAU_STRATEGIES),
-                           default=pipeline.TAU_MAX_TOTAL_SUM, show_default=True,
-                           help="Normalization scalar strategy.")
-_analysis_options = [
-    _tau_option,
-    click.option("--crispify", "crispify_mode", type=click.Choice(net_mod.CRISPIFY_MODES),
-                 default=net_mod.CRISPIFY_MIDPOINT, show_default=True,
-                 help="How the rough total matrix is collapsed to crisp values."),
-    click.option("--threshold", "threshold_spec", default="mean-sigma:1", show_default=True,
-                 help="Edge cutoff: mean-sigma:<k> or fixed:<q>."),
-]
+def _run_bundle(args) -> report_mod.AnalysisReport:
+    config = AnalysisConfig(args.tau_strategy, args.crispify_mode, *args.threshold_spec)
+    return report_mod.run_analysis(ingest.parse_study_bundle(Path(args.bundle).read_bytes()), config)
 
 
-def _with_analysis_options(f):
-    for opt in reversed(_analysis_options):
-        f = opt(f)
-    return f
-
-
-def _build_config(tau_strategy, crispify_mode, threshold_spec) -> AnalysisConfig:
-    mode, value = _parse_threshold(threshold_spec)
-    return AnalysisConfig(
-        tau_strategy=tau_strategy,
-        crispify_mode=crispify_mode,
-        threshold_mode=mode,
-        threshold_value=value,
-    )
-
-
-@cli.command()
-@click.argument("bundle", type=str)
-@_with_analysis_options
-@click.option("--out", "out_dir", default=".", show_default=True, help="Output directory.")
-def analyze(bundle, tau_strategy, crispify_mode, threshold_spec, out_dir):
+def analyze(args):
     """Run the full analysis and write the report artifact set."""
-    config = _build_config(tau_strategy, crispify_mode, threshold_spec)
-    rep = report_mod.run_analysis(ingest.parse_study_bundle(Path(bundle).read_bytes()), config)
-    out = Path(out_dir)
+    rep = _run_bundle(args)
+    out = Path(args.out_dir)
     _write_file(out / "results.csv", report_mod.render_results_csv(rep))
     _write_file(out / "report.json", report_mod.report_json_chunks(rep))
     _write_file(out / "network.dot", report_mod.render_graph_dot(rep.network))
     for key, value in rep.config.items():
-        click.echo(f"{key}: {value}")
-    click.echo(f"wrote results.csv, report.json, network.dot to {out}")
+        _echo(f"{key}: {value}\n")
+    _echo(f"wrote results.csv, report.json, network.dot to {out}\n")
 
 
-@cli.command()
-@click.argument("bundle", type=str)
-@_with_analysis_options
-@click.option("--out", "out_file", default=None, help="Write the DOT file here instead of stdout.")
-def graph(bundle, tau_strategy, crispify_mode, threshold_spec, out_file):
+def graph(args):
     """Extract the thresholded influence network as a DOT graph."""
-    config = _build_config(tau_strategy, crispify_mode, threshold_spec)
-    rep = report_mod.run_analysis(ingest.parse_study_bundle(Path(bundle).read_bytes()), config)
-    dot = report_mod.render_graph_dot(rep.network)
-    if out_file:
-        _write_file(Path(out_file), dot)
+    dot = report_mod.render_graph_dot(_run_bundle(args).network)
+    if args.out_file:
+        _write_file(Path(args.out_file), dot)
     else:
-        click.echo(dot.decode("utf-8"), nl=False)
+        _echo(dot)
 
 
-@cli.command("reproduce-paper")
-@_tau_option
-@click.option("--out", "out_dir", default=None, help="Directory for the deviation ledger CSV.")
-def reproduce_paper(tau_strategy, out_dir):
+def reproduce_paper(args):
     """Rerun the shipped reference study and reconcile it against the published tables."""
-    bundle = fixtures.load_study_bundle()
-    reference = fixtures.load_reference_tables()
-    config = AnalysisConfig(tau_strategy=tau_strategy)
-    rep = report_mod.run_analysis(bundle, config)
-    entries = report_mod.deviation_ledger(rep.analysis, reference)
-    rep.deviations = entries
-    if out_dir:
-        out = Path(out_dir)
+    rep = report_mod.run_analysis(fixtures.load_study_bundle(), AnalysisConfig(tau_strategy=args.tau_strategy))
+    entries = rep.deviations = report_mod.deviation_ledger(rep.analysis, fixtures.load_reference_tables())
+    if args.out_dir:
+        out = Path(args.out_dir)
         _write_file(out / "deviations.csv", report_mod.render_deviations_csv(entries))
         _write_file(out / "report.json", report_mod.report_json_chunks(rep))
-    tables = sorted({e.table for e in entries})
-    for table in tables:
+    for table in sorted({e.table for e in entries}):
         rows = [e for e in entries if e.table == table]
         failed = sum(1 for e in rows if e.status == report_mod.FAIL)
         skipped = sum(1 for e in rows if e.status == report_mod.NOT_COMPARABLE)
         status = "FAIL" if failed else ("NOT-COMPARABLE" if skipped == len(rows) else "PASS")
-        click.echo(f"{table}: {status} ({len(rows)} cells, {failed} failed, {skipped} not comparable)")
-    click.echo(f"tau strategy: {tau_strategy} (tau = {rep.analysis.tau:.4f})")
+        _echo(f"{table}: {status} ({len(rows)} cells, {failed} failed, {skipped} not comparable)\n")
+    _echo(f"tau strategy: {args.tau_strategy} (tau = {rep.analysis.tau:.4f})\n")
     if not report_mod.ledger_passes(entries):
         sys.exit(2)
 
 
-@cli.command()
-@click.option("--criteria", "n_criteria", type=click.IntRange(min=2), required=True)
-@click.option("--experts", "n_experts", type=click.IntRange(min=2), required=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--out", "out_file", default=None, help="Write the bundle here instead of stdout.")
-def synth(n_criteria, n_experts, seed, out_file):
+def synth(args):
     """Generate a synthetic random study bundle (raw matrices)."""
-    scale = ingest.Scale()
-    criteria = [ingest.CriterionMeta(f"C{i + 1}", name=f"Criterion {i + 1}") for i in range(n_criteria)]
-    respondents = [ingest.RespondentMeta(f"X{k + 1}") for k in range(n_experts)]
-    panel = np.random.default_rng(seed).integers(
-        scale.minimum, scale.maximum, size=(n_experts, n_criteria, n_criteria), endpoint=True
-    )
-    panel[:, range(n_criteria), range(n_criteria)] = 0
-    bundle = ingest.StudyBundle(criteria=criteria, respondents=respondents, scale=scale, panel=panel)
-    data = ingest.write_bundle(bundle)
-    if out_file:
-        _write_file(Path(out_file), data)
+    n, m, scale = args.n_criteria, args.n_experts, ingest.Scale()
+    criteria = [ingest.CriterionMeta(f"C{i + 1}", name=f"Criterion {i + 1}") for i in range(n)]
+    respondents = [ingest.RespondentMeta(f"X{k + 1}") for k in range(m)]
+    panel = np.random.default_rng(args.seed).integers(scale.minimum, scale.maximum, size=(m, n, n), endpoint=True)
+    panel[:, range(n), range(n)] = 0
+    data = ingest.write_bundle(ingest.StudyBundle(criteria=criteria, respondents=respondents, scale=scale, panel=panel))
+    if args.out_file:
+        _write_file(Path(args.out_file), data)
     else:
-        click.echo(data.decode("utf-8"), nl=False)
+        _echo(data)
 
 
-def main():
-    cli(auto_envvar_prefix="RDEMATEL")
+_BUNDLE = ("bundle", dict(metavar="BUNDLE"))
+_TAU = ("--tau", dict(dest="tau_strategy", choices=pipeline.TAU_STRATEGIES, default=pipeline.TAU_MAX_TOTAL_SUM,
+                      help="Normalization scalar strategy (default: %(default)s)."))
+_ANALYSIS = [
+    _BUNDLE, _TAU,
+    ("--crispify", dict(dest="crispify_mode", choices=net_mod.CRISPIFY_MODES, default=net_mod.CRISPIFY_MIDPOINT,
+                        help="How the rough total matrix is collapsed to crisp values (default: %(default)s).")),
+    ("--threshold", dict(dest="threshold_spec", type=_parse_threshold, default="mean-sigma:1",
+                         help="Edge cutoff: mean-sigma:<k> or fixed:<q> (default: %(default)s).")),
+]
+# command -> (its function, its arguments as (name or flag, add_argument keywords)); a dest names an env variable
+_COMMANDS = {
+    "validate": (validate, [_BUNDLE]),
+    "analyze": (analyze, [*_ANALYSIS, ("--out", dict(dest="out_dir", default=".",
+                                                      help="Output directory (default: %(default)s)."))]),
+    "graph": (graph, [*_ANALYSIS, ("--out", dict(dest="out_file", help="Write the DOT file here instead of stdout."))]),
+    "reproduce-paper": (reproduce_paper, [_TAU, ("--out", dict(dest="out_dir",
+                                                                help="Directory for the deviation ledger CSV."))]),
+    "synth": (synth, [
+        ("--criteria", dict(dest="n_criteria", type=_at_least(2), required=True)),
+        ("--experts", dict(dest="n_experts", type=_at_least(2), required=True)),
+        ("--seed", dict(dest="seed", type=_at_least(0), default=0,
+                        help="Random generator seed (default: %(default)s).")),
+        ("--out", dict(dest="out_file", help="Write the bundle here instead of stdout.")),
+    ]),
+}
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command that ``argv`` (default: ``sys.argv[1:]``) names, exiting with the code of any error."""
+    parser = argparse.ArgumentParser(prog="rdematel", description="Rough DEMATEL group decision analysis.",
+                                     add_help=False, allow_abbrev=False)
+    subparsers = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, (run, arguments) in _COMMANDS.items():
+        command = subparsers.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                        add_help=False, allow_abbrev=False)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.add_argument("--help", action="help", help="Show this message and exit.")
+        command.set_defaults(run=run)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in _COMMANDS:  # environment settings go first, so a flag given after them wins
+        prefix = f"RDEMATEL_{argv[0].upper().replace('-', '_')}_"
+        options = [(flag, prefix + kw["dest"].upper()) for flag, kw in _COMMANDS[argv[0]][1] if flag.startswith("--")]
+        argv[1:1] = [f"{flag}={os.environ[name]}" for flag, name in options if os.environ.get(name)]
+    args = parser.parse_args(argv)
+    try:
+        args.run(args)
+    except BundleValidationError as exc:
+        for err in exc.errors:
+            _echo(f"invalid: {err}\n", err=True)
+        sys.exit(2)
+    except RDematelError as exc:
+        _echo(f"analysis error: {exc}\n", err=True)
+        sys.exit(2)
+    except OSError as exc:
+        if exc.errno == errno.EPIPE:
+            sys.stdout = None  # the reader is gone: skip the interpreter's final flush, which would fail again
+            sys.exit(1)
+        _echo(f"i/o error: {exc}\n", err=True)
+        sys.exit(3)
+    except KeyboardInterrupt:
+        _echo("\nAborted!\n", err=True)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,22 @@
 import errno
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
-from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 import numpy as np
 
 import rdematel
 from rdematel import ingest, report as report_mod
-from rdematel.cli import cli
+from rdematel.cli import main
 from rdematel.errors import InvalidArgumentError
 from rdematel.fixtures import _read, load_reference_tables, load_study_bundle
 from rdematel.ingest import (
@@ -32,9 +35,25 @@ from rdematel.report import AnalysisConfig, deviation_ledger, render_report_json
 import pytest
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+@dataclass
+class Result:
+    exit_code: int
+    output: str  # stdout and stderr as one stream, in the order they were written
+    exception: Exception | None = None
+
+
+def invoke(args, env=None) -> Result:
+    """Run the CLI in-process on ``args``, with ``env`` added to the environment, capturing what it writes."""
+    captured = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    exit_code, exception = 0, None
+    with redirect_stdout(captured), redirect_stderr(captured), mock.patch.dict(os.environ, env or {}):
+        try:
+            main(args)
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    return Result(exit_code, captured.buffer.getvalue().decode("utf-8"), exception)
 
 
 @pytest.fixture()
@@ -45,21 +64,21 @@ def bundle_path(tmp_path):
 
 
 class TestValidate:
-    def test_valid_bundle(self, runner, bundle_path):
-        result = runner.invoke(cli, ["validate", bundle_path])
+    def test_valid_bundle(self, bundle_path):
+        result = invoke(["validate", bundle_path])
         assert result.exit_code == 0
         assert "OK" in result.output
 
-    def test_invalid_bundle_exits_2_with_diagnostics(self, runner, tmp_path):
+    def test_invalid_bundle_exits_2_with_diagnostics(self, tmp_path):
         doc = json.loads(_read("fbsc_study.json"))
         doc["criteria"][1]["id"] = "I1"
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["validate", str(p)])
+        result = invoke(["validate", str(p)])
         assert result.exit_code == 2
         assert "duplicate" in result.output
 
-    def test_out_of_scale_judgment_names_cell(self, runner, tmp_path):
+    def test_out_of_scale_judgment_names_cell(self, tmp_path):
         doc = {
             "scale": {"min": 0, "max": 4},
             "criteria": [{"id": "A"}, {"id": "B"}],
@@ -68,7 +87,7 @@ class TestValidate:
         }
         p = tmp_path / "scale.json"
         p.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["validate", str(p)])
+        result = invoke(["validate", str(p)])
         assert result.exit_code == 2
         assert "r1" in result.output
 
@@ -94,59 +113,59 @@ class TestValidate:
         ],
         ids=["one-respondent", "one-criterion", "reversed-interval"],
     )
-    def test_agrees_with_analyze_on_rejected_study(self, runner, tmp_path, doc, error):
+    def test_agrees_with_analyze_on_rejected_study(self, tmp_path, doc, error):
         p = tmp_path / "small.json"
         p.write_text(json.dumps(doc))
         for args in (["validate", str(p)], ["analyze", str(p), "--out", str(tmp_path / "o")]):
-            result = runner.invoke(cli, args)
+            result = invoke(args)
             assert result.exit_code == 2
             assert result.output == f"invalid: {error}\n"
 
-    def test_missing_file_exits_3(self, runner):
-        result = runner.invoke(cli, ["validate", "/nonexistent/bundle.json"])
+    def test_missing_file_exits_3(self):
+        result = invoke(["validate", "/nonexistent/bundle.json"])
         assert result.exit_code == 3
 
 
 class TestAnalyze:
-    def test_writes_artifact_set(self, runner, bundle_path, tmp_path):
+    def test_writes_artifact_set(self, bundle_path, tmp_path):
         out = tmp_path / "out"
-        result = runner.invoke(cli, ["analyze", bundle_path, "--out", str(out)])
+        result = invoke(["analyze", bundle_path, "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert (out / "results.csv").exists()
         assert (out / "report.json").exists()
         assert (out / "network.dot").exists()
         assert "tau_strategy: max-total-sum" in result.output
 
-    def test_byte_identical_reruns(self, runner, bundle_path, tmp_path):
+    def test_byte_identical_reruns(self, bundle_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert runner.invoke(cli, ["analyze", bundle_path, "--out", str(out)]).exit_code == 0
+            assert invoke(["analyze", bundle_path, "--out", str(out)]).exit_code == 0
         for name in ("results.csv", "report.json", "network.dot"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("crispify", CRISPIFY_MODES)
-    def test_report_json_is_the_rendered_report(self, runner, tmp_path, crispify):
+    def test_report_json_is_the_rendered_report(self, tmp_path, crispify):
         # analyze writes report.json as it renders; the bytes are those of render_report_json
         bundle = tmp_path / "synth.json"
-        assert runner.invoke(cli, ["synth", "--criteria", "12", "--experts", "5", "--out", str(bundle)]).exit_code == 0
+        assert invoke(["synth", "--criteria", "12", "--experts", "5", "--out", str(bundle)]).exit_code == 0
         out = tmp_path / "out"
-        result = runner.invoke(cli, ["analyze", str(bundle), "--crispify", crispify, "--out", str(out)])
+        result = invoke(["analyze", str(bundle), "--crispify", crispify, "--out", str(out)])
         assert result.exit_code == 0, result.output
         rep = run_analysis(parse_study_bundle(bundle.read_bytes()), AnalysisConfig(crispify_mode=crispify))
         assert (out / "report.json").read_bytes() == render_report_json(rep)
 
-    def test_report_json_write_peaks_below_one_and_a_half_reports(self, runner, tmp_path, monkeypatch, bundle_path):
+    def test_report_json_write_peaks_below_one_and_a_half_reports(self, tmp_path, monkeypatch, bundle_path):
         # the analysis of a synth raw study, handed to analyze in place of the small study's
         bundle = tmp_path / "synth.json"
         args = ["synth", "--criteria", "100", "--experts", "6", "--seed", "3", "--out", str(bundle)]
-        assert runner.invoke(cli, args).exit_code == 0
+        assert invoke(args).exit_code == 0
         rep = run_analysis(parse_study_bundle(bundle.read_bytes()))
         monkeypatch.setattr(report_mod, "run_analysis", lambda *args: rep)
         args = ["analyze", bundle_path, "--out", str(tmp_path / "out")]
-        assert runner.invoke(cli, args).exit_code == 0  # once untraced, so first-call set-up is not counted
+        assert invoke(args).exit_code == 0  # once untraced, so first-call set-up is not counted
         tracemalloc.start()
         try:
-            result = runner.invoke(cli, args)
+            result = invoke(args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -155,10 +174,9 @@ class TestAnalyze:
         assert size > 10**6
         assert peak < 1.5 * size
 
-    def test_config_flags_respected(self, runner, bundle_path, tmp_path):
+    def test_config_flags_respected(self, bundle_path, tmp_path):
         out = tmp_path / "out"
-        result = runner.invoke(
-            cli,
+        result = invoke(
             ["analyze", bundle_path, "--tau", "max-upper-sum", "--crispify", "global-crisp",
              "--threshold", "fixed:0.5", "--out", str(out)],
         )
@@ -169,19 +187,17 @@ class TestAnalyze:
         assert report["config"]["threshold_value"] == 0.5
         assert report["config"]["threshold_q"] == 0.5
 
-    def test_env_var_configuration(self, runner, bundle_path, tmp_path):
+    def test_env_var_configuration(self, bundle_path, tmp_path):
         out = tmp_path / "out"
-        result = runner.invoke(
-            cli,
+        result = invoke(
             ["analyze", bundle_path, "--out", str(out)],
             env={"RDEMATEL_ANALYZE_TAU_STRATEGY": "max-upper-sum"},
-            auto_envvar_prefix="RDEMATEL",
         )
         assert result.exit_code == 0, result.output
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["tau_strategy"] == "max-upper-sum"
 
-    def test_one_criterion_bundle_rejected(self, runner, tmp_path):
+    def test_one_criterion_bundle_rejected(self, tmp_path):
         doc = {
             "criteria": [{"id": "A"}],
             "respondents": [],
@@ -189,11 +205,11 @@ class TestAnalyze:
         }
         p = tmp_path / "tiny.json"
         p.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["analyze", str(p), "--out", str(tmp_path / "o")])
+        result = invoke(["analyze", str(p), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
 
-    def test_unit_radius_closure_exits_2_naming_bound(self, runner, tmp_path):
+    def test_unit_radius_closure_exits_2_naming_bound(self, tmp_path):
         # a unanimous all-4 panel: under max-upper-sum every row of D sums to 1, so rho(D) = 1
         grid = [[0 if i == j else 4 for j in range(3)] for i in range(3)]
         doc = {
@@ -203,12 +219,12 @@ class TestAnalyze:
         }
         p = tmp_path / "unanimous.json"
         p.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["analyze", str(p), "--tau", "max-upper-sum", "--out", str(tmp_path / "o")])
+        result = invoke(["analyze", str(p), "--tau", "max-upper-sum", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert result.output.startswith("analysis error: lower-bound matrix: ")
         assert "rho(D) = 1" in result.output
 
-    def test_overflowing_tau_exits_2_naming_normalization(self, runner, tmp_path):
+    def test_overflowing_tau_exits_2_naming_normalization(self, tmp_path):
         doc = {
             "criteria": [{"id": c} for c in "ABC"],
             "respondents": [],
@@ -216,14 +232,14 @@ class TestAnalyze:
         }
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["analyze", str(p), "--out", str(tmp_path / "o")])
+        result = invoke(["analyze", str(p), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert result.output == (
             "analysis error: normalization: tau (max-total-sum) is inf; the rough group's row sums must be finite\n"
         )
 
     @pytest.mark.parametrize("k, q", [("1e308", "inf"), ("-1e308", "-inf")])
-    def test_non_finite_q_exits_2(self, runner, tmp_path, k, q):
+    def test_non_finite_q_exits_2(self, tmp_path, k, q):
         # sigma of T* is about 23 here, so k * sigma overflows
         doc = {
             "criteria": [{"id": c} for c in "ABC"],
@@ -232,14 +248,14 @@ class TestAnalyze:
         }
         p = tmp_path / "wide.json"
         p.write_text(json.dumps(doc))
-        result = runner.invoke(cli, ["analyze", str(p), "--threshold", f"mean-sigma:{k}", "--out", str(tmp_path / "o")])
+        result = invoke(["analyze", str(p), "--threshold", f"mean-sigma:{k}", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert result.output == (
             f"analysis error: threshold mean-sigma:{float(k)} gives q = {q}; q must be a finite number\n"
         )
         assert not (tmp_path / "o").exists()
 
-    def test_scale_above_zero_study_via_csv_and_bundle(self, runner, tmp_path):
+    def test_scale_above_zero_study_via_csv_and_bundle(self, tmp_path):
         scale = Scale(1, 9)
         csvs = [",A,B,C\nA,0,9,1\nB,2,0,5\nC,7,3,0\n", ",A,B,C\nA,0,8,2\nB,1,0,5\nC,9,4,0\n"]
         bundle = StudyBundle(
@@ -251,84 +267,84 @@ class TestAnalyze:
         p = tmp_path / "scale19.json"
         p.write_bytes(write_bundle(bundle))
         out = tmp_path / "out"
-        result = runner.invoke(cli, ["analyze", str(p), "--out", str(out)])
+        result = invoke(["analyze", str(p), "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert json.loads((out / "report.json").read_text())["results"][0]["criterion"] == "A"
 
 
 class TestGraph:
-    def test_dot_on_stdout(self, runner, bundle_path):
-        result = runner.invoke(cli, ["graph", bundle_path])
+    def test_dot_on_stdout(self, bundle_path):
+        result = invoke(["graph", bundle_path])
         assert result.exit_code == 0
         assert result.output.startswith("digraph influence {")
 
-    def test_fixed_threshold_above_max_empties_edges(self, runner, bundle_path):
-        result = runner.invoke(cli, ["graph", bundle_path, "--threshold", "fixed:99"])
+    def test_fixed_threshold_above_max_empties_edges(self, bundle_path):
+        result = invoke(["graph", bundle_path, "--threshold", "fixed:99"])
         assert result.exit_code == 0
         assert "->" not in result.output
 
     @pytest.mark.parametrize("spec", ["mean-sigma:abc", "fixed:abc", "fixed:nan", "mean-sigma:inf"])
-    def test_malformed_threshold_value_is_a_usage_error(self, runner, bundle_path, spec):
-        result = runner.invoke(cli, ["graph", bundle_path, "--threshold", spec])
+    def test_malformed_threshold_value_is_a_usage_error(self, bundle_path, spec):
+        result = invoke(["graph", bundle_path, "--threshold", spec])
         assert result.exit_code == 2
         assert "threshold spec" in result.output
 
 
 class TestReproducePaper:
-    def test_default_run_passes(self, runner, tmp_path):
+    def test_default_run_passes(self, tmp_path):
         out = tmp_path / "repro"
-        result = runner.invoke(cli, ["reproduce-paper", "--out", str(out)])
+        result = invoke(["reproduce-paper", "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert "crisp_x: NOT-COMPARABLE" in result.output
         assert "FAIL" not in result.output.replace("NOT-COMPARABLE", "")
         assert (out / "deviations.csv").exists()
 
     @pytest.mark.parametrize("tau", TAU_STRATEGIES)
-    def test_report_json_is_the_rendered_report(self, runner, tmp_path, tau):
+    def test_report_json_is_the_rendered_report(self, tmp_path, tau):
         out = tmp_path / "repro"
-        result = runner.invoke(cli, ["reproduce-paper", "--tau", tau, "--out", str(out)])
+        result = invoke(["reproduce-paper", "--tau", tau, "--out", str(out)])
         assert result.exit_code in (0, 2), result.output
         rep = run_analysis(load_study_bundle(), AnalysisConfig(tau_strategy=tau))
         rep.deviations = deviation_ledger(rep.analysis, load_reference_tables())
         assert (out / "report.json").read_bytes() == render_report_json(rep)
 
-    def test_literal_tau_reading_fails(self, runner):
-        result = runner.invoke(cli, ["reproduce-paper", "--tau", "max-upper-sum"])
+    def test_literal_tau_reading_fails(self):
+        result = invoke(["reproduce-paper", "--tau", "max-upper-sum"])
         assert result.exit_code == 2
         assert "FAIL" in result.output
 
 
 class TestSynth:
-    def test_round_trips_through_validate_and_analyze(self, runner, tmp_path):
+    def test_round_trips_through_validate_and_analyze(self, tmp_path):
         p = tmp_path / "synth.json"
-        result = runner.invoke(cli, ["synth", "--criteria", "4", "--experts", "5", "--seed", "7", "--out", str(p)])
+        result = invoke(["synth", "--criteria", "4", "--experts", "5", "--seed", "7", "--out", str(p)])
         assert result.exit_code == 0
-        assert runner.invoke(cli, ["validate", str(p)]).exit_code == 0
+        assert invoke(["validate", str(p)]).exit_code == 0
         out = tmp_path / "out"
-        assert runner.invoke(cli, ["analyze", str(p), "--out", str(out)]).exit_code == 0
+        assert invoke(["analyze", str(p), "--out", str(out)]).exit_code == 0
 
     @pytest.mark.parametrize("flag", ["--criteria", "--experts"])
-    def test_count_below_two_rejected(self, runner, flag):
+    def test_count_below_two_rejected(self, flag):
         counts = {"--criteria": "3", "--experts": "3", flag: "1"}
-        result = runner.invoke(cli, ["synth", *[part for item in counts.items() for part in item]])
+        result = invoke(["synth", *[part for item in counts.items() for part in item]])
         assert result.exit_code == 2
         assert "x>=2" in result.output
 
-    def test_negative_seed_rejected(self, runner):
-        result = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "-1"])
+    def test_negative_seed_rejected(self):
+        result = invoke(["synth", "--criteria", "3", "--experts", "2", "--seed", "-1"])
         assert result.exit_code == 2
 
-    def test_seed_determinism(self, runner):
-        r1 = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "42"])
-        r2 = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "42"])
-        r3 = runner.invoke(cli, ["synth", "--criteria", "3", "--experts", "2", "--seed", "43"])
+    def test_seed_determinism(self):
+        r1 = invoke(["synth", "--criteria", "3", "--experts", "2", "--seed", "42"])
+        r2 = invoke(["synth", "--criteria", "3", "--experts", "2", "--seed", "42"])
+        r3 = invoke(["synth", "--criteria", "3", "--experts", "2", "--seed", "43"])
         assert r1.output == r2.output
         assert r1.output != r3.output
 
-    def test_output_matches_stdlib_encoder(self, runner):
+    def test_output_matches_stdlib_encoder(self):
         # the bytes json.dumps(indent=2) gives for the same document, as synth wrote it before
         # the panel was rendered by joining reprs
-        result = runner.invoke(cli, ["synth", "--criteria", "4", "--experts", "3", "--seed", "5"])
+        result = invoke(["synth", "--criteria", "4", "--experts", "3", "--seed", "5"])
         panel = np.random.default_rng(5).integers(0, 4, size=(3, 4, 4), endpoint=True)
         panel[:, range(4), range(4)] = 0
         doc = {
@@ -361,7 +377,7 @@ STAGES = {
     ids=["package-error", "os-error"],
 )
 def test_every_command_maps_a_stage_error_to_its_exit_code(
-    runner, monkeypatch, bundle_path, tmp_path, command, error, exit_code, message
+    monkeypatch, bundle_path, tmp_path, command, error, exit_code, message
 ):
     module, stage, args = STAGES[command]
 
@@ -370,20 +386,114 @@ def test_every_command_maps_a_stage_error_to_its_exit_code(
 
     monkeypatch.setattr(module, stage, fail)
     args = [a.format(bundle=bundle_path, out=tmp_path / "out") for a in args]
-    result = runner.invoke(cli, [command, *args])
+    result = invoke([command, *args])
     assert result.exit_code == exit_code
     assert result.output == message + "\n"
 
 
-
-def test_closed_stdout_is_left_to_click(runner, monkeypatch, bundle_path):
+def test_closed_stdout_exits_1_with_no_output(monkeypatch, bundle_path):
     def closed(*args, **kwargs):
         raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
     monkeypatch.setattr(report_mod, "render_graph_dot", closed)
-    result = runner.invoke(cli, ["graph", bundle_path])
-    assert result.exit_code == 1  # click's own exit for a closed stdout
+    result = invoke(["graph", bundle_path])
+    assert result.exit_code == 1
     assert result.output == ""
+
+
+def fresh_env(env=None):
+    """The environment plus ``env``, with this checkout's package first on PYTHONPATH."""
+    src = str(Path(rdematel.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **(env or {}), "PYTHONPATH": path}
+
+
+def run_cli(args, env=None, code="import rdematel.cli; rdematel.cli.main()"):
+    """Run ``code`` (by default the CLI) in a fresh interpreter on ``args``; the finished process, output as bytes."""
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=fresh_env(env))
+
+
+@pytest.mark.parametrize(
+    "args, read",
+    [(["graph", "{bundle}"], 0), (["synth", "--criteria", "200", "--experts", "5"], 5)],
+    ids=["before-writing", "mid-write"],  # synth's 2 MB bundle is far more than a pipe holds
+)
+def test_real_closed_stdout_exits_1_with_no_output(bundle_path, args, read):
+    args = [a.format(bundle=bundle_path) for a in args]
+    proc = subprocess.Popen([sys.executable, "-m", "rdematel.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
+    proc.stdout.read(read)
+    proc.stdout.close()  # the reader is gone
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
+def test_interrupt_in_a_stage_exits_1_with_aborted(bundle_path):
+    code = (
+        "import rdematel.cli, rdematel.ingest\n"
+        "def interrupt(*args):\n    raise KeyboardInterrupt\n"
+        "rdematel.ingest.parse_study_bundle = interrupt\n"
+        "rdematel.cli.main()"
+    )
+    proc = run_cli(["validate", bundle_path], code=code)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == b"\nAborted!\n"  # no traceback
+
+
+class TestOutputEncoding:
+    """Ids reach stdout and stderr as UTF-8 even when the locale's encoding is ASCII."""
+
+    @pytest.fixture()
+    def study(self):
+        return json.loads(_read("fbsc_study.json"))
+
+    def test_graph_writes_the_rendered_dot(self, tmp_path, study):
+        study["criteria"][0]["id"] = "\u00c4"
+        p = tmp_path / "umlaut.json"
+        p.write_text(json.dumps(study), encoding="utf-8")
+        proc = run_cli(["graph", str(p)], env={"PYTHONIOENCODING": "ascii"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == report_mod.render_graph_dot(run_analysis(parse_study_bundle(p.read_bytes())).network)
+        assert '"\u00c4";'.encode("utf-8") in proc.stdout
+
+    def test_validate_names_the_id_in_utf8(self, tmp_path, study):
+        study["criteria"][0]["id"] = study["criteria"][1]["id"] = "\u00c4"
+        p = tmp_path / "twice.json"
+        p.write_text(json.dumps(study), encoding="utf-8")
+        proc = run_cli(["validate", str(p)], env={"PYTHONIOENCODING": "ascii"})
+        assert proc.returncode == 2
+        assert "invalid: criteria[1]: duplicate id '\u00c4'\n".encode("utf-8") in proc.stderr
+
+
+class TestEnvironmentVariables:
+    """Each option's variable is RDEMATEL_<COMMAND>_<PARAMETER>, checked as the flag is; a flag wins."""
+
+    def test_reproduce_paper_tau(self):
+        proc = run_cli(["reproduce-paper"], env={"RDEMATEL_REPRODUCE_PAPER_TAU_STRATEGY": "max-upper-sum"})
+        assert proc.returncode == 2
+        assert b": FAIL (" in proc.stdout
+
+    def test_synth_required_counts(self):
+        proc = run_cli(["synth"], env={"RDEMATEL_SYNTH_N_CRITERIA": "3", "RDEMATEL_SYNTH_N_EXPERTS": "2"})
+        assert proc.returncode == 0, proc.stderr
+        bundle = parse_study_bundle(proc.stdout)
+        assert (bundle.n, len(bundle.respondents)) == (3, 2)
+
+    def test_flag_beats_variable(self, bundle_path, tmp_path):
+        out = tmp_path / "out"
+        args = ["analyze", bundle_path, "--tau", "max-total-sum", "--out", str(out)]
+        proc = run_cli(args, env={"RDEMATEL_ANALYZE_TAU_STRATEGY": "max-upper-sum"})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "report.json").read_text())["config"]["tau_strategy"] == "max-total-sum"
+
+    def test_bad_value_is_a_usage_error(self, bundle_path, tmp_path):
+        args = ["analyze", bundle_path, "--out", str(tmp_path / "out")]
+        proc = run_cli(args, env={"RDEMATEL_ANALYZE_CRISPIFY_MODE": "bogus"})
+        assert proc.returncode == 2
+        assert b"bogus" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 numbers = st.one_of(st.floats(), st.integers(-10, 10)).map(str)
@@ -406,14 +516,14 @@ def test_analyze_exit_code_is_always_0_2_or_3(tmp_path_factory, options):
     args = ["analyze", str(bundle), "--out", str(tmp_path_factory.mktemp("out"))]
     for flag, value in options.items():
         args += [flag, value]
-    result = CliRunner().invoke(cli, args)
+    result = invoke(args)
     event(f"exit {result.exit_code}")
     assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)
 
 
 def test_cli_import_loads_no_scipy():
-    src = str(Path(rdematel.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, rdematel.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    # nor click: the CLI runs on the standard library's argparse
+    code = "import sys, rdematel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'click')))"
+    proc = run_cli([], code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"[]"
