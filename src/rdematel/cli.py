@@ -128,11 +128,12 @@ def synth(args):
     respondents = [ingest.RespondentMeta(f"X{k + 1}") for k in range(m)]
     panel = np.random.default_rng(args.seed).integers(scale.minimum, scale.maximum, size=(m, n, n), endpoint=True)
     panel[:, range(n), range(n)] = 0
-    data = ingest.write_bundle(ingest.StudyBundle(criteria=criteria, respondents=respondents, scale=scale, panel=panel))
+    chunks = ingest.bundle_chunks(ingest.StudyBundle(criteria, respondents, scale, panel))
     if args.out_file:
-        _write_file(Path(args.out_file), data)
+        _write_file(Path(args.out_file), chunks)
     else:
-        _echo(data)
+        for chunk in chunks:
+            _echo(chunk)
 
 
 _BUNDLE = ("bundle", dict(metavar="BUNDLE"))
@@ -167,7 +168,7 @@ def main(argv: list[str] | None = None) -> None:
     """Run the command that ``argv`` (default: ``sys.argv[1:]``) names, exiting with the code of any error."""
     parser = argparse.ArgumentParser(prog="rdematel", description="Rough DEMATEL group decision analysis.",
                                      add_help=False, allow_abbrev=False)
-    subparsers = parser.add_subparsers(metavar="COMMAND", required=True)
+    subparsers = parser.add_subparsers(metavar="COMMAND")  # required below, after unknown options are named
     for name, (run, arguments) in _COMMANDS.items():
         command = subparsers.add_parser(name, help=run.__doc__, description=run.__doc__,
                                         add_help=False, allow_abbrev=False)
@@ -182,6 +183,8 @@ def main(argv: list[str] | None = None) -> None:
         options = [(flag, prefix + kw["dest"].upper()) for flag, kw in _COMMANDS[argv[0]][1] if flag.startswith("--")]
         argv[1:1] = [f"{flag}={os.environ[name]}" for flag, name in options if os.environ.get(name)]
     args = parser.parse_args(argv)
+    if "run" not in args:
+        parser.error("the following arguments are required: COMMAND")
     try:
         args.run(args)
     except BundleValidationError as exc:

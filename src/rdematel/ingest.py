@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 from dataclasses import dataclass, field, fields
@@ -57,9 +58,11 @@ class RespondentMeta:
 
 @dataclass
 class StudyBundle:
-    """Study metadata and either ``panel``, int64 (experts, n, n) in respondent order, or ``rough_group``.
+    """Study metadata and either ``panel``, integer (experts, n, n) in respondent order, or ``rough_group``.
 
-    ``rough_group`` is a float (n, n, 2) array of ``[lower, upper]`` pairs.
+    A parsed panel is int16 for a scale maximum up to 2**15 - 1, int32 up to
+    2**31 - 1, else int64; arithmetic that can leave the scale should upcast
+    first.  ``rough_group`` is a float (n, n, 2) array of ``[lower, upper]`` pairs.
     """
 
     criteria: list[CriterionMeta]
@@ -293,7 +296,8 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool) -> StudyBundle:
         rows = {r.id: k for k, r in enumerate(respondents)}  # each respondent's row of the panel
         errors.extend(f"matrices[{rid}]: dangling respondent reference" for rid in raw if rid not in rows)
         errors.extend(f"matrices: no matrix for respondent {rid}" for rid in rows if rid not in raw)
-        panel = np.zeros((len(rows), n, n), dtype=np.int64)
+        # signed and holding -1 - maximum, so a difference of two fits; 8-bit ints sort several times slower
+        panel = np.zeros((len(rows), n, n), dtype=np.promote_types(np.min_scalar_type(-1 - scale.maximum), np.int16))
         for rid, grid in raw.items():
             a = _read_grid(grid, criteria, scale, maybe_bool)
             if isinstance(a, str):
@@ -334,12 +338,16 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
 
 
 def write_bundle(bundle: StudyBundle) -> bytes:
-    """Serialize a bundle; parse(write(b)) is structurally equal to b with its ids stripped, as the parser keeps them.
+    """Serialize a bundle: the join of ``bundle_chunks``, encoded as UTF-8."""
+    return "".join(bundle_chunks(bundle)).encode("utf-8")
 
-    A bundle that the parser would reject raises InvalidArgumentError with
-    the parser's first error, e.g. the respondent or grid and the cell.
 
-    The bytes are exactly those of ``json.dumps(doc, indent=2,
+def bundle_chunks(bundle: StudyBundle) -> Iterator[str]:
+    """The text of ``write_bundle(bundle)`` in chunks; parse(write(b)) is structurally b with its ids stripped.
+
+    A bundle that the parser would reject raises InvalidArgumentError, before
+    any chunk, with the parser's first error, e.g. the respondent or grid and
+    the cell.  The text is exactly that of ``json.dumps(doc, indent=2,
     ensure_ascii=False) + "\n"`` with each array as its ``tolist()``.
     """
     doc: dict = {
@@ -368,22 +376,15 @@ def write_bundle(bundle: StudyBundle) -> bytes:
     doc["respondents"] = [vars(r) for r in checked.respondents]
     if checked.rough_group is not None:
         doc["rough_group"] = checked.rough_group
-    return (dump_json(doc, ensure_ascii=False) + "\n").encode("utf-8")
+    return itertools.chain(json_chunks(doc, ensure_ascii=False), ["\n"])
 
 
 _SCALARS = (str, int, float, type(None))  # the values a row table holds; bool is an int
 
 
-def dump_json(value, level: int = 0, ensure_ascii: bool = True) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=...)`` opened at indent ``level``, each ndarray as its ``tolist()``.
-
-    The join of ``json_chunks``; a caller that writes the text out can take the chunks instead.
-    """
-    return "".join(json_chunks(value, level, ensure_ascii))
-
-
 def json_chunks(value, level: int = 0, ensure_ascii: bool = True) -> Iterator[str]:
-    """Yield the text of ``dump_json(value, level, ensure_ascii)`` in chunks, each grid one leading-axis row at a time.
+    """Yield ``json.dumps(value, indent=2, ensure_ascii=...)``, opened at indent ``level``, each ndarray as its
+    ``tolist()``, in chunks: each grid one leading-axis row at a time.
 
     Any ``indent`` sends every value through the stdlib's pure-Python encoder, which
     for 280k floats (four n x n grids at n = 200) cost ~1 s and a ~60 MB transient.
@@ -423,7 +424,9 @@ def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
     The text comes one leading-axis row at a time, after the opening brackets.
     Each distinct value of the whole grid is repr'd once (a float's bit pattern
     keeps -0.0 apart from 0.0), not once per row: a raw panel's rough group
-    repeats its values across rows.  Every element is followed by the text that
+    repeats its values across rows.  The reprs are kept in a fixed-width bytes
+    table, 24 bytes each (a str object costs ~70), and each row is joined as
+    bytes and decoded.  Every element is followed by the text that
     ends its k innermost axes, k closing brackets, a comma and k opening
     brackets (the grid's last element ends all of them and takes the closing
     brackets only), taken from a table of ndim + 1 entries; the k of each
@@ -436,7 +439,7 @@ def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
         return
     bits, where = np.unique(a.ravel().view(f"i{a.itemsize}"), return_inverse=True)
     values, fmt = bits.view(a.dtype), float.__repr__ if a.dtype.kind == "f" else int.__repr__
-    reprs = np.empty(values.size, dtype=object)
+    reprs = np.empty(values.size, dtype="S24")  # a float repr is at most 24 characters, an int one 20
     for start in range(0, values.size, 4096):  # listed a slice at a time: a listed float costs 32 bytes
         reprs[start:start + 4096] = list(map(fmt, values[start:start + 4096].tolist()))
     pads = ["\n" + "  " * (level + depth) for depth in range(a.ndim + 1)]
@@ -450,11 +453,11 @@ def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
     for d in range(1, a.ndim):
         k += ends % np.prod(a.shape[d:]) == 0
     text = np.empty(2 * where.shape[1], dtype=object)
-    text[1::2] = np.array(after, dtype=object)[k]
+    text[1::2] = np.array(after, dtype="S")[k]  # bytes, to join with the reprs
     yield opens[a.ndim]
     for row in where[:-1]:
         text[0::2] = reprs[row]
-        yield "".join(text.tolist())
+        yield b"".join(text.tolist()).decode()
     text[0::2] = reprs[where[-1]]
-    text[-1] = after[a.ndim]
-    yield "".join(text.tolist())
+    text[-1] = after[a.ndim].encode()
+    yield b"".join(text.tolist()).decode()

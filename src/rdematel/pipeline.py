@@ -110,8 +110,8 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     independent of expert order, and the cost depends on the panel's shape
     alone, not on how wide its scale is.
 
-    The call peaks at the sorted int64 copy of the panel plus a few n x n
-    float rows.
+    The call peaks at the sorted copy of the panel, in the panel's dtype,
+    plus a few n x n float rows.
     """
     panel = np.asarray(panel)
     if panel.ndim != 3 or panel.shape[1] != panel.shape[2]:

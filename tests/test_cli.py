@@ -341,6 +341,39 @@ class TestSynth:
         assert r1.output == r2.output
         assert r1.output != r3.output
 
+    def test_bundle_file_is_written_as_it_renders(self, tmp_path):
+        # the panel and one grid row at a time, where joining, adding "\\n" and encoding made three texts
+        out = tmp_path / "synth.json"
+        args = ["synth", "--criteria", "100", "--experts", "10", "--seed", "3"]
+        expected = invoke(args).output.encode()  # once untraced, so first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            result = invoke([*args, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == expected
+        assert out.stat().st_size > 10**6
+        assert peak < 1.5 * out.stat().st_size
+
+    def test_bundle_on_stdout_is_written_as_it_renders(self):
+        writes = []
+
+        class Sink(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return len(data)
+
+        args = ["synth", "--criteria", "100", "--experts", "10", "--seed", "3"]
+        with redirect_stdout(io.TextIOWrapper(io.BufferedWriter(Sink()), encoding="utf-8")):
+            main(args)
+        assert b"".join(writes) == invoke(args).output.encode()
+        assert max(map(len, writes)) < len(b"".join(writes)) / 50  # the criteria table is the longest
+
     def test_output_matches_stdlib_encoder(self):
         # the bytes json.dumps(indent=2) gives for the same document, as synth wrote it before
         # the panel was rendered by joining reprs
@@ -366,7 +399,7 @@ STAGES = {
     "analyze": (report_mod, "render_graph_dot", ["{bundle}", "--out", "{out}"]),
     "graph": (report_mod, "render_graph_dot", ["{bundle}"]),
     "reproduce-paper": (report_mod, "deviation_ledger", ["--out", "{out}"]),
-    "synth": (ingest, "write_bundle", ["--criteria", "3", "--experts", "2"]),
+    "synth": (ingest, "bundle_chunks", ["--criteria", "3", "--experts", "2"]),
 }
 
 
@@ -519,6 +552,17 @@ def test_analyze_exit_code_is_always_0_2_or_3(tmp_path_factory, options):
     result = invoke(args)
     event(f"exit {result.exit_code}")
     assert result.exit_code in (0, 2, 3), (args, result.output, result.exception)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["-h"], "unrecognized arguments: -h"),  # only --help exists
+    (["--bogus", "validate", "x"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: COMMAND"),
+], ids=["unknown-option-alone", "unknown-option-before-command", "no-command"])
+def test_usage_error_names_the_fault(args, message):
+    result = invoke(args)
+    assert result.exit_code == 2
+    assert result.output.endswith(f"rdematel: error: {message}\n")
 
 
 def test_cli_import_loads_no_scipy():

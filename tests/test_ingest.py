@@ -14,6 +14,7 @@ from rdematel.ingest import (
     RespondentMeta,
     Scale,
     StudyBundle,
+    bundle_chunks,
     parse_expert_csv,
     parse_study_bundle,
     write_bundle,
@@ -178,8 +179,29 @@ class TestBundleParsing:
         b2 = parse_study_bundle(write_bundle(b))
         assert b2.criteria == b.criteria
         assert b2.respondents == b.respondents
-        assert b2.panel.dtype == np.int64
+        assert b2.panel.dtype == np.int16  # the narrowest panel dtype: see test_panel_dtype_holds_the_scale
         assert np.array_equal(b2.panel, b.panel)
+
+    @pytest.mark.parametrize("top, dtype", [
+        (4, np.int16), (2**15 - 1, np.int16), (2**15, np.int32), (40000, np.int32),
+        (2**31 - 1, np.int32), (2**31, np.int64), (2**62, np.int64), (2**63 - 1, np.int64),
+    ])
+    def test_panel_dtype_holds_the_scale(self, top, dtype):
+        # the narrowest signed int of 16 bits or more holding -1 - top: each judgment and each difference fit
+        b = make_raw_bundle()
+        b.scale = Scale(0, top)
+        b.panel[1, 0, 1] = top
+        b2 = parse_study_bundle(write_bundle(b))
+        assert b2.panel.dtype == dtype
+        assert b2.panel.tolist() == b.panel.tolist()
+        assert (b2.panel[1] - b2.panel[0]).tolist() == (b.panel[1] - b.panel[0]).tolist()
+
+    def test_bundle_chunks_join_to_write_bundle_and_check_first(self):
+        b = make_raw_bundle()
+        assert "".join(bundle_chunks(b)).encode() == write_bundle(b)
+        b.panel[0, 0, 1] = 5
+        with pytest.raises(InvalidArgumentError, match=r"cell \(C0,C1\) = 5 outside scale 0..4"):
+            bundle_chunks(b)  # raised before a chunk is taken, so no writer opens its file
 
     @pytest.mark.parametrize("mode", ["raw", "aggregate"])
     def test_write_matches_stdlib_encoder(self, mode):

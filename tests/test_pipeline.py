@@ -77,6 +77,13 @@ def expert_panels(draw):
     return grids, grids[order], hi
 
 
+@st.composite
+def int16_panels(draw):
+    """An int16 (m, n, n) panel on 0..hi, hi anywhere up to the int16 maximum."""
+    m, n, hi = draw(st.integers(2, 25)), draw(st.integers(2, 8)), draw(st.integers(1, 2**15 - 1))
+    return draw(hnp.arrays(np.int16, (m, n, n), elements=st.integers(0, hi)))
+
+
 class TestScale:
     def test_negative_scale_minimum_rejected(self):
         with pytest.raises(InvalidArgumentError, match="non-negative"):
@@ -146,6 +153,13 @@ class TestRoughGroupMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 4 * panel.nbytes
+
+    @settings(max_examples=100, deadline=None)
+    @given(int16_panels())
+    def test_bit_identical_for_any_panel_dtype(self, panel):
+        # a parsed panel is as narrow as its scale allows; the sorted copy takes its dtype
+        groups = [rough_group_matrix(panel.astype(dtype)).tobytes() for dtype in (np.int16, np.int32, np.int64)]
+        assert groups[0] == groups[1] == groups[2]
 
     def test_judgments_near_the_int64_limit_do_not_wrap(self):
         # two judgments of 2**62 sum to 2**63, one past the largest int64

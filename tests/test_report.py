@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
-from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, dump_json, json_chunks, parse_study_bundle
+from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, json_chunks, parse_study_bundle
 from rdematel.network import CRISPIFY_GLOBAL, CRISPIFY_MODES, Edge, InfluenceNetwork
 from rdematel.pipeline import TAU_MAX_TOTAL_SUM, TAU_MAX_UPPER_SUM, TAU_STRATEGIES
 from rdematel.report import (
@@ -223,6 +224,11 @@ def oracle_report_json(report):
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
+def dump_json(value, level=0, ensure_ascii=True):
+    """The text ``json_chunks`` yields, joined."""
+    return "".join(json_chunks(value, level, ensure_ascii))
+
+
 def tolisted(value):
     """``value`` with each ndarray as its ``tolist()``, for the stdlib encoder."""
     if isinstance(value, np.ndarray):
@@ -252,7 +258,7 @@ row_values = (
 row_tables = st.lists(st.dictionaries(row_text, row_values, max_size=3), min_size=1, max_size=3)
 json_docs = st.recursive(
     hnp.arrays(np.float64, array_shapes, elements=grid_floats)
-    | hnp.arrays(np.int64, array_shapes)
+    | hnp.arrays(st.sampled_from([np.int16, np.int32, np.int64]), array_shapes)  # a parsed panel's dtypes
     | few_valued_grids | row_tables
     | st.none() | st.booleans() | st.integers() | grid_floats | st.text(max_size=3)
     | st.lists(st.integers() | st.text(max_size=3), max_size=3),
@@ -288,6 +294,19 @@ class TestReportJsonLayout:
     def test_grid_rejects_non_finite(self, bad):
         with pytest.raises(InvalidArgumentError):
             dump_json({"tstar": np.array([[0.0, bad], [1.0, 0.0]])}, 1)
+
+    def test_all_distinct_grid_peaks_below_one_and_three_quarter_texts(self):
+        # the distinct reprs sit in a fixed-width bytes table, ~24 bytes each, not ~70 as str objects
+        grid = np.random.default_rng(0).random((200, 200, 2))
+        size = len(dump_json(grid))
+        tracemalloc.start()
+        try:
+            for _ in json_chunks(grid):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * size
 
     def test_bundled_study_with_ledger_matches_encoder(self, fixture_report):
         rep = dataclasses.replace(
