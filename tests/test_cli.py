@@ -342,7 +342,7 @@ class TestSynth:
         assert r1.output != r3.output
 
     def test_bundle_file_is_written_as_it_renders(self, tmp_path):
-        # the panel and one grid row at a time, where joining, adding "\\n" and encoding made three texts
+        # the whole text is never held: the panel and one grid row at a time peak near the bundle's size, not 3x
         out = tmp_path / "synth.json"
         args = ["synth", "--criteria", "100", "--experts", "10", "--seed", "3"]
         expected = invoke(args).output.encode()  # once untraced, so first-call set-up is not counted
