@@ -194,6 +194,9 @@ def main(argv: list[str] | None = None) -> None:
     except RDematelError as exc:
         _echo(f"analysis error: {exc}\n", err=True)
         sys.exit(2)
+    except MemoryError as exc:
+        _echo(f"out of memory: {exc}\n", err=True)
+        sys.exit(2)
     except OSError as exc:
         if exc.errno == errno.EPIPE:
             sys.stdout = None  # the reader is gone: skip the interpreter's final flush, which would fail again

@@ -421,16 +421,13 @@ def json_chunks(value, level: int = 0, ensure_ascii: bool = True) -> Iterator[st
 def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
     """Yield ``json.dumps(a.tolist(), indent=2)`` for a finite int or float array, opened at indent ``level``.
 
-    The text comes one leading-axis row at a time, after the opening brackets.
-    Each distinct value of the whole grid is repr'd once (a float's bit pattern
-    keeps -0.0 apart from 0.0), not once per row: a raw panel's rough group
-    repeats its values across rows.  The reprs are kept in a fixed-width bytes
-    table, 24 bytes each (a str object costs ~70), and each row is joined as
-    bytes and decoded.  Every element is followed by the text that
-    ends its k innermost axes, k closing brackets, a comma and k opening
-    brackets (the grid's last element ends all of them and takes the closing
-    brackets only), taken from a table of ndim + 1 entries; the k of each
-    position in a row is the same in every row.
+    The text comes one leading-axis row at a time (the first opens the list),
+    then the closing bracket.  Each distinct value of the whole grid is repr'd
+    once (a float's bit pattern keeps -0.0 apart from 0.0), not once per row: a
+    raw panel's rough group repeats its values across rows.  The reprs are kept
+    in a fixed-width bytes table, 24 bytes each (a str object costs ~70), and
+    each row is joined as bytes between the pieces of the stdlib's own indent=2
+    text for a row of placeholders, and decoded.
     """
     if not np.isfinite(a).all():
         raise InvalidArgumentError("JSON grids must be finite")
@@ -442,22 +439,13 @@ def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
     reprs = np.empty(values.size, dtype="S24")  # a float repr is at most 24 characters, an int one 20
     for start in range(0, values.size, 4096):  # listed a slice at a time: a listed float costs 32 bytes
         reprs[start:start + 4096] = list(map(fmt, values[start:start + 4096].tolist()))
-    pads = ["\n" + "  " * (level + depth) for depth in range(a.ndim + 1)]
-    closes = ["".join(pads[depth - 1] + "]" for depth in range(a.ndim, a.ndim - k, -1)) for k in range(a.ndim + 1)]
-    opens = ["".join("[" + pads[depth] for depth in range(a.ndim - k + 1, a.ndim + 1)) for k in range(a.ndim + 1)]
-    after = [closes[k] + "," + pads[a.ndim - k] + opens[k] for k in range(a.ndim)] + [closes[a.ndim]]
-    # element i of a row ends a list along axis d >= 1 (and each list inside it) when i + 1 is a multiple of its size
-    where = where.reshape(len(a), -1)
-    ends = np.arange(1, where.shape[1] + 1)
-    k = np.zeros(where.shape[1], dtype=np.intp)
-    for d in range(1, a.ndim):
-        k += ends % np.prod(a.shape[d:]) == 0
-    text = np.empty(2 * where.shape[1], dtype=object)
-    text[1::2] = np.array(after, dtype="S")[k]  # bytes, to join with the reprs
-    yield opens[a.ndim]
-    for row in where[:-1]:
-        text[0::2] = reprs[row]
-        yield b"".join(text.tolist()).decode()
-    text[0::2] = reprs[where[-1]]
-    text[-1] = after[a.ndim].encode()
-    yield b"".join(text.tolist()).decode()
+    pad = "\n" + "  " * (level + 1)
+    row = json.dumps(np.full(a.shape[1:], "%").tolist(), indent=2).replace("\n", pad).encode().split(b'"%"')
+    text = np.empty(2 * len(row) - 1, dtype=object)
+    text[0::2] = row
+    opening = "[" + pad
+    for elements in where.reshape(len(a), -1):
+        text[1::2] = reprs[elements]
+        yield opening + b"".join(text.tolist()).decode()
+        opening = "," + pad
+    yield "\n" + "  " * level + "]"

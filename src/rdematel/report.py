@@ -107,10 +107,7 @@ def render_results_csv(report: AnalysisReport) -> bytes:
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(_RESULT_COLUMNS)
     for r in report.results:
-        writer.writerow(
-            [r.criterion_id, _fmt(r.x), _fmt(r.y), _fmt(r.prominence), _fmt(r.relation),
-             _fmt(r.omega), _fmt(r.weight), r.rank, r.group]
-        )
+        writer.writerow([_fmt(v) if type(v) is float else v for v in vars(r).values()])
     return buf.getvalue().encode("utf-8")
 
 

@@ -406,8 +406,12 @@ STAGES = {
 @pytest.mark.parametrize("command", list(STAGES))
 @pytest.mark.parametrize(
     "error, exit_code, message",
-    [(InvalidArgumentError("boom"), 2, "analysis error: boom"), (OSError("boom"), 3, "i/o error: boom")],
-    ids=["package-error", "os-error"],
+    [
+        (InvalidArgumentError("boom"), 2, "analysis error: boom"),
+        (OSError("boom"), 3, "i/o error: boom"),
+        (MemoryError("boom"), 2, "out of memory: boom"),
+    ],
+    ids=["package-error", "os-error", "memory-error"],
 )
 def test_every_command_maps_a_stage_error_to_its_exit_code(
     monkeypatch, bundle_path, tmp_path, command, error, exit_code, message

@@ -244,7 +244,7 @@ grid_floats = st.one_of(
 )
 
 
-array_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+array_shapes = hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4)
 # a grid of two or three distinct values, 0.0 and -0.0 among them
 few_valued_grids = grid_floats.flatmap(
     lambda v: hnp.arrays(np.float64, array_shapes, elements=st.sampled_from([0.0, -0.0, v]))
@@ -287,7 +287,7 @@ class TestReportJsonLayout:
     def test_grid_comes_one_row_at_a_time(self):
         grid = np.arange(24.0).reshape(4, 3, 2)
         chunks = list(json_chunks(grid))
-        assert len(chunks) == 1 + len(grid)  # the opening brackets, then each leading-axis row
+        assert len(chunks) == 1 + len(grid)  # each row (the first opens the list), then the closing bracket
         assert "".join(chunks) == json.dumps(grid.tolist(), indent=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
