@@ -1,10 +1,14 @@
 import json
+import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from rdematel import ingest
 from rdematel.errors import BundleValidationError, InvalidArgumentError, ParseError
 from rdematel.fixtures import _read, load_study_bundle
 from rdematel.ingest import (
@@ -504,6 +508,12 @@ class TestBundleParsing:
         data = write_bundle(make_raw_bundle())
         assert write_bundle(parse_study_bundle(b"\xef\xbb\xbf" + data)) == data
 
+    def test_json_error_offsets_count_the_file_characters(self):
+        # JSON reads "\r" as whitespace, so a bundle is parsed as the file holds it
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(b'{\r\n  "scale": }')
+        assert exc_info.value.errors == ["not valid JSON: Expecting value: line 2 column 12 (char 14)"]
+
     def test_validation_is_total(self):
         # any bytes give either a bundle or a diagnostic list, never a crash
         for junk in (b"", b"[1,2,3]", b'{"criteria": 5}', bytes(range(256)), b"[" * 200000 + b"]" * 200000):
@@ -617,3 +627,160 @@ class TestOneGridRule:
             except InvalidArgumentError as exc:
                 got = str(exc).removeprefix("matrices[R0]: ")
             assert got == want
+
+
+def int_grid_oracle(span: str):
+    """``np.array(json.loads(span))`` for a square grid of unsigned JSON ints in 0..2**63 - 2, else None."""
+    try:
+        grid = json.loads(span)
+    except ValueError:
+        return None
+    if "-" in span or not (isinstance(grid, list) and grid and all(isinstance(row, list) for row in grid)):
+        return None
+    if any(len(row) != len(grid) or any(type(v) is not int or v > 2**63 - 2 for v in row) for row in grid):
+        return None
+    return np.array(grid)
+
+
+LAYOUTS = {"compact": {"separators": (",", ":")}, "default": {}, "indent=2": {"indent": 2}}
+# one digit each, as on a Likert scale, or any width up to 2**63 - 2
+judgments = st.sampled_from([st.integers(0, 9), st.integers(0, 2**63 - 2) | st.sampled_from([10**18, 2**63 - 2])])
+
+
+@st.composite
+def grid_spans(draw, grid_fault=None):
+    """The JSON text of an r x r grid of ints in 0..2**63 - 2 in one layout, or of a grid with ``grid_fault``."""
+    r, cells = draw(st.integers(1, 5)), draw(judgments)
+    grid = draw(st.lists(st.lists(cells, min_size=r, max_size=r), min_size=r, max_size=r))
+    i = draw(st.integers(0, r - 1))
+    if grid_fault == "not square":
+        grid = [row + [0] for row in grid] if draw(st.booleans()) else grid[:-1] or [[0, 0]]
+    elif grid_fault == "ragged":  # a number moved to another row, so r * r remain, or a row one longer or shorter
+        if r > 1 and draw(st.booleans()):
+            grid[i - 1].append(grid[i].pop())
+        else:
+            grid[i] = grid[i] + [1] if draw(st.booleans()) else grid[i][:-1]
+    elif grid_fault == "nesting":
+        grid = [grid] if draw(st.booleans()) else grid[:i] + [[[v] for v in grid[i]]] + grid[i + 1:]
+    return json.dumps(grid, **LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))])
+
+
+def number_fault(span: str, which: int, fault: str) -> str:
+    """``span`` with one of its numbers, the ``which``-th modulo their count, or the text beside it, broken."""
+    numbers = list(re.finditer(r"[0-9]+", span))
+    a, b = numbers[which % len(numbers)].span()
+    closer = span.index("]", a)
+    return {
+        "leading zero": span[:a] + "0" + span[a:],
+        "empty slot": span[:a] + span[b:],
+        "number outside a slot": span[:a] + span[b:closer + 1] + span[a:b] + span[closer + 1:],  # [[1,]2,[3,4]]
+        "whitespace inside a number": span[:a] + "1 " + span[a:],
+        "minus": span[:a] + "-" + span[a:],
+        "19+ digits": span[:a] + str(2**63 - 1 + which % 3 * 10**25) + span[b:],
+    }[fault]
+
+
+class TestIntGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_spans())
+    def test_reads_a_square_grid_as_json_does(self, span):
+        got, want = ingest._int_grid(span.encode()), np.array(json.loads(span))
+        assert np.array_equal(got, want) and got.dtype == (np.uint8 if want.max() < 10 else np.int64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_spans(), st.integers(0, 99), st.sampled_from(
+        ["leading zero", "empty slot", "number outside a slot", "whitespace inside a number", "minus", "19+ digits"]))
+    def test_refuses_a_broken_number(self, span, which, fault):
+        broken = number_fault(span, which, fault)
+        assert int_grid_oracle(broken) is None
+        assert ingest._int_grid(broken.encode()) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["not square", "ragged", "nesting"]).flatmap(lambda fault: grid_spans(fault)))
+    def test_refuses_a_grid_that_is_not_square(self, span):
+        assert int_grid_oracle(span) is None
+        assert ingest._int_grid(span.encode()) is None
+
+    @settings(max_examples=500, deadline=None)
+    @given(grid_spans(), st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(list('0159[], \n\t-.e"x'))),
+                                  min_size=1, max_size=3))
+    def test_agrees_with_json_on_any_edit(self, span, edits):
+        for at, char in edits:
+            at %= len(span) + 1
+            span = span[:at] + char + span[at:] if char != "x" else span[:at] + span[at + 1:]
+        want, got = int_grid_oracle(span), ingest._int_grid(span.encode())
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
+
+
+def parse_outcome(data):
+    """The parsed bundle's fields as plain values, or its error list."""
+    try:
+        b = parse_study_bundle(data)
+    except BundleValidationError as exc:
+        return exc.errors
+    return (b.criteria, b.respondents, b.scale, None if b.panel is None else (b.panel.dtype, b.panel.tolist()))
+
+
+def json_loads_outcome(data):
+    """``parse_outcome(data)`` with every grid left to json.loads, as for a small text."""
+    with mock.patch.object(ingest, "_SPLICE_MIN", math.inf):
+        return parse_outcome(data)
+
+
+def large_doc():
+    """A raw bundle document past the size at which the parser reads grids with numpy."""
+    b = make_raw_bundle(n=3, m=3)
+    b.criteria[0] = CriterionMeta("C0", description="p" * ingest._SPLICE_MIN)
+    return json.loads(write_bundle(b))
+
+
+GRID = [[0, 1], [1, 0]]
+LARGE_CASES = {
+    "plain": lambda doc: doc,
+    "grid as scale.min": lambda doc: doc["scale"].update(min=GRID),
+    "grid as a category": lambda doc: doc["criteria"][1].update(category=GRID),
+    "grid under an unknown key": lambda doc: doc.update(notes=GRID),
+    "true in a description": lambda doc: doc["criteria"][1].update(description="true"),
+    "true in a description, a cell off the scale": lambda doc: (
+        doc["criteria"][1].update(description="true"), doc["matrices"]["R1"][0].__setitem__(2, 9)),
+    "NaN in a description": lambda doc: doc["criteria"][1].update(description="NaN"),
+    "a grid in a description": lambda doc: doc["criteria"][1].update(description="Na[[0, 1], [1, 0]]"),
+    "NaN as a grid": lambda doc: doc["matrices"].update(R0=math.nan),
+    "Infinity under an unknown key": lambda doc: doc.update(notes=-math.inf),
+    "a cell at 2**63 - 1": lambda doc: doc["matrices"]["R0"][1].__setitem__(2, 2**63 - 1),
+    "a cell beyond 64 bits": lambda doc: doc["matrices"]["R2"][2].__setitem__(0, 2**70),
+    "a grid of the wrong size": lambda doc: doc["matrices"].update(R1=GRID),
+    "a scale above every cell": lambda doc: doc["scale"].update(min=300, max=2**63 - 1),
+}
+
+
+class TestLargeBundleParse:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("case", list(LARGE_CASES))
+    def test_same_outcome_as_json_loads(self, case, layout):
+        doc = large_doc()
+        LARGE_CASES[case](doc)
+        text = json.dumps(doc, **LAYOUTS[layout])
+        assert parse_outcome(text) == json_loads_outcome(text)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda text: text[:-1] + ', "matrices": {"R0": [[0, 2, 0], [1, 0, 0], [0, 3, 0]], '
+                     '"R1": [[0, 0, 0], [0, 0, 0], [0, 0, 0]], "R2": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}',
+                     id="a duplicated matrices key"),
+        pytest.param(lambda text: text[:-1] + ', "matrices": 5}', id="matrices replaced by a number"),
+        pytest.param(lambda text: text[:-1] + ', "matrices": {"R0": [[0, 2, 0], [1, 0, 0], [0, 3, 0]]]}}',
+                     id="not valid JSON after a grid"),
+        pytest.param(lambda text: text.replace("], [", "], \ud800[", 1), id="a lone surrogate inside a grid"),
+        pytest.param(lambda text: text.replace(", ", ",\r\n "), id="CRLF newlines"),
+    ])
+    def test_edited_text(self, edit):
+        text = edit(json.dumps(large_doc()))
+        assert parse_outcome(text) == json_loads_outcome(text)
+
+    def test_grids_are_read_as_arrays(self):
+        text = json.dumps(large_doc(), indent=2)
+        doc, rest = ingest._load_bundle_json(text)
+        assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * 3
+        assert {k: g.tolist() for k, g in doc["matrices"].items()} == json.loads(text)["matrices"]
+        assert len(rest) < len(text)
