@@ -24,13 +24,11 @@ from .pipeline import check_intervals
 CATEGORIES = ("internal", "external", "custom")
 ROLES = ("practitioner", "academic")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_GRID_OPEN = re.compile(r"\[[ \t\n\r]*+\[(?=[ \t\n\r]*+[0-9]++[ \t\n\r]*+[,\]])")  # "[[" and an int, not a float
-_GRID_CLOSE = re.compile(r"\][ \t\n\r]*+\]")
+_GRID_OPEN = re.compile(r"\[[ \t\n\r]*\[(?=[ \t\n\r]*[0-9][ \t\n\r]*[,\]])")  # "[[" and a one-digit int
+_GRID_CLOSE = re.compile(r"\][ \t\n\r]*\]")
 _JSON_WHITESPACE = b" \t\n\r"
-_DIGITS = b"0123456789"
-_DIGITS_AS_ZEROS = bytes(48 if c in _DIGITS else c for c in range(256))
-_DIGITS_AMID_SPACES = bytes(c if c in _DIGITS else 32 for c in range(256))
-_SPLICE_MIN = 1 << 16  # json.loads is faster on small texts: 98 against 154 us on a 17 KB synth (7, 21) bundle
+_DIGITS_AS_ZEROS = bytes(48 if 48 <= c <= 57 else c for c in range(256))
+_SPLICE_MIN = 1 << 16  # json.loads is faster on small texts: 110 against 151 us on a 17 KB synth (7, 21) bundle
 
 
 @dataclass(frozen=True)
@@ -357,7 +355,8 @@ def _load_bundle_json(text: str) -> tuple[object, str]:
     place the validator takes arrays (a span inside a string is never handed
     out, so it fails that count too).  Otherwise, and for a small text, a
     text holding ``NaN`` or ``Infinity`` or a spliced text that does not
-    parse, ``text`` itself is parsed, so errors name its offsets.  A grid
+    parse, ``text`` itself is parsed, so errors name its offsets; a large
+    text that fails a check after the splice is thus parsed twice.  A grid
     holds no letters, so the spliced text holds every ``true``/``false``
     token of ``text``.
     """
@@ -385,36 +384,21 @@ def _load_bundle_json(text: str) -> tuple[object, str]:
 
 
 def _int_grid(span: bytes) -> np.ndarray | None:
-    """The values of ``np.array(json.loads(span))`` if ``span`` is a square grid of ints in 0..2**63 - 2, else None.
+    """``np.array(json.loads(span))`` as uint8 if ``span`` is a square grid of one-digit ints, else None.
 
-    With JSON whitespace dropped and each number as one "0", ``span`` must be
-    exactly the layout of an r x r grid, and no number may have a leading
-    zero or whitespace inside.  numpy then reads the numbers: as uint8 bytes
-    - 48 when each is one digit (an int64 grid of 200 x 200 costs 320 KB, a
-    uint8 one 40 KB), else as int64 with ``np.fromstring``, which saturates
-    at 2**63 - 1, so a grid holding that value is refused.
+    With JSON whitespace dropped and each digit as "0", ``span`` must be
+    exactly the layout of an r x r grid with one digit to a slot (the layout
+    holds no "00", so a wider number, or whitespace inside one, breaks it).
+    The values are then the grid's bytes - 48; a uint8 grid of 200 x 200
+    costs 40 KB, an int64 one 320 KB.  A grid of wider numbers is left to
+    ``json.loads``.
     """
     packed = span.translate(None, _JSON_WHITESPACE)
-    skeleton = packed.translate(None, _DIGITS)
-    r = math.isqrt(len(skeleton)) - 1
-    if r < 1 or len(skeleton) != (r + 1) ** 2:  # checked before building the layout: a bracket run can be huge
+    r = math.isqrt(len(packed) // 2)  # an r x r layout is 2r(r + 1) + 1 bytes, so about as long as packed
+    layout = b"[" + b",".join([b"[" + b"0," * (r - 1) + b"0]"] * r) + b"]"
+    if r < 1 or packed.translate(_DIGITS_AS_ZEROS) != layout:
         return None
-    layout = b"[" + b",".join([b"[" + b"0," * (r - 1) + b"0]"] * r) + b"]"  # each number as one "0"
-    zeros = packed.translate(_DIGITS_AS_ZEROS)
-    s = np.frombuffer(packed, np.uint8)
-    if len(packed) == len(layout):  # as many digits as slots: one each, or a slot is empty
-        return s[1:].reshape(r, 2 * r + 2)[:, 1 : 2 * r : 2] - 48 if zeros == layout else None
-    z = np.frombuffer(zeros, np.uint8)
-    more = (z[1:] == 48) & (z[:-1] == 48)  # s[k + 1] continues a number
-    loose = (np.frombuffer(span, np.uint8) - 48) < 10  # uint8 wraps every byte but "0".."9" past 9
-    if (
-        z[np.concatenate(([True], ~more))].tobytes() != layout
-        or ((s[1:-1] == 48) & (z[:-2] != 48) & more[1:]).any()  # a leading zero
-        or np.count_nonzero(loose[1:] > loose[:-1]) != r * r  # whitespace inside a number
-    ):
-        return None
-    a = np.fromstring(packed.translate(_DIGITS_AMID_SPACES), np.int64, sep=" ").reshape(r, r)
-    return None if (a == np.iinfo(np.int64).max).any() else a
+    return np.frombuffer(packed, np.uint8)[1:].reshape(r, 2 * r + 2)[:, 1 : 2 * r : 2] - 48
 
 
 def write_bundle(bundle: StudyBundle) -> bytes:

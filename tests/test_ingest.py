@@ -630,20 +630,20 @@ class TestOneGridRule:
 
 
 def int_grid_oracle(span: str):
-    """``np.array(json.loads(span))`` for a square grid of unsigned JSON ints in 0..2**63 - 2, else None."""
+    """``np.array(json.loads(span))`` for a square grid of one-digit JSON ints, else None."""
     try:
         grid = json.loads(span)
     except ValueError:
         return None
     if "-" in span or not (isinstance(grid, list) and grid and all(isinstance(row, list) for row in grid)):
         return None
-    if any(len(row) != len(grid) or any(type(v) is not int or v > 2**63 - 2 for v in row) for row in grid):
+    if any(len(row) != len(grid) or any(type(v) is not int or v > 9 for v in row) for row in grid):
         return None
     return np.array(grid)
 
 
 LAYOUTS = {"compact": {"separators": (",", ":")}, "default": {}, "indent=2": {"indent": 2}}
-# one digit each, as on a Likert scale, or any width up to 2**63 - 2
+# one digit each, as on a Likert scale, or any width up to 2**63 - 2, which the reader leaves to json.loads
 judgments = st.sampled_from([st.integers(0, 9), st.integers(0, 2**63 - 2) | st.sampled_from([10**18, 2**63 - 2])])
 
 
@@ -681,11 +681,19 @@ def number_fault(span: str, which: int, fault: str) -> str:
 
 
 class TestIntGrid:
+    def test_patterns_use_no_syntax_newer_than_python_3_10(self):
+        # possessive quantifiers and atomic groups came in Python 3.11, where 3.10 fails to compile them
+        for pattern in [v for v in vars(ingest).values() if isinstance(v, re.Pattern)]:
+            assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern.pattern
+
     @settings(max_examples=300, deadline=None)
     @given(grid_spans())
-    def test_reads_a_square_grid_as_json_does(self, span):
+    def test_reads_a_one_digit_grid_as_json_does(self, span):
         got, want = ingest._int_grid(span.encode()), np.array(json.loads(span))
-        assert np.array_equal(got, want) and got.dtype == (np.uint8 if want.max() < 10 else np.int64)
+        if want.max() < 10:
+            assert np.array_equal(got, want) and got.dtype == np.uint8
+        else:  # a number of two or more digits
+            assert got is None
 
     @settings(max_examples=300, deadline=None)
     @given(grid_spans(), st.integers(0, 99), st.sampled_from(
