@@ -28,7 +28,6 @@ _GRID_OPEN = re.compile(r"\[[ \t\n\r]*\[(?=[ \t\n\r]*[0-9][ \t\n\r]*[,\]])")  # 
 _GRID_CLOSE = re.compile(r"\][ \t\n\r]*\]")
 _JSON_WHITESPACE = b" \t\n\r"
 _DIGITS_AS_ZEROS = bytes(48 if 48 <= c <= 57 else c for c in range(256))
-_SPLICE_MIN = 1 << 16  # json.loads is faster on small texts: 110 against 151 us on a 17 KB synth (7, 21) bundle
 
 
 @dataclass(frozen=True)
@@ -348,38 +347,36 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
 def _load_bundle_json(text: str) -> tuple[object, str]:
     """``json.loads(text)``, each grid that ``_int_grid`` reads as its array, and the text with those grids as ``NaN``.
 
-    In a large text, each span from a ``[[`` to the next ``]]`` that
-    ``_int_grid`` reads is replaced by a ``NaN`` token, which
-    ``parse_constant`` turns back into its array.  The result is kept only
-    when every array is a value of the top-level ``matrices`` object, the one
-    place the validator takes arrays (a span inside a string is never handed
-    out, so it fails that count too).  Otherwise, and for a small text, a
-    text holding ``NaN`` or ``Infinity`` or a spliced text that does not
-    parse, ``text`` itself is parsed, so errors name its offsets; a large
-    text that fails a check after the splice is thus parsed twice.  A grid
-    holds no letters, so the spliced text holds every ``true``/``false``
-    token of ``text``.
+    Each span from a ``[[`` to the next ``]]`` that ``_int_grid`` reads is
+    replaced by a ``NaN`` token, which ``parse_constant`` turns back into its
+    array.  The result is kept only when every array is a value of the
+    top-level ``matrices`` object, the one place the validator takes arrays
+    (a span inside a string is never handed out, so it fails that count
+    too).  Otherwise, and for a text with no such grid, a text holding
+    ``NaN`` or ``Infinity`` or a spliced text that does not parse, ``text``
+    itself is parsed, so errors name its offsets; a text that fails a check
+    after the splice is thus parsed twice.  A grid holds no letters, so the
+    spliced text holds every ``true``/``false`` token of ``text``.
     """
-    if len(text) >= _SPLICE_MIN:
-        pieces, grids, cut, end = [], [], 0, 0
-        while (opening := _GRID_OPEN.search(text, end)) and (closing := _GRID_CLOSE.search(text, opening.end())):
-            start, end = opening.start(), closing.end()  # the search goes on past a span, so it stays linear
-            if (span := text[start:end]).isascii() and (grid := _int_grid(span.encode())) is not None:
-                pieces.append(text[cut:start])
-                grids.append(grid)
-                cut = end
-        pieces.append(text[cut:])
-        spliced = "NaN".join(pieces)
-        # count finds a "NaN" at least once per splice, so one more means the text holds one
-        if grids and spliced.count("NaN") == len(grids) and "Infinity" not in spliced:
-            arrays = iter(grids)
-            try:
-                doc = json.loads(spliced, parse_constant=lambda _: next(arrays))
-            except (ValueError, RecursionError):
-                doc = None
-            matrices = doc.get("matrices") if isinstance(doc, dict) else None
-            if isinstance(matrices, dict) and sum(type(g) is np.ndarray for g in matrices.values()) == len(grids):
-                return doc, spliced
+    pieces, grids, cut, end = [], [], 0, 0
+    while (opening := _GRID_OPEN.search(text, end)) and (closing := _GRID_CLOSE.search(text, opening.end())):
+        start, end = opening.start(), closing.end()  # the search goes on past a span, so it stays linear
+        if (span := text[start:end]).isascii() and (grid := _int_grid(span.encode())) is not None:
+            pieces.append(text[cut:start])
+            grids.append(grid)
+            cut = end
+    pieces.append(text[cut:])
+    spliced = "NaN".join(pieces)
+    # count finds a "NaN" at least once per splice, so one more means the text holds one
+    if grids and spliced.count("NaN") == len(grids) and "Infinity" not in spliced:
+        arrays = iter(grids)
+        try:
+            doc = json.loads(spliced, parse_constant=lambda _: next(arrays))
+        except (ValueError, RecursionError):
+            doc = None
+        matrices = doc.get("matrices") if isinstance(doc, dict) else None
+        if isinstance(matrices, dict) and sum(type(g) is np.ndarray for g in matrices.values()) == len(grids):
+            return doc, spliced
     return json.loads(text), text
 
 

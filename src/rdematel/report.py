@@ -46,7 +46,6 @@ class AnalysisReport:
     config: dict
     results: list[AnalysisResult]
     analysis: RoughAnalysis
-    tstar: np.ndarray
     network: InfluenceNetwork
     deviations: list["DeviationEntry"] = field(default_factory=list)
 
@@ -87,7 +86,6 @@ def run_analysis(bundle: StudyBundle, config: AnalysisConfig = AnalysisConfig())
         config=echo,
         results=analysis.results,
         analysis=analysis,
-        tstar=tstar,
         network=network,
     )
 
@@ -119,30 +117,26 @@ def render_report_json(report: AnalysisReport) -> bytes:
 def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
     """Yield the text of ``report.json`` in chunks, for a caller that writes it as it renders.
 
-    Schema 2: the normalized grid is ``rough_group / config.tau`` and is not
-    written; ``config.threshold_q`` and ``network.threshold`` hold the same
-    q, and ``network.nodes`` the ids in ``criteria``.  The text is exactly
-    that of ``json.dumps(doc, indent=2) + "\n"`` with each grid as its
-    ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes one row
-    at a time and reprs every distinct value once (a raw panel's rough group
-    repeats values: a cell's bounds depend only on how many experts chose
-    each judgment), and the results, edges and deviations tables are one
-    C-encoder call each.
+    Schema 3 writes each value once and leaves out what a reader can
+    recompute: the normalized grid ``rough_group / config.tau``, the crisp
+    grid ``network.crispify_total(total, config.crispify_mode)``, q (it is
+    ``config.threshold_q``) and the nodes (``criteria``).  The text is
+    exactly that of ``json.dumps(doc, indent=2) + "\n"`` with each grid as
+    its ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes one
+    row at a time and reprs every distinct value once (a raw panel's rough
+    group repeats values: a cell's bounds depend only on how many experts
+    chose each judgment), and the results, edges and deviations tables are
+    one C-encoder call each.
     """
     a = report.analysis
     doc = {
-        "schema": 2,
+        "schema": 3,
         "config": report.config,
         "criteria": a.criteria,
         "results": [dict(zip(_RESULT_COLUMNS, vars(r).values())) for r in report.results],
         "rough_group": a.group_matrix,
         "total": a.total,
-        "tstar": report.tstar,
-        "network": {
-            "threshold": report.network.threshold,
-            "nodes": list(report.network.nodes),
-            "edges": [vars(e) for e in report.network.edges],
-        },
+        "network": {"edges": [vars(e) for e in report.network.edges]},
         # vars() lists a dataclass's fields in declaration order; dataclasses.asdict
         # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
         "deviations": [vars(d) for d in report.deviations],

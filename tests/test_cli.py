@@ -143,6 +143,19 @@ class TestAnalyze:
         for name in ("results.csv", "report.json", "network.dot"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
+        # at n = 200 an LU solve of the closure sums in another order on two threads
+        bundle = tmp_path / "synth.json"
+        proc = run_cli(["synth", "--criteria", "200", "--experts", "21", "--seed", "5", "--out", str(bundle)])
+        assert proc.returncode == 0, proc.stderr
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = run_cli(["analyze", str(bundle), "--out", str(out)], env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outs.append([(out / name).read_bytes() for name in ("results.csv", "report.json", "network.dot")])
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("crispify", CRISPIFY_MODES)
     def test_report_json_is_the_rendered_report(self, tmp_path, crispify):
         # analyze writes report.json as it renders; the bytes are those of render_report_json

@@ -113,6 +113,16 @@ class TestTotalRelation:
         assert np.abs(t - oracle).max() <= tol
         assert t.min() >= -tol
 
+    @pytest.mark.parametrize("s", [1e-300, 0.5, 0.9, 0.999, 1 - 1e-7])
+    def test_doubling_product_sums_the_whole_series(self, s):
+        # every row of D sums to s, so every row of T sums to s / (1 - s) and the series' tail is as large as the
+        # cheap bound allows; rounding D's entries alone moves those sums by about eps / (1 - s), relative
+        raw = np.random.default_rng(1).random((60, 60))
+        np.fill_diagonal(raw, 0.0)
+        d = raw * (s / raw.sum(axis=1, keepdims=True))
+        rows = solve_total_relation(d).sum(axis=1)
+        assert np.abs(rows / (s / (1 - s)) - 1).max() <= 16 * np.finfo(float).eps / (1 - s)
+
     @pytest.mark.parametrize("trial", range(10))
     def test_neumann_equivalence_random(self, trial):
         n = int(RNG.integers(2, 8))

@@ -731,16 +731,14 @@ def parse_outcome(data):
 
 
 def json_loads_outcome(data):
-    """``parse_outcome(data)`` with every grid left to json.loads, as for a small text."""
-    with mock.patch.object(ingest, "_SPLICE_MIN", math.inf):
+    """``parse_outcome(data)`` with every grid left to json.loads."""
+    with mock.patch.object(ingest, "_int_grid", return_value=None):
         return parse_outcome(data)
 
 
-def large_doc():
-    """A raw bundle document past the size at which the parser reads grids with numpy."""
-    b = make_raw_bundle(n=3, m=3)
-    b.criteria[0] = CriterionMeta("C0", description="p" * ingest._SPLICE_MIN)
-    return json.loads(write_bundle(b))
+def raw_doc():
+    """A raw bundle document, whose grids the parser reads with numpy."""
+    return json.loads(write_bundle(make_raw_bundle(n=3, m=3)))
 
 
 GRID = [[0, 1], [1, 0]]
@@ -767,7 +765,7 @@ class TestLargeBundleParse:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("case", list(LARGE_CASES))
     def test_same_outcome_as_json_loads(self, case, layout):
-        doc = large_doc()
+        doc = raw_doc()
         LARGE_CASES[case](doc)
         text = json.dumps(doc, **LAYOUTS[layout])
         assert parse_outcome(text) == json_loads_outcome(text)
@@ -783,11 +781,11 @@ class TestLargeBundleParse:
         pytest.param(lambda text: text.replace(", ", ",\r\n "), id="CRLF newlines"),
     ])
     def test_edited_text(self, edit):
-        text = edit(json.dumps(large_doc()))
+        text = edit(json.dumps(raw_doc()))
         assert parse_outcome(text) == json_loads_outcome(text)
 
     def test_grids_are_read_as_arrays(self):
-        text = json.dumps(large_doc(), indent=2)
+        text = json.dumps(raw_doc(), indent=2)
         doc, rest = ingest._load_bundle_json(text)
         assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * 3
         assert {k: g.tolist() for k, g in doc["matrices"].items()} == json.loads(text)["matrices"]

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,15 @@ from hypothesis.extra import numpy as hnp
 from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
 from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, json_chunks, parse_study_bundle
-from rdematel.network import CRISPIFY_GLOBAL, CRISPIFY_MODES, Edge, InfluenceNetwork
+from rdematel.network import (
+    CRISPIFY_GLOBAL,
+    CRISPIFY_MODES,
+    Edge,
+    InfluenceNetwork,
+    crispify_total,
+    extract_network,
+    threshold,
+)
 from rdematel.pipeline import TAU_MAX_TOTAL_SUM, TAU_MAX_UPPER_SUM, TAU_STRATEGIES
 from rdematel.report import (
     FAIL,
@@ -30,9 +40,21 @@ from rdematel.report import (
 )
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 @pytest.fixture(scope="module")
 def fixture_report():
     return run_analysis(load_study_bundle(), AnalysisConfig())
+
+
+def synth_raw_bundle():
+    """A raw study of 40 criteria and 6 experts on 0..4, drawn from a fixed seed."""
+    n, m = 40, 6
+    panel = np.random.default_rng(5).integers(0, 4, size=(m, n, n), endpoint=True)
+    panel[:, range(n), range(n)] = 0
+    return StudyBundle([CriterionMeta(f"C{i + 1}") for i in range(n)],
+                       [RespondentMeta(f"X{k + 1}") for k in range(m)], panel=panel)
 
 
 class TestResultTables:
@@ -65,16 +87,37 @@ class TestResultTables:
         assert [r["criterion"] for r in rows] == ids
         assert [r["group"] for r in rows] == [r.group for r in results]
 
-    def test_report_json_schema_2_writes_each_value_once(self, fixture_report):
+    def test_report_json_schema_3_writes_each_value_once(self, fixture_report):
         doc = json.loads(render_report_json(fixture_report))
-        assert list(doc) == [
-            "schema", "config", "criteria", "results", "rough_group", "total", "tstar", "network", "deviations"
-        ]
-        assert doc["schema"] == 2
+        assert list(doc) == ["schema", "config", "criteria", "results", "rough_group", "total", "network", "deviations"]
+        assert doc["schema"] == 3
+        assert list(doc["network"]) == ["edges"]
         # the causal diagram reads its points from the results
         assert [(r["criterion"], r["prominence"], r["relation"], r["group"]) for r in doc["results"]] == [
             (r.criterion_id, r.prominence, r.relation, r.group) for r in fixture_report.results
         ]
+
+    @pytest.mark.parametrize("crispify", CRISPIFY_MODES)
+    @pytest.mark.parametrize("bundle", [load_study_bundle, synth_raw_bundle], ids=["bundled", "synth-raw"])
+    def test_crisp_grid_and_network_recompute_from_report_json(self, bundle, crispify):
+        rep = run_analysis(bundle(), AnalysisConfig(crispify_mode=crispify))
+        doc = json.loads(render_report_json(rep))
+        config = doc["config"]
+        tstar = crispify_total(np.array(doc["total"]), config["crispify_mode"])
+        q = threshold(tstar, config["threshold_mode"], config["threshold_value"])
+        assert q == config["threshold_q"]
+        edges = [vars(e) for e in extract_network(tstar, q, doc["criteria"]).edges]
+        assert edges and edges == doc["network"]["edges"]
+
+    def test_readme_names_the_report_json_keys(self, fixture_report):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        found = re.search(r"^`analyze` writes `report\.json` in schema (\d+)\. Its keys, in order:\n\n((?:.+\n)+)",
+                          readme, re.MULTILINE)
+        assert found, "README has no report.json key list"
+        bullets = re.findall(r"^- (.*?):", found[2], re.MULTILINE)
+        doc = json.loads(render_report_json(fixture_report))
+        assert [key for head in bullets for key in re.findall(r"`(\w+)`", head)] == list(doc)
+        assert int(found[1]) == doc["schema"]
 
     @pytest.mark.parametrize("tau", TAU_STRATEGIES)
     def test_normalized_grid_is_rough_group_over_tau(self, tau):
@@ -188,10 +231,10 @@ class TestDeviationLedger:
 
 
 def oracle_report_json(report):
-    """The whole schema-2 report through the stdlib's indent=2 encoder, grids built with .tolist()."""
+    """The whole schema-3 report through the stdlib's indent=2 encoder, grids built with .tolist()."""
     a = report.analysis
     doc = {
-        "schema": 2,
+        "schema": 3,
         "config": report.config,
         "criteria": a.criteria,
         "results": [
@@ -210,10 +253,7 @@ def oracle_report_json(report):
         ],
         "rough_group": a.group_matrix.tolist(),
         "total": a.total.tolist(),
-        "tstar": report.tstar.tolist(),
         "network": {
-            "threshold": report.network.threshold,
-            "nodes": list(report.network.nodes),
             "edges": [
                 {"source": e.source, "target": e.target, "strength": e.strength}
                 for e in report.network.edges
@@ -316,12 +356,7 @@ class TestReportJsonLayout:
 
     def test_synth_raw_panel_matches_encoder(self):
         # a raw panel's rough group repeats its values; hundreds of edges make a long row table
-        n, m = 40, 6
-        panel = np.random.default_rng(5).integers(0, 4, size=(m, n, n), endpoint=True)
-        panel[:, range(n), range(n)] = 0
-        bundle = StudyBundle([CriterionMeta(f"C{i + 1}") for i in range(n)],
-                             [RespondentMeta(f"X{k + 1}") for k in range(m)], panel=panel)
-        rep = run_analysis(bundle, AnalysisConfig(crispify_mode=CRISPIFY_GLOBAL))
+        rep = run_analysis(synth_raw_bundle(), AnalysisConfig(crispify_mode=CRISPIFY_GLOBAL))
         assert len(rep.network.edges) >= 200
         assert len(np.unique(rep.analysis.group_matrix)) < rep.analysis.group_matrix.size / 4
         assert render_report_json(rep) == oracle_report_json(rep)
