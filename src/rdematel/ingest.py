@@ -8,6 +8,7 @@ rough group matrix (for studies that publish only the aggregate).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -449,7 +450,9 @@ def json_chunks(value, level: int = 0, ensure_ascii: bool = True) -> Iterator[st
 
     Any ``indent`` sends every value through the stdlib's pure-Python encoder, which
     for 280k floats (four n x n grids at n = 200) cost ~1 s and a ~60 MB transient.
-    So arrays go through ``_json_grid``, which reprs each distinct value once; a
+    So arrays go through ``_json_grid``, which writes each distinct value's repr
+    once (a float grid's with a numpy shortest-digit kernel when it has 512 or
+    more distinct values, the text still exactly ``float.__repr__``'s); a
     dict (string keys) is walked key by key; and a row table, a non-empty list of
     non-empty dicts of JSON scalars (result rows, network edges, ledger entries),
     is one call of the C encoder with the row layout as its item separator.  No
@@ -489,6 +492,14 @@ def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
     in a fixed-width bytes table, 24 bytes each (a str object costs ~70), and
     each row is joined as bytes between the pieces of the stdlib's own indent=2
     text for a row of placeholders, and decoded.
+
+    A float grid with ``_FLOAT_KERNEL_MIN`` or more distinct values has its
+    table written by ``_float_reprs``, 4096 values (as float64, what
+    ``tolist()`` gives) at a time: a numpy kernel writes the reprs of values in
+    [1e-4, 1e15), and ``float.__repr__`` the rest (zeros, negatives, values
+    written in exponent form, values from 1e15 on, exact rounding ties); a
+    smaller table, and an int grid's, is repr'd value by value.  Both give
+    ``json.dumps``'s bytes.
     """
     if not np.isfinite(a).all():
         raise InvalidArgumentError("JSON grids must be finite")
@@ -497,9 +508,11 @@ def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
         return
     bits, where = np.unique(a.ravel().view(f"i{a.itemsize}"), return_inverse=True)
     values, fmt = bits.view(a.dtype), float.__repr__ if a.dtype.kind == "f" else int.__repr__
+    kernel = fmt is float.__repr__ and values.size >= _FLOAT_KERNEL_MIN
     reprs = np.empty(values.size, dtype="S24")  # a float repr is at most 24 characters, an int one 20
-    for start in range(0, values.size, 4096):  # listed a slice at a time: a listed float costs 32 bytes
-        reprs[start:start + 4096] = list(map(fmt, values[start:start + 4096].tolist()))
+    for start in range(0, values.size, 4096):  # a slice at a time: a listed float costs 32 bytes, the kernel ~160
+        chunk = values[start:start + 4096]
+        reprs[start:start + 4096] = _float_reprs(chunk.astype(np.float64)) if kernel else list(map(fmt, chunk.tolist()))
     pad = "\n" + "  " * (level + 1)
     row = json.dumps(np.full(a.shape[1:], "%").tolist(), indent=2).replace("\n", pad).encode().split(b'"%"')
     text = np.empty(2 * len(row) - 1, dtype=object)
@@ -510,3 +523,145 @@ def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
         yield opening + b"".join(text.tolist()).decode()
         opening = "," + pad
     yield "\n" + "  " * level + "]"
+
+
+# The shortest-digit kernel, _float_reprs.  Its fixed cost, ~100 numpy calls, is ~0.2 ms, which float.__repr__
+# at ~0.6 us a value matches at ~400 values (2-vCPU Xeon host); below _FLOAT_KERNEL_MIN values repr is used.
+_FLOAT_KERNEL_MIN = 512
+_U32, _32, _64, _ONE = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(64), np.uint64(1)
+_POW5 = np.array([5**i for i in range(23)], dtype=np.uint64)
+_POW10 = np.array([10**i for i in range(19)], dtype=np.uint64)
+# for word j of a 24-byte row and a byte count v: the mask of the row's first v bytes, and "." at byte v
+_FIRST = np.frombuffer(bytes(255 * (8 * j + b < v) for j in range(3) for v in range(25) for b in range(8)),
+                       "<u8").reshape(3, 25)
+_DOT_AT = np.frombuffer(bytes(46 * (8 * j + b == v) for j in range(3) for v in range(25) for b in range(8)),
+                        "<u8").reshape(3, 25)
+
+
+def _float_reprs(x: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each of a float64 array's values, as an ``S24`` array.
+
+    The kernel covers x in [1e-4, 1e15), where repr writes positional
+    digits; every other value, and a rounding that is an exact tie, takes
+    ``float.__repr__``.
+    """
+    sig, decpt, ok = _shortest_digits(x)
+    reprs = _positional(sig, decpt)
+    missed = np.flatnonzero(~ok)
+    reprs[missed] = list(map(float.__repr__, x[missed].tolist()))
+    return reprs
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """repr's digits of each x as a 17-digit int64 padded with zeros, its decpt (x = 0.digits * 10**decpt), and
+    whether the kernel covers x.
+
+    repr's digits are the fewest that read back as x, the closest such (Gay
+    1990).  With x = M * 2**E and k = 17 - floor(log10 x), floor(x * 10**k)
+    has 18 digits: it is 4M * 5**k / 2**(2 - E - k), a 128-bit product whose
+    shifted-out bits are kept for exactness.  Of x rounded to 15, 16 and 17
+    digits, the first within half an ulp of x is repr's.  A power of two has
+    a narrower gap below it, but in [1e-4, 1e15) it is a decimal of at most
+    15 digits, which its 15-digit rounding hits exactly.
+    """
+    bits = x.view(np.uint64)
+    frac = bits & np.uint64((1 << 52) - 1)
+    ok = (x >= 1e-4) & (x < 1e15)
+    e10 = np.floor(np.log10(x, out=np.ones_like(x), where=ok)).astype(np.int64)  # may be 1 off at a power of 10
+    k = np.where(ok, 17 - e10, 0)
+    shift = np.where(ok, 1060 - (bits >> np.uint64(52)).astype(np.int64) + e10, 1).astype(np.uint64)  # 2 - E - k
+    b = _POW5[k]
+    high, low = _product((frac | np.uint64(1 << 52)) << np.uint64(2), b)
+    n = (high << (_64 - shift)) | (low >> shift)  # floor(x * 10**k)
+    rest = low & ((_ONE << shift) - _ONE)  # x * 10**k - n = rest / 2**shift
+    del high, low  # each temporary costs 8 bytes a value, and the kernel's sit on top of the repr table
+    inexact = rest != 0
+    half_ulp = (b << _ONE).view(np.int64)  # (x -+ ulp/2) * 10**k = n + (rest -+ half_ulp) / 2**shift
+    ok &= (n >= _POW10[17]) & (n < _POW10[18])  # else log10 was 1 off
+    # rounded to 17 digits x always reads back (an error of 5e-17 x at most, half an ulp is more than 2**-54 x)
+    q = n // _POW10[1]
+    rem = n - q * _POW10[1]
+    sig = q + (rem > 5) + ((rem == 5) & inexact)
+    tie = (rem == 5) & ~inexact
+    for p in (16, 15):
+        u = _POW10[18 - p]
+        q = n // u
+        rem = n - q * u
+        twice = rem << _ONE
+        up = (twice > u) | ((twice == u) & inexact)
+        # (candidate - x * 10**k) * 2**shift, within the bounds when below half_ulp; a candidate of 16 digits
+        # or fewer never sits on a bound, as a midpoint between doubles below 2**53 has 17 or more
+        inside = np.abs((((up * u - rem) << shift) - rest).view(np.int64)) < half_ulp
+        sig = np.where(inside, (q + up) * _POW10[17 - p], sig)
+        tie = np.where(inside, (twice == u) & ~inexact, tie)
+    carry = sig == _POW10[17]  # 99..9.5 rounded up: one digit more
+    decpt = 18 - k + carry
+    ok &= ~tie & (decpt >= -3) & (decpt <= 16)  # repr's positional range
+    decpt[~ok] = 1  # any layout will do for the values left to repr
+    return np.where(ok & ~carry, sig, _POW10[16]).view(np.int64), decpt, ok
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products of two uint64 arrays, from their 32-bit halves."""
+    a_hi, a_lo, b_hi, b_lo = a >> _32, a & _U32, b >> _32, b & _U32
+    ll, hl, lh = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    return a_hi * b_hi + (hl >> _32) + (lh >> _32) + (((ll >> _32) + (hl & _U32) + (lh & _U32)) >> _32), a * b
+
+
+def _positional(sig: np.ndarray, decpt: np.ndarray) -> np.ndarray:
+    """The ``S24`` text of 0.digits * 10**decpt as repr writes it, for 17 digits ``sig`` and decpt in -3..16.
+
+    The digits' ASCII bytes, 3 little-endian words of a 24-byte row, are moved
+    by whole bytes to start with "0" when decpt < 1, the bytes from the "." on
+    one byte further, and cut after the last digit that is not a trailing
+    zero, keeping one digit after the ".".
+    """
+    words, zeros = _digit_words(sig)
+    lead = np.maximum(1 - decpt, 0)  # the zeros written before the first digit
+    dot = np.maximum(decpt, 1)  # the digits before "."
+    length = dot + 1 + np.maximum(17 - zeros + lead - dot, 1)
+    move = ((7 - lead) * 8).astype(np.uint64)
+    back = _64 - move
+    out = np.empty((len(sig), 3), dtype="<u8")
+    carried = np.uint64(0)
+    for j, mask in enumerate(_FIRST):
+        word = words[j] >> move
+        if j < 2:
+            word |= words[j + 1] << back
+        moved = (word << np.uint64(8)) | carried  # the row one byte on, past the "."
+        carried = word >> np.uint64(56)
+        out[:, j] = ((word & mask[dot]) | (moved & ~mask[dot + 1]) | _DOT_AT[j][dot]) & mask[length]
+    return out.view("S24").ravel()
+
+
+@functools.cache
+def _quads() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII bytes of "0000".."9999" as little-endian words, and each one's trailing zeros (4 for 0).
+
+    Built on first use: building them grows the process by ~0.3 MB (the
+    first numpy calls of a kind), which one that writes no large float table
+    need not pay.
+    """
+    ascii_digits = np.arange(48, 58, dtype=np.uint64)
+    quads = (ascii_digits[:, None, None, None] | ascii_digits[:, None, None] << np.uint64(8)
+             | ascii_digits[:, None] << np.uint64(16) | ascii_digits << np.uint64(24)).ravel()
+    zeros = np.zeros(10**4, dtype=np.intp)
+    for step in (10, 100, 1000, 10**4):
+        zeros[::step] += 1
+    return quads, zeros
+
+
+def _digit_words(sig: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The 17 digits' ASCII bytes as the little-endian words "0000000d" "dddddddd" "dddddddd", and their trailing
+    zeros; the digits are looked up four at a time."""
+    quads, quad_zeros = _quads()
+    top = sig // 10**8  # the first 9 digits
+    first = top // 10**8
+    words, zeros = [np.uint64(0x30303030) | (quads[first] << _32)], []
+    for half in (top - first * 10**8, sig - top * 10**8):
+        upper = half // 10**4
+        lower = half - upper * 10**4
+        words.append(quads[upper] | (quads[lower] << _32))
+        lower = quad_zeros[lower]
+        zeros.append(np.where(lower == 4, 4 + quad_zeros[upper], lower))
+    return words, zeros[1] + np.where(zeros[1] == 8, zeros[0], 0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rdematel import ingest
 from rdematel.errors import BundleValidationError, InvalidArgumentError, ParseError
@@ -790,3 +791,43 @@ class TestLargeBundleParse:
         assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * 3
         assert {k: g.tolist() for k, g in doc["matrices"].items()} == json.loads(text)["matrices"]
         assert len(rest) < len(text)
+
+
+def assert_reprs_match(values):
+    """``ingest._float_reprs`` gives ``float.__repr__``'s bytes for every value, whether the kernel covers it or not."""
+    values = np.asarray(values, dtype=np.float64)
+    expected = np.array([repr(v).encode() for v in values.tolist()], dtype="S24")
+    got = ingest._float_reprs(values)
+    wrong = np.flatnonzero(got != expected)
+    assert not wrong.size, [(values[i].item(), got[i], expected[i]) for i in wrong[:5]]
+
+
+def ulps_around(values, reach):
+    """Each value and its neighbours up to ``reach`` ulps away on either side (all of them positive)."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-reach, reach + 1)).ravel().view(np.float64)
+
+
+class TestFloatReprs:
+    """The numpy shortest-digit kernel against ``float.__repr__``, called directly, so below the size gate too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_any_finite_floats(self, values):
+        assert_reprs_match(values)
+
+    def test_random_bit_patterns_across_the_window(self):
+        # the kernel covers [1e-4, 1e15); a decade more on either side crosses both edges
+        low, high = np.array([1e-5, 1e16]).view(np.int64)
+        assert_reprs_match(np.random.default_rng(7).integers(low, high, 2 * 10**5).view(np.float64))
+
+    def test_boundaries(self):
+        powers = np.concatenate([ulps_around(2.0 ** np.arange(-16, 54), 2), ulps_around(10.0 ** np.arange(-6, 17), 2)])
+        fixed = [
+            1e-4, 9.999999999999999e-05, 1e15, 999999999999999.9, 1e16, 9999999999999998.0,  # where the form switches
+            5e-324, 0.0, -0.0, 0.1, 2.0, 123456789012345.6, -0.1, 1.5e300,
+            # 214980031455738.875 and 253990240696329.625 tie at the 17th digit, 982783887522191.25 at the 16th
+            214980031455738.875, 253990240696329.625, 982783887522191.25,
+        ]
+        assert repr(214980031455738.875) == "214980031455738.88"
+        assert_reprs_match(np.concatenate([powers, fixed]))

@@ -308,6 +308,18 @@ json_docs = st.recursive(
 )
 
 
+def kernel_grid(dtype):
+    """More than 4096 distinct values, so the float table crosses a slice boundary, of which most take the repr kernel
+    and some ``float.__repr__``: zeros, a subnormal, values in exponent form, negatives, 1e300; powers of two on either
+    side of 1e-4.  The float32 copy holds 3e38 in place of 1e300, the largest it can; the kernel must get its values
+    widened, as ``tolist()`` gives them."""
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, 1e-310, 2.0, 0.5, 1024.0, 2.0**-20, 1e-7, 3.5e-5, 9.999999999999999e-05,
+               1e15, 2.5e16, -1.5, -0.3, 1e300 if dtype == np.float64 else 3e38]
+    values = np.concatenate([rng.random(4600) * 10.0 ** rng.integers(-4, 15, 4600), special])
+    return rng.permutation(values).reshape(2, 2, -1).astype(dtype)
+
+
 class TestReportJsonLayout:
     @settings(max_examples=300, deadline=None)
     @given(json_docs, st.integers(min_value=0, max_value=3), st.booleans())
@@ -320,7 +332,9 @@ class TestReportJsonLayout:
     @pytest.mark.parametrize("grid", [
         np.array([1.5, -0.0, 1.5]), np.array([7]), np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3, 2)),
         np.array([[[0.25, 0.5], [0.5, 0.25]]]), np.ones((1, 1, 1), dtype=np.int64), np.arange(3).reshape(1, 3),
-    ], ids=["1d", "1d-one", "empty", "empty-inner", "empty-leading", "leading-1", "leading-1-int", "leading-1-2d"])
+        kernel_grid(np.float64), kernel_grid(np.float32),
+    ], ids=["1d", "1d-one", "empty", "empty-inner", "empty-leading", "leading-1", "leading-1-int", "leading-1-2d",
+            "kernel-mixed", "kernel-mixed-float32"])
     def test_edge_shapes_match_encoder(self, grid):
         assert dump_json({"g": grid}, 1) == json.dumps({"g": grid.tolist()}, indent=2).replace("\n", "\n  ")
 
