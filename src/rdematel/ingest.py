@@ -115,8 +115,6 @@ def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
     if errors:
         raise ParseError(errors[0])
     n = len(ids)
-    if n == 0:
-        raise ParseError("header row carries no criterion ids")
     if len(rows) - 1 != n:
         raise ParseError(f"expected {n} data rows for {n} criteria, found {len(rows) - 1}")
     grid = []
@@ -409,7 +407,7 @@ def bundle_chunks(bundle: StudyBundle) -> Iterator[str]:
 
     A bundle that the parser would reject raises InvalidArgumentError, before
     any chunk, with the parser's first error, e.g. the respondent or grid and
-    the cell.  The text is exactly that of ``json.dumps(doc, indent=2,
+    the cell.  The text is exactly that of ``json.dumps(doc,
     ensure_ascii=False) + "\n"`` with each array as its ``tolist()``.
     """
     doc: dict = {
@@ -441,57 +439,40 @@ def bundle_chunks(bundle: StudyBundle) -> Iterator[str]:
     return itertools.chain(json_chunks(doc, ensure_ascii=False), ["\n"])
 
 
-_SCALARS = (str, int, float, type(None))  # the values a row table holds; bool is an int
+def json_chunks(value, ensure_ascii: bool = True) -> Iterator[str]:
+    """Yield ``json.dumps(value, ensure_ascii=...)``, each ndarray as its ``tolist()``, in chunks: each grid one
+    leading-axis row at a time.
 
-
-def json_chunks(value, level: int = 0, ensure_ascii: bool = True) -> Iterator[str]:
-    """Yield ``json.dumps(value, indent=2, ensure_ascii=...)``, opened at indent ``level``, each ndarray as its
-    ``tolist()``, in chunks: each grid one leading-axis row at a time.
-
-    Any ``indent`` sends every value through the stdlib's pure-Python encoder, which
-    for 280k floats (four n x n grids at n = 200) cost ~1 s and a ~60 MB transient.
-    So arrays go through ``_json_grid``, which writes each distinct value's repr
+    Arrays go through ``_json_grid``, which writes each distinct value's repr
     once (a float grid's with a numpy shortest-digit kernel when it has 512 or
     more distinct values, the text still exactly ``float.__repr__``'s); a
-    dict (string keys) is walked key by key; and a row table, a non-empty list of
-    non-empty dicts of JSON scalars (result rows, network edges, ledger entries),
-    is one call of the C encoder with the row layout as its item separator.  No
-    chunk holds more than one row of a grid, one row table or one other value.
+    non-empty dict (string keys) is walked key by key; any other value is one
+    call of the stdlib's C encoder.  No chunk holds more than one row of a
+    grid, one key or one other value.
     """
     if isinstance(value, np.ndarray):
-        yield from _json_grid(value, level)
+        yield from _json_grid(value)
     elif isinstance(value, dict) and value:
-        pad = "\n" + "  " * (level + 1)
-        opening = "{" + pad
+        opening = "{"
         for k, v in value.items():
             yield opening + json.dumps(k, ensure_ascii=ensure_ascii) + ": "
-            yield from json_chunks(v, level + 1, ensure_ascii)
-            opening = "," + pad
-        yield "\n" + "  " * level + "}"
-    elif isinstance(value, list) and value and all(
-        isinstance(row, dict) and row and all(isinstance(v, _SCALARS) for v in row.values()) for row in value
-    ):
-        # the item separator lays out each row's keys; JSON escapes newlines inside
-        # strings and no scalar ends in "}", so each "}," + inner is a row boundary
-        outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-        rows = json.dumps(value, ensure_ascii=ensure_ascii, separators=("," + inner, ": "))[2:-2]  # no "[{", "}]"
-        rows = rows.replace("}," + inner + "{", outer + "}," + outer + "{" + inner)
-        yield "[" + outer + "{" + inner + rows + outer + "}\n" + "  " * level + "]"
+            yield from json_chunks(v, ensure_ascii)
+            opening = ", "
+        yield "}"
     else:
-        # JSON escapes newlines inside strings, so every "\n" in a dumped value is layout
-        yield json.dumps(value, indent=2, ensure_ascii=ensure_ascii).replace("\n", "\n" + "  " * level)
+        yield json.dumps(value, ensure_ascii=ensure_ascii)
 
 
-def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
-    """Yield ``json.dumps(a.tolist(), indent=2)`` for a finite int or float array, opened at indent ``level``.
+def _json_grid(a: np.ndarray) -> Iterator[str]:
+    """Yield ``json.dumps(a.tolist())`` for a finite int or float array.
 
     The text comes one leading-axis row at a time (the first opens the list),
     then the closing bracket.  Each distinct value of the whole grid is repr'd
     once (a float's bit pattern keeps -0.0 apart from 0.0), not once per row: a
     raw panel's rough group repeats its values across rows.  The reprs are kept
     in a fixed-width bytes table, 24 bytes each (a str object costs ~70), and
-    each row is joined as bytes between the pieces of the stdlib's own indent=2
-    text for a row of placeholders, and decoded.
+    each row is joined as bytes between the pieces of the stdlib's own text for
+    a row of placeholders, and decoded.
 
     A float grid with ``_FLOAT_KERNEL_MIN`` or more distinct values has its
     table written by ``_float_reprs``, 4096 values (as float64, what
@@ -504,7 +485,7 @@ def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
     if not np.isfinite(a).all():
         raise InvalidArgumentError("JSON grids must be finite")
     if a.size == 0:  # an empty axis has no reprs to join
-        yield json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+        yield json.dumps(a.tolist())
         return
     bits, where = np.unique(a.ravel().view(f"i{a.itemsize}"), return_inverse=True)
     values, fmt = bits.view(a.dtype), float.__repr__ if a.dtype.kind == "f" else int.__repr__
@@ -513,16 +494,15 @@ def _json_grid(a: np.ndarray, level: int) -> Iterator[str]:
     for start in range(0, values.size, 4096):  # a slice at a time: a listed float costs 32 bytes, the kernel ~160
         chunk = values[start:start + 4096]
         reprs[start:start + 4096] = _float_reprs(chunk.astype(np.float64)) if kernel else list(map(fmt, chunk.tolist()))
-    pad = "\n" + "  " * (level + 1)
-    row = json.dumps(np.full(a.shape[1:], "%").tolist(), indent=2).replace("\n", pad).encode().split(b'"%"')
+    row = json.dumps(np.full(a.shape[1:], "%").tolist()).encode().split(b'"%"')
     text = np.empty(2 * len(row) - 1, dtype=object)
     text[0::2] = row
-    opening = "[" + pad
+    opening = "["
     for elements in where.reshape(len(a), -1):
         text[1::2] = reprs[elements]
         yield opening + b"".join(text.tolist()).decode()
-        opening = "," + pad
-    yield "\n" + "  " * level + "]"
+        opening = ", "
+    yield "]"
 
 
 # The shortest-digit kernel, _float_reprs.  Its fixed cost, ~100 numpy calls, is ~0.2 ms, which float.__repr__

@@ -121,12 +121,12 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
     recompute: the normalized grid ``rough_group / config.tau``, the crisp
     grid ``network.crispify_total(total, config.crispify_mode)``, q (it is
     ``config.threshold_q``) and the nodes (``criteria``).  The text is
-    exactly that of ``json.dumps(doc, indent=2) + "\n"`` with each grid as
-    its ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes one
-    row at a time and reprs every distinct value once (a raw panel's rough
-    group repeats values: a cell's bounds depend only on how many experts
-    chose each judgment), and the results, edges and deviations tables are
-    one C-encoder call each.
+    exactly that of ``json.dumps(doc) + "\n"`` with each grid as its
+    ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes one row
+    at a time and reprs every distinct value once (a raw panel's rough group
+    repeats values: a cell's bounds depend only on how many experts chose
+    each judgment), and the results, edges and deviations tables are one
+    C-encoder call each.
     """
     a = report.analysis
     doc = {

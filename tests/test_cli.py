@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import rdematel
-from rdematel import ingest, report as report_mod
+from rdematel import cli, ingest, report as report_mod
 from rdematel.cli import main
 from rdematel.errors import InvalidArgumentError
 from rdematel.fixtures import _read, load_reference_tables, load_study_bundle
@@ -170,7 +170,7 @@ class TestAnalyze:
     def test_report_json_write_peaks_below_one_and_a_half_reports(self, tmp_path, monkeypatch, bundle_path):
         # the analysis of a synth raw study, handed to analyze in place of the small study's
         bundle = tmp_path / "synth.json"
-        args = ["synth", "--criteria", "100", "--experts", "6", "--seed", "3", "--out", str(bundle)]
+        args = ["synth", "--criteria", "120", "--experts", "6", "--seed", "3", "--out", str(bundle)]
         assert invoke(args).exit_code == 0
         rep = run_analysis(parse_study_bundle(bundle.read_bytes()))
         monkeypatch.setattr(report_mod, "run_analysis", lambda *args: rep)
@@ -296,6 +296,13 @@ class TestGraph:
         assert result.exit_code == 0
         assert "->" not in result.output
 
+    def test_out_writes_the_printed_dot(self, bundle_path, tmp_path):
+        out = tmp_path / "missing" / "network.dot"
+        result = invoke(["graph", bundle_path, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == ""
+        assert out.read_bytes() == invoke(["graph", bundle_path]).output.encode()
+
     @pytest.mark.parametrize("spec", ["mean-sigma:abc", "fixed:abc", "fixed:nan", "mean-sigma:inf"])
     def test_malformed_threshold_value_is_a_usage_error(self, bundle_path, spec):
         result = invoke(["graph", bundle_path, "--threshold", spec])
@@ -355,20 +362,27 @@ class TestSynth:
         assert r1.output != r3.output
 
     def test_bundle_file_is_written_as_it_renders(self, tmp_path):
-        # the whole text is never held: the panel and one grid row at a time peak near the bundle's size, not 3x
+        # the whole text is never held: past the peak that synth's panel and the write-time check set before the
+        # first chunk, one grid row at a time adds next to nothing; the joined text would add 1.5 texts
         out = tmp_path / "synth.json"
-        args = ["synth", "--criteria", "100", "--experts", "10", "--seed", "3"]
+        args = ["synth", "--criteria", "100", "--experts", "30", "--seed", "3"]
         expected = invoke(args).output.encode()  # once untraced, so first-call set-up is not counted
-        tracemalloc.start()
-        try:
-            result = invoke([*args, "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.exit_code == 0, result.output
+
+        def first_chunk_only(path, chunks):
+            next(iter(chunks))
+
+        peaks = []
+        for write in (first_chunk_only, cli._write_file):
+            tracemalloc.start()
+            try:
+                with mock.patch.object(cli, "_write_file", write):
+                    result = invoke([*args, "--out", str(out)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
         assert out.read_bytes() == expected
-        assert out.stat().st_size > 10**6
-        assert peak < 1.5 * out.stat().st_size
+        assert peaks[1] - peaks[0] < out.stat().st_size / 2
 
     def test_bundle_on_stdout_is_written_as_it_renders(self):
         writes = []
@@ -381,15 +395,14 @@ class TestSynth:
                 writes.append(bytes(data))
                 return len(data)
 
-        args = ["synth", "--criteria", "100", "--experts", "10", "--seed", "3"]
+        args = ["synth", "--criteria", "100", "--experts", "30", "--seed", "3"]
         with redirect_stdout(io.TextIOWrapper(io.BufferedWriter(Sink()), encoding="utf-8")):
             main(args)
         assert b"".join(writes) == invoke(args).output.encode()
         assert max(map(len, writes)) < len(b"".join(writes)) / 50  # the criteria table is the longest
 
     def test_output_matches_stdlib_encoder(self):
-        # the bytes json.dumps(indent=2) gives for the same document, as synth wrote it before
-        # the panel was rendered by joining reprs
+        # the bytes the stdlib's encoder gives for the same document
         result = invoke(["synth", "--criteria", "4", "--experts", "3", "--seed", "5"])
         panel = np.random.default_rng(5).integers(0, 4, size=(3, 4, 4), endpoint=True)
         panel[:, range(4), range(4)] = 0
@@ -403,7 +416,7 @@ class TestSynth:
             "matrices": {f"X{k + 1}": panel[k].tolist() for k in range(3)},
         }
         assert result.exit_code == 0
-        assert result.output == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert result.output == json.dumps(doc, ensure_ascii=False) + "\n"
 
 
 # a stage each command calls, and the arguments that reach it
@@ -466,7 +479,7 @@ def run_cli(args, env=None, code="import rdematel.cli; rdematel.cli.main()"):
 @pytest.mark.parametrize(
     "args, read",
     [(["graph", "{bundle}"], 0), (["synth", "--criteria", "200", "--experts", "5"], 5)],
-    ids=["before-writing", "mid-write"],  # synth's 2 MB bundle is far more than a pipe holds
+    ids=["before-writing", "mid-write"],  # synth's 0.6 MB bundle is far more than a pipe holds
 )
 def test_real_closed_stdout_exits_1_with_no_output(bundle_path, args, read):
     args = [a.format(bundle=bundle_path) for a in args]

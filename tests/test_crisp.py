@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rdematel.crisp import COND_LIMIT, solve_total_relation
-from rdematel.errors import InvalidArgumentError, SingularMatrixError
+from rdematel.errors import InvalidArgumentError, ShapeError, SingularMatrixError
 from rdematel.fixtures import _read
 from rdematel.ingest import parse_expert_csv
 from oracles import crisp_dematel, crisp_normalized
@@ -72,6 +72,11 @@ class TestTotalRelation:
         d = crisp_normalized([FIRST_EXPERT])
         t = solve_total_relation(d)
         assert np.abs(t - neumann_series(d)).max() < 1e-9
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ShapeError, match=r"must be square, got shape"):
+            solve_total_relation(np.zeros(shape))
 
     def test_singular_rejected(self):
         # spectral radius exactly 1

@@ -109,6 +109,17 @@ class TestExpertCsv:
         with pytest.raises(ParseError):
             parse_expert_csv(",A,B\nA,0,3\n")
 
+    @pytest.mark.parametrize("text", ["", "\n , \n\n"], ids=["empty", "blank-rows"])
+    def test_empty_file_named(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_expert_csv(text)
+        assert str(exc.value) == "empty CSV file"
+
+    def test_row_with_wrong_cell_count_named(self):
+        with pytest.raises(ParseError) as exc:
+            parse_expert_csv(",A,B\nA,0,3,1\nB,2,0\n")
+        assert str(exc.value) == "row 1: expected 3 cells, found 4"
+
     def test_crlf_normalized(self):
         m = parse_expert_csv(CSV_OK.replace("\n", "\r\n"))
         assert m.tolist() == [[0, 3], [2, 0]]
@@ -211,7 +222,7 @@ class TestBundleParsing:
     def test_write_matches_stdlib_encoder(self, mode):
         b = make_raw_bundle(n=4, m=3) if mode == "raw" else load_study_bundle()
         b.criteria[0] = CriterionMeta(b.criteria[0].id, name="\u00e9t\u00e9 \"q\"\n")
-        assert write_bundle(b) == (json.dumps(bundle_doc(b), indent=2, ensure_ascii=False) + "\n").encode()
+        assert write_bundle(b) == (json.dumps(bundle_doc(b), ensure_ascii=False) + "\n").encode()
 
     def test_write_rejects_panel_respondent_mismatch(self):
         repeated = make_raw_bundle(n=2, m=2)
@@ -439,6 +450,15 @@ class TestBundleParsing:
         doc["rough_group"][i][j][k] = bound
         with pytest.raises(BundleValidationError, match=message):
             parse_study_bundle(json.dumps(doc))
+
+    def test_ragged_rough_group_rejected(self):
+        doc = json.loads(write_bundle(load_study_bundle()))
+        doc["rough_group"][1].pop()
+        with pytest.raises(ValueError) as numpy_error:
+            np.asarray(doc["rough_group"])
+        with pytest.raises(BundleValidationError) as exc:
+            parse_study_bundle(json.dumps(doc))
+        assert exc.value.errors == [f"rough_group: {numpy_error.value}"]
 
     def test_negative_scale_minimum_rejected(self):
         doc = json.loads(write_bundle(make_raw_bundle()))

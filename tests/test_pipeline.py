@@ -300,6 +300,10 @@ class TestScoresToResults:
         with pytest.raises(DegenerateInputError):
             weights(np.zeros(3), np.zeros(3))
 
+    def test_no_criteria_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="need at least one criterion"):
+            weights([], [])
+
     def test_tied_omegas_rank_by_input_order(self):
         omega, w, ranks = weights(np.array([3.0, 3.0, 5.0]), np.zeros(3))
         assert list(ranks) == [2, 3, 1]

@@ -126,6 +126,10 @@ class TestResultTables:
         normalized = np.asarray(doc["rough_group"]) / doc["config"]["tau"]
         assert np.array_equal(normalized, rep.analysis.group_matrix / rep.analysis.tau)
 
+    def test_unknown_threshold_mode_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="unknown threshold mode 'x'"):
+            run_analysis(load_study_bundle(), AnalysisConfig(threshold_mode="x"))
+
     def test_config_echo_is_complete(self, fixture_report):
         echo = fixture_report.config
         assert list(echo) == ["tau_strategy", "tau", "crispify_mode", "threshold_mode", "threshold_value", "threshold_q"]
@@ -222,6 +226,12 @@ class TestDeviationLedger:
             assert e.difference >= 0
             assert (e.status == PASS) == (e.difference <= e.tolerance)
 
+    def test_reordered_criteria_rejected(self, fixture_report):
+        reference = load_reference_tables()
+        reference["criteria"] = reference["criteria"][::-1]
+        with pytest.raises(InvalidArgumentError, match="disagree on criterion order"):
+            deviation_ledger(fixture_report.analysis, reference)
+
     def test_deviation_csv_renders(self, fixture_report):
         entries = deviation_ledger(fixture_report.analysis, load_reference_tables())
         data = render_deviations_csv(entries)
@@ -231,7 +241,7 @@ class TestDeviationLedger:
 
 
 def oracle_report_json(report):
-    """The whole schema-3 report through the stdlib's indent=2 encoder, grids built with .tolist()."""
+    """The whole schema-3 report through the stdlib's encoder, grids built with .tolist()."""
     a = report.analysis
     doc = {
         "schema": 3,
@@ -261,12 +271,12 @@ def oracle_report_json(report):
         },
         "deviations": [dataclasses.asdict(d) for d in report.deviations],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return (json.dumps(doc) + "\n").encode("utf-8")
 
 
-def dump_json(value, level=0, ensure_ascii=True):
+def dump_json(value, ensure_ascii=True):
     """The text ``json_chunks`` yields, joined."""
-    return "".join(json_chunks(value, level, ensure_ascii))
+    return "".join(json_chunks(value, ensure_ascii))
 
 
 def tolisted(value):
@@ -289,11 +299,11 @@ array_shapes = hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4)
 few_valued_grids = grid_floats.flatmap(
     lambda v: hnp.arrays(np.float64, array_shapes, elements=st.sampled_from([0.0, -0.0, v]))
 )
-# text that looks like the row layout: braces, quotes, newlines, non-ASCII
+# text that looks like JSON layout: braces, quotes, newlines, non-ASCII
 row_text = st.text(st.sampled_from('{}",: \n\u00e9\u4e2d') | st.characters(), max_size=4)
 row_values = (
     st.none() | st.booleans() | st.integers() | st.sampled_from([2**70, -(2**64)]) | st.floats() | row_text
-    | st.lists(st.integers(), max_size=2)  # not a scalar: the list is not a row table
+    | st.lists(st.integers(), max_size=2)
 )
 row_tables = st.lists(st.dictionaries(row_text, row_values, max_size=3), min_size=1, max_size=3)
 json_docs = st.recursive(
@@ -322,12 +332,11 @@ def kernel_grid(dtype):
 
 class TestReportJsonLayout:
     @settings(max_examples=300, deadline=None)
-    @given(json_docs, st.integers(min_value=0, max_value=3), st.booleans())
-    def test_grid_matches_encoder(self, doc, level, ensure_ascii):
-        """Grids (few-valued ones too), row tables, nested dicts (empty ones too) and non-ASCII keys, at any level,
-        under both ``ensure_ascii``."""
-        expected = json.dumps(tolisted(doc), indent=2, ensure_ascii=ensure_ascii).replace("\n", "\n" + "  " * level)
-        assert dump_json(doc, level, ensure_ascii) == expected
+    @given(json_docs, st.booleans())
+    def test_grid_matches_encoder(self, doc, ensure_ascii):
+        """Grids (few-valued ones too), lists of dicts, nested dicts (empty ones too) and non-ASCII keys, under both
+        ``ensure_ascii``."""
+        assert dump_json(doc, ensure_ascii) == json.dumps(tolisted(doc), ensure_ascii=ensure_ascii)
 
     @pytest.mark.parametrize("grid", [
         np.array([1.5, -0.0, 1.5]), np.array([7]), np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3, 2)),
@@ -336,23 +345,22 @@ class TestReportJsonLayout:
     ], ids=["1d", "1d-one", "empty", "empty-inner", "empty-leading", "leading-1", "leading-1-int", "leading-1-2d",
             "kernel-mixed", "kernel-mixed-float32"])
     def test_edge_shapes_match_encoder(self, grid):
-        assert dump_json({"g": grid}, 1) == json.dumps({"g": grid.tolist()}, indent=2).replace("\n", "\n  ")
+        assert dump_json({"g": grid}) == json.dumps({"g": grid.tolist()})
 
     def test_grid_comes_one_row_at_a_time(self):
         grid = np.arange(24.0).reshape(4, 3, 2)
         chunks = list(json_chunks(grid))
         assert len(chunks) == 1 + len(grid)  # each row (the first opens the list), then the closing bracket
-        assert "".join(chunks) == json.dumps(grid.tolist(), indent=2)
+        assert "".join(chunks) == json.dumps(grid.tolist())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_rejects_non_finite(self, bad):
         with pytest.raises(InvalidArgumentError):
-            dump_json({"tstar": np.array([[0.0, bad], [1.0, 0.0]])}, 1)
+            dump_json({"tstar": np.array([[0.0, bad], [1.0, 0.0]])})
 
-    def test_all_distinct_grid_peaks_below_one_and_three_quarter_texts(self):
+    def test_all_distinct_grid_peaks_below_56_bytes_a_value(self):
         # the distinct reprs sit in a fixed-width bytes table, ~24 bytes each, not ~70 as str objects
         grid = np.random.default_rng(0).random((200, 200, 2))
-        size = len(dump_json(grid))
         tracemalloc.start()
         try:
             for _ in json_chunks(grid):
@@ -360,7 +368,7 @@ class TestReportJsonLayout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * size
+        assert peak < 56 * grid.size
 
     def test_bundled_study_with_ledger_matches_encoder(self, fixture_report):
         rep = dataclasses.replace(
