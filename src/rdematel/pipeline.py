@@ -153,7 +153,7 @@ def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[n
             f"normalization: tau ({strategy}) is {tau}; the rough group's row sums must be finite"
         )
     if tau == 0.0:
-        raise DegenerateInputError("all-zero rough matrix cannot be normalized")
+        raise DegenerateInputError("normalization: all-zero rough matrix cannot be normalized")
     return g / tau, tau
 
 

@@ -144,17 +144,20 @@ class TestAnalyze:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
-        # at n = 200 an LU solve of the closure sums in another order on two threads
-        bundle = tmp_path / "synth.json"
-        proc = run_cli(["synth", "--criteria", "200", "--experts", "21", "--seed", "5", "--out", str(bundle)])
-        assert proc.returncode == 0, proc.stderr
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            proc = run_cli(["analyze", str(bundle), "--out", str(out)], env={"OPENBLAS_NUM_THREADS": threads})
+        # at n = 200 BLAS may split the closure's matrix products across threads; seed 5's bounds stay below the cheap
+        # bound, while under max-upper-sum seed 1's upper bound has s >= 1 and is summed on the guarded path
+        for seed, tau in (("5", "max-total-sum"), ("1", "max-upper-sum")):
+            bundle = tmp_path / f"synth{seed}.json"
+            proc = run_cli(["synth", "--criteria", "200", "--experts", "21", "--seed", seed, "--out", str(bundle)])
             assert proc.returncode == 0, proc.stderr
-            outs.append([(out / name).read_bytes() for name in ("results.csv", "report.json", "network.dot")])
-        assert outs[0] == outs[1]
+            outs = []
+            for threads in ("1", "2"):
+                out = tmp_path / seed / threads
+                args = ["analyze", str(bundle), "--tau", tau, "--out", str(out)]
+                proc = run_cli(args, env={"OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+                outs.append([(out / name).read_bytes() for name in ("results.csv", "report.json", "network.dot")])
+            assert outs[0] == outs[1], tau
 
     @pytest.mark.parametrize("crispify", CRISPIFY_MODES)
     def test_report_json_is_the_rendered_report(self, tmp_path, crispify):
@@ -250,6 +253,19 @@ class TestAnalyze:
         assert result.output == (
             "analysis error: normalization: tau (max-total-sum) is inf; the rough group's row sums must be finite\n"
         )
+
+    def test_all_zero_rough_group_exits_2_naming_normalization(self, tmp_path):
+        doc = {
+            "criteria": [{"id": c} for c in "ABC"],
+            "respondents": [],
+            "rough_group": [[[0, 0]] * 3 for _ in range(3)],
+        }
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps(doc))
+        result = invoke(["analyze", str(p), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.output == "analysis error: normalization: all-zero rough matrix cannot be normalized\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("k, q", [("1e308", "inf"), ("-1e308", "-inf")])
     def test_non_finite_q_exits_2(self, tmp_path, k, q):

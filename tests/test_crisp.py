@@ -6,8 +6,9 @@ from hypothesis.extra import numpy as hnp
 
 from rdematel.crisp import COND_LIMIT, solve_total_relation
 from rdematel.errors import InvalidArgumentError, ShapeError, SingularMatrixError
-from rdematel.fixtures import _read
+from rdematel.fixtures import _read, load_study_bundle
 from rdematel.ingest import parse_expert_csv
+from rdematel.pipeline import TAU_MAX_UPPER_SUM, normalize_rough
 from oracles import crisp_dematel, crisp_normalized
 
 RNG = np.random.default_rng(20240817)
@@ -113,10 +114,22 @@ class TestTotalRelation:
             assert cond > COND_LIMIT  # below unit radius, only ill-conditioning is rejected
             return
         oracle = neumann_series(d)
-        # forward error of the solve grows with cond(I - D); T >= 0 holds up to that rounding
+        # forward error of the closure grows with cond(I - D); T >= 0 holds up to that rounding
         tol = 1e-11 * cond * max(1.0, oracle.max())
         assert np.abs(t - oracle).max() <= tol
         assert t.min() >= -tol
+
+    def test_matches_lu_oracle_past_the_cheap_bound(self):
+        # under max-upper-sum the bundled study's upper bound has s >= 1, so its closure takes the guarded path;
+        # an LU solve of (I - D)^T T^T = D^T is the oracle
+        rn, _ = normalize_rough(load_study_bundle().rough_group, TAU_MAX_UPPER_SUM)
+        upper = rn[..., 1]
+        assert min(upper.sum(axis=1).max(), upper.sum(axis=0).max()) >= 1.0
+        for d in (rn[..., 0], upper):
+            a = np.eye(d.shape[0]) - d
+            oracle = np.linalg.solve(a.T, d.T).T
+            tol = 1e-11 * np.linalg.cond(a) * max(1.0, oracle.max())
+            assert np.abs(solve_total_relation(d) - oracle).max() <= tol
 
     @pytest.mark.parametrize("s", [1e-300, 0.5, 0.9, 0.999, 1 - 1e-7])
     def test_doubling_product_sums_the_whole_series(self, s):
