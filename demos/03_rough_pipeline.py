@@ -31,8 +31,9 @@ for r in report.results:
         print(f"  {r.criterion_id}: {names[r.criterion_id]}")
 
 print(f"\ninfluence network at threshold q = {report.network.threshold:.4f}:")
-for e in report.network.edges:
-    print(f"  {e.source} -> {e.target}  (strength {e.strength:.4f})")
+net = report.network
+for i, j, strength in zip(net.source, net.target, net.strength):
+    print(f"  {net.nodes[i]} -> {net.nodes[j]}  (strength {strength:.4f})")
 
 print("\nDOT rendering (feed to graphviz):")
 print(render_graph_dot(report.network).decode())

@@ -446,12 +446,15 @@ def json_chunks(value, ensure_ascii: bool = True) -> Iterator[str]:
     Arrays go through ``_json_grid``, which writes each distinct value's repr
     once (a float grid's with a numpy shortest-digit kernel when it has 512 or
     more distinct values, the text still exactly ``float.__repr__``'s); a
-    non-empty dict (string keys) is walked key by key; any other value is one
-    call of the stdlib's C encoder.  No chunk holds more than one row of a
-    grid, one key or one other value.
+    non-empty dict (string keys) is walked key by key; an iterator is text its
+    caller encodes as it is written, and its chunks are passed on; any other
+    value is one call of the stdlib's C encoder.  No chunk holds more than one
+    row of a grid, one key or one other value.
     """
     if isinstance(value, np.ndarray):
         yield from _json_grid(value)
+    elif isinstance(value, Iterator):
+        yield from value
     elif isinstance(value, dict) and value:
         opening = "{"
         for k, v in value.items():
@@ -472,28 +475,13 @@ def _json_grid(a: np.ndarray) -> Iterator[str]:
     raw panel's rough group repeats its values across rows.  The reprs are kept
     in a fixed-width bytes table, 24 bytes each (a str object costs ~70), and
     each row is joined as bytes between the pieces of the stdlib's own text for
-    a row of placeholders, and decoded.
-
-    A float grid with ``_FLOAT_KERNEL_MIN`` or more distinct values has its
-    table written by ``_float_reprs``, 4096 values (as float64, what
-    ``tolist()`` gives) at a time: a numpy kernel writes the reprs of values in
-    [1e-4, 1e15), and ``float.__repr__`` the rest (zeros, negatives, values
-    written in exponent form, values from 1e15 on, exact rounding ties); a
-    smaller table, and an int grid's, is repr'd value by value.  Both give
-    ``json.dumps``'s bytes.
+    a row of placeholders, and decoded.  ``json_reprs`` writes the table.
     """
-    if not np.isfinite(a).all():
-        raise InvalidArgumentError("JSON grids must be finite")
     if a.size == 0:  # an empty axis has no reprs to join
         yield json.dumps(a.tolist())
         return
     bits, where = np.unique(a.ravel().view(f"i{a.itemsize}"), return_inverse=True)
-    values, fmt = bits.view(a.dtype), float.__repr__ if a.dtype.kind == "f" else int.__repr__
-    kernel = fmt is float.__repr__ and values.size >= _FLOAT_KERNEL_MIN
-    reprs = np.empty(values.size, dtype="S24")  # a float repr is at most 24 characters, an int one 20
-    for start in range(0, values.size, 4096):  # a slice at a time: a listed float costs 32 bytes, the kernel ~160
-        chunk = values[start:start + 4096]
-        reprs[start:start + 4096] = _float_reprs(chunk.astype(np.float64)) if kernel else list(map(fmt, chunk.tolist()))
+    reprs = json_reprs(bits.view(a.dtype))
     row = json.dumps(np.full(a.shape[1:], "%").tolist()).encode().split(b'"%"')
     text = np.empty(2 * len(row) - 1, dtype=object)
     text[0::2] = row
@@ -503,6 +491,20 @@ def _json_grid(a: np.ndarray) -> Iterator[str]:
         yield opening + b"".join(text.tolist()).decode()
         opening = ", "
     yield "]"
+
+
+def json_reprs(values: np.ndarray) -> np.ndarray:
+    """``json.dumps``'s text of each value of a finite 1-d int or float array, as an ``S24`` array: ``_float_reprs``
+    writes ``_FLOAT_KERNEL_MIN`` or more floats (as float64, what ``tolist()`` gives), ``repr`` fewer, and ints."""
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError("JSON numbers must be finite")
+    fmt = float.__repr__ if values.dtype.kind == "f" else int.__repr__
+    kernel = fmt is float.__repr__ and values.size >= _FLOAT_KERNEL_MIN
+    reprs = np.empty(values.size, dtype="S24")  # a float repr is at most 24 characters, an int one 20
+    for start in range(0, values.size, 4096):  # a slice at a time: a listed float costs 32 bytes, the kernel ~160
+        chunk = values[start:start + 4096]
+        reprs[start:start + 4096] = _float_reprs(chunk.astype(np.float64)) if kernel else list(map(fmt, chunk.tolist()))
+    return reprs
 
 
 # The shortest-digit kernel, _float_reprs.  Its fixed cost, ~100 numpy calls, is ~0.2 ms, which float.__repr__

@@ -24,17 +24,14 @@ THRESHOLD_MEAN_SIGMA = "mean-sigma"
 THRESHOLD_FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class Edge:
-    source: str
-    target: str
-    strength: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on array fields would be ambiguous; compare the fields with np.array_equal
 class InfluenceNetwork:
+    """Edge k runs from ``nodes[source[k]]`` to ``nodes[target[k]]`` with ``strength[k]``."""
+
     nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    source: np.ndarray  # intp
+    target: np.ndarray  # intp
+    strength: np.ndarray  # float64
     threshold: float
 
 
@@ -86,9 +83,5 @@ def extract_network(tstar: np.ndarray, q: float, criteria: Sequence[str]) -> Inf
     tstar = np.asarray(tstar, dtype=float)
     keep = tstar >= q
     np.fill_diagonal(keep, False)
-    rows, cols = np.nonzero(keep)
-    edges = tuple(
-        Edge(criteria[i], criteria[j], s)
-        for i, j, s in zip(rows.tolist(), cols.tolist(), tstar[rows, cols].tolist())
-    )
-    return InfluenceNetwork(tuple(criteria), edges, float(q))
+    source, target = np.nonzero(keep)
+    return InfluenceNetwork(tuple(criteria), source, target, tstar[source, target], float(q))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -18,8 +19,7 @@ import numpy as np
 from . import network as net_mod
 from . import pipeline
 from .errors import InvalidArgumentError
-from .ingest import StudyBundle, json_chunks
-from .network import InfluenceNetwork
+from .ingest import StudyBundle, json_chunks, json_reprs
 from .pipeline import AnalysisResult, RoughAnalysis
 
 PASS = "pass"
@@ -46,7 +46,7 @@ class AnalysisReport:
     config: dict
     results: list[AnalysisResult]
     analysis: RoughAnalysis
-    network: InfluenceNetwork
+    network: net_mod.InfluenceNetwork
     deviations: list["DeviationEntry"] = field(default_factory=list)
 
 
@@ -117,16 +117,14 @@ def render_report_json(report: AnalysisReport) -> bytes:
 def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
     """Yield the text of ``report.json`` in chunks, for a caller that writes it as it renders.
 
-    Schema 3 writes each value once and leaves out what a reader can
-    recompute: the normalized grid ``rough_group / config.tau``, the crisp
-    grid ``network.crispify_total(total, config.crispify_mode)``, q (it is
-    ``config.threshold_q``) and the nodes (``criteria``).  The text is
-    exactly that of ``json.dumps(doc) + "\n"`` with each grid as its
-    ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes one row
-    at a time and reprs every distinct value once (a raw panel's rough group
-    repeats values: a cell's bounds depend only on how many experts chose
-    each judgment), and the results, edges and deviations tables are one
-    C-encoder call each.
+    Schema 3 writes each value once and leaves out what a reader can recompute: the normalized grid
+    ``rough_group / config.tau``, the crisp grid ``network.crispify_total(total, config.crispify_mode)``, q (it is
+    ``config.threshold_q``) and the nodes (``criteria``).  The text is exactly that of ``json.dumps(doc) + "\n"``
+    with each grid as its ``tolist()`` and each edge as ``{"source": id, "target": id, "strength": float}``.
+    ``ingest.json_chunks`` writes it: each grid comes one row at a time and reprs every distinct value once (a raw
+    panel's rough group repeats values: a cell's bounds depend only on how many experts chose each judgment), the
+    edges are joined from the network's arrays (each id encoded once, the strengths' reprs by
+    ``ingest.json_reprs``), and the results and deviations tables are one C-encoder call each.
     """
     a = report.analysis
     doc = {
@@ -136,7 +134,7 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
         "results": [dict(zip(_RESULT_COLUMNS, vars(r).values())) for r in report.results],
         "rough_group": a.group_matrix,
         "total": a.total,
-        "network": {"edges": [vars(e) for e in report.network.edges]},
+        "network": {"edges": _json_edges(report.network)},  # a generator: its text is built when written
         # vars() lists a dataclass's fields in declaration order; dataclasses.asdict
         # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
         "deviations": [vars(d) for d in report.deviations],
@@ -145,21 +143,27 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
     yield "\n"
 
 
-def render_graph_dot(network: InfluenceNetwork) -> bytes:
-    """Plain-text directed graph (DOT); nodes and edges in sorted order."""
-    quoted = {node: _dot_id(node) for node in network.nodes}  # each id quoted once, not twice per edge
+def _json_edges(network: net_mod.InfluenceNetwork) -> Iterator[str]:
+    """Yield ``json.dumps`` of the edge table, one ``{"source", "target", "strength"}`` object an edge."""
+    ids = [json.dumps(node) for node in network.nodes]
+    edges = zip(network.source.tolist(), network.target.tolist(), json_reprs(network.strength).tolist())
+    yield "[" + ", ".join([f'{{"source": {ids[i]}, "target": {ids[j]}, "strength": {s.decode()}}}'
+                           for i, j, s in edges]) + "]"
+
+
+def render_graph_dot(network: net_mod.InfluenceNetwork) -> bytes:
+    """Plain-text directed graph (DOT); nodes in sorted id order, edges in sorted (source id, target id) order."""
+    # each id quoted once, not twice per edge, as a DOT quoted string: backslashes and double quotes escaped
+    quoted = ['"' + node.replace("\\", "\\\\").replace('"', '\\"') + '"' for node in network.nodes]
+    order = sorted(range(len(quoted)), key=network.nodes.__getitem__)
+    rank = np.argsort(order)  # each id's place in sorted order; ids are unique, so rank order is id order
+    edges = np.lexsort((rank[network.target], rank[network.source]))
     lines = ["digraph influence {"]
-    lines += [f"  {quoted[node]};" for node in sorted(network.nodes)]
-    for e in sorted(network.edges, key=lambda e: (e.source, e.target)):
-        source, target = quoted.get(e.source) or _dot_id(e.source), quoted.get(e.target) or _dot_id(e.target)
-        lines.append(f"  {source} -> {target} [weight={e.strength:.6f}];")
+    lines += [f"  {quoted[i]};" for i in order]
+    lines += [f"  {quoted[i]} -> {quoted[j]} [weight={w:.6f}];" for i, j, w in
+              zip(network.source[edges].tolist(), network.target[edges].tolist(), network.strength[edges].tolist())]
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _dot_id(s: str) -> str:
-    """A DOT quoted-string id; backslashes and double quotes are escaped."""
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def render_deviations_csv(entries: Sequence[DeviationEntry]) -> bytes:

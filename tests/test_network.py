@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from rdematel.errors import InvalidArgumentError
-from rdematel.network import Edge, InfluenceNetwork, crispify_total, extract_network, threshold
+from rdematel.network import InfluenceNetwork, crispify_total, extract_network, threshold
 
 RNG = np.random.default_rng(99)
 
 
 def loop_network(tstar, q, criteria):
     """The cell-by-cell form of extract_network, kept as its reference."""
-    edges = []
-    for i in range(tstar.shape[0]):
-        for j in range(tstar.shape[0]):
-            if i != j and tstar[i, j] >= q:
-                edges.append(Edge(criteria[i], criteria[j], float(tstar[i, j])))
-    return InfluenceNetwork(tuple(criteria), tuple(edges), float(q))
+    edges = [(i, j, tstar[i, j]) for i in range(len(tstar)) for j in range(len(tstar)) if i != j and tstar[i, j] >= q]
+    source, target, strength = (np.array([e[k] for e in edges], dtype=dtype)
+                                for k, dtype in enumerate((np.intp, np.intp, np.float64)))
+    return InfluenceNetwork(tuple(criteria), source, target, strength, float(q))
+
+
+def edge_set(net):
+    return set(zip(net.source.tolist(), net.target.tolist()))
 
 
 def rough(lower, upper):
@@ -93,19 +95,19 @@ class TestExtractNetwork:
     def test_above_max_gives_isolated_nodes(self):
         t = RNG.random((4, 4))
         net = extract_network(t, t.max() + 1, ["a", "b", "c", "d"])
-        assert net.edges == ()
+        assert net.source.size == net.target.size == net.strength.size == 0
         assert net.nodes == ("a", "b", "c", "d")
 
     def test_zero_threshold_gives_complete_digraph(self):
         t = RNG.random((4, 4)) + 0.01
         net = extract_network(t, 0.0, list("abcd"))
-        assert len(net.edges) == 12  # n(n-1), no self-loops
+        assert len(net.strength) == 12  # n(n-1), no self-loops
+        assert edge_set(net) == {(i, j) for i in range(4) for j in range(4) if i != j}
 
     def test_monotone_in_threshold(self):
         t = RNG.random((6, 6))
         ids = [f"C{i}" for i in range(6)]
-        lo = {(e.source, e.target) for e in extract_network(t, 0.3, ids).edges}
-        hi = {(e.source, e.target) for e in extract_network(t, 0.6, ids).edges}
+        lo, hi = edge_set(extract_network(t, 0.3, ids)), edge_set(extract_network(t, 0.6, ids))
         assert hi <= lo
 
     def test_node_count_independent_of_threshold(self):
@@ -116,7 +118,7 @@ class TestExtractNetwork:
 
     def test_self_loop_flag(self):
         t = np.array([[5.0, 0.0], [0.0, 5.0]])
-        assert extract_network(t, 1.0, ["a", "b"]).edges == ()
+        assert extract_network(t, 1.0, ["a", "b"]).strength.size == 0
 
     def test_matches_loop_form(self):
         rng = np.random.default_rng(5)
@@ -125,4 +127,8 @@ class TestExtractNetwork:
             t[rng.random((n, n)) < 0.2] = 0.5  # cells exactly at a threshold
             ids = [f"C{i}" for i in range(n)]
             for q in (0.0, 0.5, float(np.median(t)), 2.0):
-                assert extract_network(t, q, ids) == loop_network(t, q, ids)
+                got, want = extract_network(t, q, ids), loop_network(t, q, ids)
+                assert (got.nodes, got.threshold) == (want.nodes, want.threshold)
+                for field in ("source", "target", "strength"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), field

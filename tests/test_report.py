@@ -14,11 +14,17 @@ from hypothesis.extra import numpy as hnp
 
 from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
-from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, json_chunks, parse_study_bundle
+from rdematel.ingest import (
+    _FLOAT_KERNEL_MIN,
+    CriterionMeta,
+    RespondentMeta,
+    StudyBundle,
+    json_chunks,
+    parse_study_bundle,
+)
 from rdematel.network import (
     CRISPIFY_GLOBAL,
     CRISPIFY_MODES,
-    Edge,
     InfluenceNetwork,
     crispify_total,
     extract_network,
@@ -55,6 +61,29 @@ def synth_raw_bundle():
     panel[:, range(n), range(n)] = 0
     return StudyBundle([CriterionMeta(f"C{i + 1}") for i in range(n)],
                        [RespondentMeta(f"X{k + 1}") for k in range(m)], panel=panel)
+
+
+def edge_dicts(net):
+    """The network's edges as ``{"source": id, "target": id, "strength": float}`` objects, one at a time."""
+    return [{"source": net.nodes[i], "target": net.nodes[j], "strength": s}
+            for i, j, s in zip(net.source.tolist(), net.target.tolist(), net.strength.tolist())]
+
+
+def network(nodes, edges, q=0.5):
+    """An InfluenceNetwork on ``nodes`` from ``(source id, target id, strength)`` triples."""
+    source, target = (np.array([nodes.index(e[k]) for e in edges], dtype=np.intp) for k in (0, 1))
+    return InfluenceNetwork(tuple(nodes), source, target, np.array([e[2] for e in edges], dtype=float), q)
+
+
+def oracle_graph_dot(net):
+    """``render_graph_dot``'s reference: one object an edge, sorted by (source id, target id)."""
+    def quote(s):
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    edges = sorted(edge_dicts(net), key=lambda e: (e["source"], e["target"]))
+    lines = ["digraph influence {"] + [f"  {quote(node)};" for node in sorted(net.nodes)]
+    lines += [f"  {quote(e['source'])} -> {quote(e['target'])} [weight={e['strength']:.6f}];" for e in edges]
+    return ("\n".join(lines) + "\n}\n").encode("utf-8")
 
 
 class TestResultTables:
@@ -106,7 +135,7 @@ class TestResultTables:
         tstar = crispify_total(np.array(doc["total"]), config["crispify_mode"])
         q = threshold(tstar, config["threshold_mode"], config["threshold_value"])
         assert q == config["threshold_q"]
-        edges = [vars(e) for e in extract_network(tstar, q, doc["criteria"]).edges]
+        edges = edge_dicts(extract_network(tstar, q, doc["criteria"]))
         assert edges and edges == doc["network"]["edges"]
 
     def test_readme_names_the_report_json_keys(self, fixture_report):
@@ -144,35 +173,43 @@ class TestResultTables:
 
 class TestGraphDot:
     def test_nodes_only(self):
-        dot = render_graph_dot(InfluenceNetwork(("b", "a"), (), 1.0)).decode()
+        dot = render_graph_dot(network(["b", "a"], [], 1.0)).decode()
         assert '"a";' in dot and '"b";' in dot
         assert "->" not in dot
 
     def test_single_edge_attribute(self):
-        net = InfluenceNetwork(("a", "b"), (Edge("a", "b", 1.0),), 0.5)
+        net = network(["a", "b"], [("a", "b", 1.0)])
         dot = render_graph_dot(net).decode()
         assert dot.count("->") == 1
         assert '"a" -> "b" [weight=1.000000];' in dot
 
     def test_quotes_and_backslashes_escaped(self):
-        net = InfluenceNetwork(('A"x', "b\\c"), (Edge('A"x', "b\\c", 1.0),), 0.5)
+        net = network(['A"x', "b\\c"], [('A"x', "b\\c", 1.0)])
         dot = render_graph_dot(net).decode()
         assert '  "A\\"x";' in dot and '  "b\\\\c";' in dot
         assert '"A\\"x" -> "b\\\\c" [weight=1.000000];' in dot
 
-    def test_edge_id_outside_nodes_is_quoted(self):
-        net = InfluenceNetwork(("a",), (Edge('x"y', "a", 1.0), Edge("a", "b\\c", 0.5)), 0.5)
-        dot = render_graph_dot(net).decode()
-        assert '  "x\\"y" -> "a" [weight=1.000000];' in dot and '  "a" -> "b\\\\c" [weight=0.500000];' in dot
-
     def test_sorted_deterministic_order(self):
-        e = [Edge("b", "a", 0.2), Edge("a", "b", 0.4)]
-        d1 = render_graph_dot(InfluenceNetwork(("b", "a"), tuple(e), 0.1))
-        d2 = render_graph_dot(InfluenceNetwork(("a", "b"), tuple(reversed(e)), 0.1))
+        e = [("b", "a", 0.2), ("a", "b", 0.4)]
+        d1 = render_graph_dot(network(["b", "a"], e, 0.1))
+        d2 = render_graph_dot(network(["a", "b"], e[::-1], 0.1))
         assert d1 == d2
 
+    @pytest.mark.parametrize("ids", [
+        ["C2", "C10", "C1", "C20"],
+        ["\u00e9t\u00e9", "zed", "\u4e2d", "Z", "a\u0301"],
+        ['q"b', "q\\a", 'q"a', "q\\\\", '"', "\\"],
+    ], ids=["numbered", "non-ascii", "quotes-backslashes"])
+    def test_matches_object_oracle(self, ids):
+        # the ids' sorted order is not their input order, so edges are re-sorted by id, not by index
+        assert sorted(ids) != ids
+        t = np.random.default_rng(len(ids)).random((len(ids), len(ids)))
+        for q in (0.0, float(np.median(t)), 2.0):
+            net = extract_network(t, q, ids)
+            assert render_graph_dot(net) == oracle_graph_dot(net)
+
     def test_fixture_network_has_no_outgoing_e1_e2_edges(self, fixture_report):
-        sources = {e.source for e in fixture_report.network.edges}
+        sources = {e["source"] for e in edge_dicts(fixture_report.network)}
         assert "E1" not in sources and "E2" not in sources
 
 
@@ -263,12 +300,7 @@ def oracle_report_json(report):
         ],
         "rough_group": a.group_matrix.tolist(),
         "total": a.total.tolist(),
-        "network": {
-            "edges": [
-                {"source": e.source, "target": e.target, "strength": e.strength}
-                for e in report.network.edges
-            ],
-        },
+        "network": {"edges": edge_dicts(report.network)},
         "deviations": [dataclasses.asdict(d) for d in report.deviations],
     }
     return (json.dumps(doc) + "\n").encode("utf-8")
@@ -377,10 +409,17 @@ class TestReportJsonLayout:
         assert render_report_json(rep) == oracle_report_json(rep)
 
     def test_synth_raw_panel_matches_encoder(self):
-        # a raw panel's rough group repeats its values; hundreds of edges make a long row table
+        # a raw panel's rough group repeats its values; hundreds of edges make a long row table, too short for the
+        # repr kernel, so each strength takes float.__repr__
         rep = run_analysis(synth_raw_bundle(), AnalysisConfig(crispify_mode=CRISPIFY_GLOBAL))
-        assert len(rep.network.edges) >= 200
+        assert 200 <= len(rep.network.strength) < _FLOAT_KERNEL_MIN
         assert len(np.unique(rep.analysis.group_matrix)) < rep.analysis.group_matrix.size / 4
+        assert render_report_json(rep) == oracle_report_json(rep)
+
+    def test_synth_raw_panel_kernel_strengths_match_encoder(self):
+        # q at the mean keeps about half the off-diagonal cells: enough edges that the repr kernel writes the strengths
+        rep = run_analysis(synth_raw_bundle(), AnalysisConfig(crispify_mode=CRISPIFY_GLOBAL, threshold_value=0.0))
+        assert len(rep.network.strength) >= _FLOAT_KERNEL_MIN
         assert render_report_json(rep) == oracle_report_json(rep)
 
     def test_escaped_ids_match_encoder(self):
@@ -393,7 +432,7 @@ class TestReportJsonLayout:
             "matrices": {f"r{k}": g.tolist() for k, g in enumerate(grids)},
         }
         rep = run_analysis(parse_study_bundle(json.dumps(doc)), AnalysisConfig(threshold_value=0.0))
-        assert rep.network.edges
+        assert rep.network.strength.size
         assert render_report_json(rep) == oracle_report_json(rep)
 
 
@@ -468,3 +507,4 @@ def test_bundle_to_artifacts_renders_or_raises_named_error(doc, tau, crispify, k
     assert len(rows) == bundle.n + 1
     assert [r[0] for r in rows[1:]] == bundle.criterion_ids
     assert dot.startswith(b"digraph influence {\n") and dot.endswith(b"}\n")
+    assert dot == oracle_graph_dot(rep.network)
