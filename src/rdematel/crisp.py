@@ -1,7 +1,4 @@
-"""The total-relation closure T = D (I - D)^-1 with its numerical guard.
-
-The rough pipeline applies it to the lower and the upper bound matrix on their own.
-"""
+"""The total-relation closure T = D (I - D)^-1 with its numerical guard, applied to each rough bound matrix."""
 
 from __future__ import annotations
 
@@ -9,9 +6,11 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ShapeError, SingularMatrixError
 
-# Largest cond(I - D) for which the closure is trusted: beyond it the series
-# can lose more than half of float64's ~16 significant digits.
+# Largest cond(I - D) for which the closure is trusted: beyond it the series can lose over half of float64's digits.
 COND_LIMIT = 1e8
+# Most doubling rounds: a zero-diagonal D >= 0 has cond(I - D) >= 1 / (1 - rho), so one within COND_LIMIT needs
+# about 32, and any s < 1 at most 58.  A D with diagonal entries near 1 may be well conditioned yet need more.
+MAX_ROUNDS = 64
 
 
 def solve_total_relation(d: np.ndarray) -> np.ndarray:
@@ -19,36 +18,35 @@ def solve_total_relation(d: np.ndarray) -> np.ndarray:
 
     For a non-negative D, (I - D)^-1 is the series I + D + D^2 + ... and is non-negative
     exactly when the spectral radius rho(D) < 1 (Lee, Tzeng et al. 2013, "Revised DEMATEL").
-    s = min(max row sum, max column sum) bounds rho(D), and for s < 1 it bounds cond(I - D)
-    in the matching norm by (1 + s) / (1 - s); past that bound both are computed.  T is the
-    doubling product D (I + D)(I + D^2)... = D + ... + D^(2^K), summed until the relative tail
-    is below eps / 4; its products have given the same bits at every BLAS thread count tested.
-    Raises SingularMatrixError if rho(D) >= 1 or cond(I - D) > COND_LIMIT.
+    T is the doubling product D (I + D)(I + D^2)... = D + ... + D^(2^K), summed until a norm of a
+    power of D bounds the relative tail below eps / 4, which proves rho(D) < 1; then (I - D)^-1 = I + T
+    gives cond(I - D).  Its products have given the same bits at every BLAS thread count tested.
+    Raises SingularMatrixError past MAX_ROUNDS rounds or if cond(I - D) > COND_LIMIT.
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ShapeError(f"normalized matrix must be square, got shape {d.shape}")
     if not np.isfinite(d).all() or (d < 0.0).any():
         raise InvalidArgumentError("normalized matrix entries must be finite and non-negative")
-    s = min(d.sum(axis=1).max(), d.sum(axis=0).max())
-    cheap = s < 1.0 and (1.0 + s) / (1.0 - s) <= COND_LIMIT
-    if not cheap:
+    # The tail past t = D + ... + D^(2^(k+1)) is at most r^2 / (1 - r^2) of t, r being a norm of p = D^(2^k): s^(2^k)
+    # for s < 1, else measured.  A divergent series reaches inf or NaN, which never passes the test; cond stays inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols = d.sum(axis=1), d.sum(axis=0)
+        s = min(rows.max(), cols.max())
+        t, p, r, cond = d + d @ d, d, s, np.inf
+        for _ in range(MAX_ROUNDS):
+            if r * r <= 2.0**-54:  # float64's eps / 4
+                # ||I - D|| counts |1 - d_jj| in place of each d_jj; ||I + T|| is 1 + ||T||, as T >= 0
+                delta = np.abs(1.0 - d.diagonal()) - d.diagonal()
+                cond = min((cols + delta).max() * (1.0 + t.sum(axis=0).max()),
+                           (rows + delta).max() * (1.0 + t.sum(axis=1).max()))
+                break
+            p = p @ p
+            r = r * r if s < 1.0 else min(p.sum(axis=1).max(), p.sum(axis=0).max())
+            t = t + t @ p
+    if not cond <= COND_LIMIT:  # NaN included
         rho = float(np.abs(np.linalg.eigvals(d)).max())
-        if rho >= 1.0:
-            raise SingularMatrixError(
-                f"spectral radius rho(D) = {rho:.6g} >= 1, so (I - D) has no non-negative inverse"
-            )
-        cond = float(np.linalg.cond(np.eye(d.shape[0]) - d))
-        if cond > COND_LIMIT:
-            raise SingularMatrixError(
-                f"(I - D) is ill-conditioned: cond = {cond:.3e} > {COND_LIMIT:.0e} (rho(D) = {rho:.6g})"
-            )
-    # The tail past t = D + ... + D^(2^(k+1)) is t (Q + Q^2 + ...) with Q = p^2, ||Q|| <= r^2, so it is at most
-    # r^2 / (1 - r^2) of t in whichever norm attains r.  Below the cheap bound r = s^(2^k); past it r is measured,
-    # and as rho(D) < 1 and D >= 0 give 0 <= D^j <= (I - D)^-1 entrywise, p stays finite and tends to 0.
-    t, p, r = d + d @ d, d, s
-    while r * r > 2.0**-54:  # float64's eps / 4
-        p = p @ p
-        r = r * r if cheap else min(p.sum(axis=1).max(), p.sum(axis=0).max())
-        t = t + t @ p
+        raise SingularMatrixError(
+            f"spectral radius rho(D) = {rho:.6g} >= 1, so (I - D) has no non-negative inverse" if rho >= 1.0 else
+            f"(I - D) is ill-conditioned: cond = {cond:.3e} > {COND_LIMIT:.0e} (rho(D) = {rho:.6g})")
     return t

@@ -22,7 +22,7 @@ class DegenerateInputError(RDematelError, ValueError):
 
 
 class SingularMatrixError(RDematelError):
-    """The closure of D is undefined or untrustworthy: rho(D) >= 1 or cond(I - D) too large."""
+    """The closure of D is undefined or untrustworthy: its series did not converge, or cond(I - D) is too large."""
 
 
 class InsufficientExpertsError(RDematelError, ValueError):

@@ -144,8 +144,8 @@ class TestAnalyze:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_byte_identical_at_one_and_two_blas_threads(self, tmp_path):
-        # at n = 200 BLAS may split the closure's matrix products across threads; seed 5's bounds stay below the cheap
-        # bound, while under max-upper-sum seed 1's upper bound has s >= 1 and is summed on the guarded path
+        # at n = 200 BLAS may split the closure's matrix products across threads; seed 5's bounds have s < 1, while
+        # under max-upper-sum seed 1's upper bound has s >= 1, so its series measures the norm of each power
         for seed, tau in (("5", "max-total-sum"), ("1", "max-upper-sum")):
             bundle = tmp_path / f"synth{seed}.json"
             proc = run_cli(["synth", "--criteria", "200", "--experts", "21", "--seed", seed, "--out", str(bundle)])

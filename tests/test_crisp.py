@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis.extra import numpy as hnp
 from rdematel.crisp import COND_LIMIT, solve_total_relation
 from rdematel.errors import InvalidArgumentError, ShapeError, SingularMatrixError
 from rdematel.fixtures import _read, load_study_bundle
-from rdematel.ingest import parse_expert_csv
-from rdematel.pipeline import TAU_MAX_UPPER_SUM, normalize_rough
+from rdematel.ingest import CriterionMeta, RespondentMeta, StudyBundle, parse_expert_csv
+from rdematel.pipeline import TAU_MAX_UPPER_SUM, TAU_STRATEGIES, normalize_rough
+from rdematel.report import AnalysisConfig, run_analysis
 from oracles import crisp_dematel, crisp_normalized
 
 RNG = np.random.default_rng(20240817)
@@ -31,6 +34,13 @@ def neumann_series(d, tail_norm=1e-13, max_terms=20000):
         if np.abs(power).sum(axis=1).max() < tail_norm:
             break
     return total
+
+
+def guard_cond(d):
+    """cond(I - D) as the closure's guard reads it: the smaller of its 1- and inf-norm values, here from an LU inverse."""
+    a = np.eye(d.shape[0]) - d
+    inv = np.linalg.inv(a)
+    return min(np.linalg.norm(a, p) * np.linalg.norm(inv, p) for p in (1, np.inf))
 
 
 class TestAverage:
@@ -90,9 +100,42 @@ class TestTotalRelation:
             solve_total_relation((1 - 1e-10) * np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_nilpotent_near_unit_sums_solves(self):
-        # row and column sums near 1 fail the cheap bound, yet rho(D) = 0 and D^2 = 0, so T = D
+        # row and column sums near 1 take the series ~38 rounds, yet rho(D) = 0 and D^2 = 0, so T = D
         d = np.array([[0.0, 1 - 1e-10], [0.0, 0.0]])
         assert np.array_equal(solve_total_relation(d), d)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            2 * np.array([[0.0, 1.0], [1.0, 0.0]]),  # rho = 2
+            1e300 * np.array([[0.0, 1.0], [1.0, 0.0]]),  # the first product overflows
+            # every row sums to 1.2: the series grows past float64's range and runs to MAX_ROUNDS
+            (lambda raw: raw * (1.2 / raw.sum(axis=1, keepdims=True)))(np.random.default_rng(2).random((200, 200))),
+        ],
+        ids=["rho-2", "overflow", "round-cap"],
+    )
+    def test_divergent_series_rejected_without_warnings(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularMatrixError, match=r"rho\(D\) = [\d.e+]+ >= 1"):
+                solve_total_relation(d)
+
+    def test_no_linalg_on_accepted_inputs(self, monkeypatch):
+        # the series is its own guard: eigenvalues, cond and any solve or inverse are for error messages only.
+        # Under max-upper-sum the bundled study's upper bound has s >= 1, so its series measures each power's norm
+        panel = np.random.default_rng(3).integers(0, 5, size=(4, 9, 9))
+        panel[:, range(9), range(9)] = 0
+        raw = StudyBundle([CriterionMeta(f"C{i}") for i in range(9)], [RespondentMeta(f"X{k}") for k in range(4)],
+                          panel=panel)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg called on an accepted input")
+
+        for name in ("eigvals", "cond", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for bundle in (load_study_bundle(), raw):
+            for tau in TAU_STRATEGIES:
+                run_analysis(bundle, AnalysisConfig(tau_strategy=tau))
 
     @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf], ids=["negative", "nan", "inf"])
     def test_negative_or_non_finite_rejected(self, bad):
@@ -107,11 +150,16 @@ class TestTotalRelation:
     def test_matches_neumann_oracle_below_unit_radius(self, raw, radius):
         rho = np.abs(np.linalg.eigvals(raw)).max()
         d = raw * (radius / rho) if rho > radius else raw
-        cond = np.linalg.cond(np.eye(d.shape[0]) - d)
+        cond = guard_cond(d)
+        # below unit radius, exactly the ill-conditioned inputs are rejected, up to rounding in either cond
+        if cond > COND_LIMIT * (1 + 1e-6):
+            with pytest.raises(SingularMatrixError, match=r"ill-conditioned"):
+                solve_total_relation(d)
+            return
         try:
             t = solve_total_relation(d)
         except SingularMatrixError:
-            assert cond > COND_LIMIT  # below unit radius, only ill-conditioning is rejected
+            assert cond >= COND_LIMIT * (1 - 1e-6)
             return
         oracle = neumann_series(d)
         # forward error of the closure grows with cond(I - D); T >= 0 holds up to that rounding
@@ -119,8 +167,8 @@ class TestTotalRelation:
         assert np.abs(t - oracle).max() <= tol
         assert t.min() >= -tol
 
-    def test_matches_lu_oracle_past_the_cheap_bound(self):
-        # under max-upper-sum the bundled study's upper bound has s >= 1, so its closure takes the guarded path;
+    def test_matches_lu_oracle_past_unit_sum_bound(self):
+        # under max-upper-sum the bundled study's upper bound has s >= 1, so its series measures each power's norm;
         # an LU solve of (I - D)^T T^T = D^T is the oracle
         rn, _ = normalize_rough(load_study_bundle().rough_group, TAU_MAX_UPPER_SUM)
         upper = rn[..., 1]
@@ -134,7 +182,7 @@ class TestTotalRelation:
     @pytest.mark.parametrize("s", [1e-300, 0.5, 0.9, 0.999, 1 - 1e-7])
     def test_doubling_product_sums_the_whole_series(self, s):
         # every row of D sums to s, so every row of T sums to s / (1 - s) and the series' tail is as large as the
-        # cheap bound allows; rounding D's entries alone moves those sums by about eps / (1 - s), relative
+        # bound s^(2^k) allows; rounding D's entries alone moves those sums by about eps / (1 - s), relative
         raw = np.random.default_rng(1).random((60, 60))
         np.fill_diagonal(raw, 0.0)
         d = raw * (s / raw.sum(axis=1, keepdims=True))
