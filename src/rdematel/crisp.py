@@ -29,7 +29,7 @@ def solve_total_relation(d: np.ndarray) -> np.ndarray:
     if not np.isfinite(d).all() or (d < 0.0).any():
         raise InvalidArgumentError("normalized matrix entries must be finite and non-negative")
     # The tail past t = D + ... + D^(2^(k+1)) is at most r^2 / (1 - r^2) of t, r being a norm of p = D^(2^k): s^(2^k)
-    # for s < 1, else measured.  A divergent series reaches inf or NaN, which never passes the test; cond stays inf.
+    # for s < 1, else measured.  A divergent series leaves the loop once r is inf or NaN; cond stays inf.
     with np.errstate(over="ignore", invalid="ignore"):
         rows, cols = d.sum(axis=1), d.sum(axis=0)
         s = min(rows.max(), cols.max())
@@ -40,6 +40,8 @@ def solve_total_relation(d: np.ndarray) -> np.ndarray:
                 delta = np.abs(1.0 - d.diagonal()) - d.diagonal()
                 cond = min((cols + delta).max() * (1.0 + t.sum(axis=0).max()),
                            (rows + delta).max() * (1.0 + t.sum(axis=1).max()))
+                break
+            if not r < np.inf:
                 break
             p = p @ p
             r = r * r if s < 1.0 else min(p.sum(axis=1).max(), p.sum(axis=0).max())

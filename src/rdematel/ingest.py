@@ -443,7 +443,7 @@ def json_chunks(value, ensure_ascii: bool = True) -> Iterator[str]:
     """Yield ``json.dumps(value, ensure_ascii=...)``, each ndarray as its ``tolist()``, in chunks: each grid one
     leading-axis row at a time.
 
-    Arrays go through ``_json_grid``, which writes each distinct value's repr
+    Arrays go through ``json_grid``, which writes each distinct value's repr
     once (a float grid's with a numpy shortest-digit kernel when it has 512 or
     more distinct values, the text still exactly ``float.__repr__``'s); a
     non-empty dict (string keys) is walked key by key; an iterator is text its
@@ -452,7 +452,7 @@ def json_chunks(value, ensure_ascii: bool = True) -> Iterator[str]:
     row of a grid, one key or one other value.
     """
     if isinstance(value, np.ndarray):
-        yield from _json_grid(value)
+        yield from json_grid(value)
     elif isinstance(value, Iterator):
         yield from value
     elif isinstance(value, dict) and value:
@@ -466,30 +466,43 @@ def json_chunks(value, ensure_ascii: bool = True) -> Iterator[str]:
         yield json.dumps(value, ensure_ascii=ensure_ascii)
 
 
-def _json_grid(a: np.ndarray) -> Iterator[str]:
+def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     """Yield ``json.dumps(a.tolist())`` for a finite int or float array.
 
     The text comes one leading-axis row at a time (the first opens the list),
-    then the closing bracket.  Each distinct value of the whole grid is repr'd
-    once (a float's bit pattern keeps -0.0 apart from 0.0), not once per row: a
-    raw panel's rough group repeats its values across rows.  The reprs are kept
-    in a fixed-width bytes table, 24 bytes each (a str object costs ~70), and
-    each row is joined as bytes between the pieces of the stdlib's own text for
-    a row of placeholders, and decoded.  ``json_reprs`` writes the table.
+    then the closing bracket.  Each distinct value of a window (the leading rows
+    that fit in ``window`` values, one at least; by default the whole grid) is
+    repr'd once, found by an argsort with an int32 inverse (a float's bit
+    pattern keeps -0.0 apart from 0.0): a raw panel's rough group repeats its
+    values across rows, and a grid of distinct values is better windowed.  The
+    reprs are kept in a fixed-width bytes table, 24 bytes each (a str object
+    costs ~70), and each row is joined as bytes between the pieces of the
+    stdlib's own text for a row of placeholders, and decoded.  ``json_reprs``
+    writes the table.
     """
     if a.size == 0:  # an empty axis has no reprs to join
         yield json.dumps(a.tolist())
         return
-    bits, where = np.unique(a.ravel().view(f"i{a.itemsize}"), return_inverse=True)
-    reprs = json_reprs(bits.view(a.dtype))
     row = json.dumps(np.full(a.shape[1:], "%").tolist()).encode().split(b'"%"')
     text = np.empty(2 * len(row) - 1, dtype=object)
     text[0::2] = row
+    step = len(a) if window is None else max(window // (a.size // len(a)), 1)
     opening = "["
-    for elements in where.reshape(len(a), -1):
-        text[1::2] = reprs[elements]
-        yield opening + b"".join(text.tolist()).decode()
-        opening = ", "
+    for start in range(0, len(a), step):
+        bits = a[start:start + step].ravel().view(f"i{a.itemsize}")
+        order = np.argsort(bits)
+        ordered = bits[order]
+        first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        distinct = ordered[first]
+        del ordered
+        where = np.empty(bits.size, dtype=np.int32)
+        where[order] = np.cumsum(first, dtype=np.int32) - 1
+        del order, first
+        reprs = json_reprs(distinct.view(a.dtype))
+        for elements in where.reshape(-1, len(row) - 1):
+            text[1::2] = reprs[elements]
+            yield opening + b"".join(text.tolist()).decode()
+            opening = ", "
     yield "]"
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import network as net_mod
 from . import pipeline
 from .errors import InvalidArgumentError
-from .ingest import StudyBundle, json_chunks, json_reprs
+from .ingest import StudyBundle, json_chunks, json_grid, json_reprs
 from .pipeline import AnalysisResult, RoughAnalysis
 
 PASS = "pass"
@@ -121,8 +121,9 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
     ``rough_group / config.tau``, the crisp grid ``network.crispify_total(total, config.crispify_mode)``, q (it is
     ``config.threshold_q``) and the nodes (``criteria``).  The text is exactly that of ``json.dumps(doc) + "\n"``
     with each grid as its ``tolist()`` and each edge as ``{"source": id, "target": id, "strength": float}``.
-    ``ingest.json_chunks`` writes it: each grid comes one row at a time and reprs every distinct value once (a raw
-    panel's rough group repeats values: a cell's bounds depend only on how many experts chose each judgment), the
+    ``ingest.json_chunks`` writes it: each grid comes one row at a time from ``ingest.json_grid``, which reprs every
+    distinct value of ``rough_group`` once (a raw panel's rough group repeats values: a cell's bounds depend only on
+    how many experts chose each judgment) and those of ``total``, all distinct, a 4096-value window at a time; the
     edges are joined from the network's arrays (each id encoded once, the strengths' reprs by
     ``ingest.json_reprs``), and the results and deviations tables are one C-encoder call each.
     """
@@ -133,7 +134,7 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
         "criteria": a.criteria,
         "results": [dict(zip(_RESULT_COLUMNS, vars(r).values())) for r in report.results],
         "rough_group": a.group_matrix,
-        "total": a.total,
+        "total": json_grid(a.total, 4096),  # all distinct: a repr table per 4096-value window, not one of 2n^2
         "network": {"edges": _json_edges(report.network)},  # a generator: its text is built when written
         # vars() lists a dataclass's fields in declaration order; dataclasses.asdict
         # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis

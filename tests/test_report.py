@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,6 +20,7 @@ from rdematel.ingest import (
     RespondentMeta,
     StudyBundle,
     json_chunks,
+    json_grid,
     parse_study_bundle,
 )
 from rdematel.network import (
@@ -42,6 +43,7 @@ from rdematel.report import (
     render_graph_dot,
     render_report_json,
     render_results_csv,
+    report_json_chunks,
     run_analysis,
 )
 
@@ -54,9 +56,8 @@ def fixture_report():
     return run_analysis(load_study_bundle(), AnalysisConfig())
 
 
-def synth_raw_bundle():
-    """A raw study of 40 criteria and 6 experts on 0..4, drawn from a fixed seed."""
-    n, m = 40, 6
+def synth_raw_bundle(n=40, m=6):
+    """A raw study of n criteria and m experts on 0..4, drawn from a fixed seed."""
     panel = np.random.default_rng(5).integers(0, 4, size=(m, n, n), endpoint=True)
     panel[:, range(n), range(n)] = 0
     return StudyBundle([CriterionMeta(f"C{i + 1}") for i in range(n)],
@@ -385,6 +386,22 @@ class TestReportJsonLayout:
         assert len(chunks) == 1 + len(grid)  # each row (the first opens the list), then the closing bracket
         assert "".join(chunks) == json.dumps(grid.tolist())
 
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, array_shapes, elements=grid_floats)
+           | hnp.arrays(st.sampled_from([np.int16, np.int32, np.int64]), array_shapes) | few_valued_grids,
+           st.integers(1, 40))
+    @example(np.array([0.0, -0.0, 0.0, -0.0, 1.5]), 2)  # 1-d; -0.0 next to 0.0, in one window and across two
+    @example(np.arange(30.0).reshape(5, 6), 4)  # a window smaller than one row
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0], [2.5, 0.0]]).repeat(3, axis=0), 4)  # 9 rows, 2 a window
+    @example(np.zeros((3, 0, 2)), 1)  # an empty inner axis
+    @example(np.zeros((0, 4)), 3)  # an empty leading axis
+    @example(np.arange(35, dtype=np.int16).reshape(7, 5), 10)  # 2 rows a window; 7 rows do not divide
+    def test_windowed_grid_matches_encoder(self, grid, window):
+        chunks = list(json_grid(grid, window))
+        assert "".join(chunks) == json.dumps(grid.tolist())
+        if grid.size:
+            assert len(chunks) == 1 + len(grid)  # still one chunk a leading row
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_rejects_non_finite(self, bad):
         with pytest.raises(InvalidArgumentError):
@@ -401,6 +418,22 @@ class TestReportJsonLayout:
         finally:
             tracemalloc.stop()
         assert peak < 56 * grid.size
+
+    def test_report_json_peaks_below_30_bytes_a_total_value(self):
+        # total is all distinct and written a window at a time; the rough group's one table holds its few distinct
+        # values, so neither grid holds a whole-grid sort or repr table of total's size
+        rep = run_analysis(synth_raw_bundle(200, 21))
+        for _ in report_json_chunks(rep):  # once untraced, so first-call set-up is not counted
+            pass
+        tracemalloc.start()
+        try:
+            for _ in report_json_chunks(rep):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = rep.analysis.total.size
+        assert peak < 30 * values
 
     def test_bundled_study_with_ledger_matches_encoder(self, fixture_report):
         rep = dataclasses.replace(
