@@ -419,7 +419,7 @@ def bundle_chunks(bundle: StudyBundle) -> Iterator[str]:
         panel = np.asarray(bundle.panel)
         if panel.dtype.kind not in "iu":
             raise InvalidArgumentError(f"panel: judgments must be integers, got dtype {panel.dtype}")
-        if len(panel) != len(bundle.respondents):  # zip would drop extra slices
+        if panel.shape[:1] != (len(bundle.respondents),):  # zip would drop extra slices; a 0-d panel has none
             raise InvalidArgumentError(
                 f"a raw bundle needs one panel slice per respondent, got shape {panel.shape} "
                 f"for {len(bundle.respondents)} respondents"
@@ -470,16 +470,19 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     """Yield ``json.dumps(a.tolist())`` for a finite int or float array.
 
     The text comes one leading-axis row at a time (the first opens the list),
-    then the closing bracket.  Each distinct value of a window (the leading rows
-    that fit in ``window`` values, one at least; by default the whole grid) is
-    repr'd once, found by an argsort with an int32 inverse (a float's bit
-    pattern keeps -0.0 apart from 0.0): a raw panel's rough group repeats its
-    values across rows, and a grid of distinct values is better windowed.  The
-    reprs are kept in a fixed-width bytes table, 24 bytes each (a str object
-    costs ~70), and each row is joined as bytes between the pieces of the
-    stdlib's own text for a row of placeholders, and decoded.  ``json_reprs``
-    writes the table.
+    then the closing bracket; a 0-d array is one chunk.  Each distinct value
+    of a window (the leading rows that fit in ``window`` values, one at least;
+    by default the whole grid) is repr'd once, found by an argsort with an
+    int32 inverse (a float's bit pattern keeps -0.0 apart from 0.0): a raw
+    panel's rough group repeats its values across rows, and a grid of
+    distinct values is better windowed.  The reprs are kept in a fixed-width
+    bytes table, 24 bytes each (a str object costs ~70), and each row is
+    joined as bytes between the pieces of the stdlib's own text for a row of
+    placeholders, and decoded.  ``_json_reprs`` writes the table.
     """
+    if a.ndim == 0:  # a scalar has no rows
+        yield _json_reprs(a.ravel())[0].decode()
+        return
     if a.size == 0:  # an empty axis has no reprs to join
         yield json.dumps(a.tolist())
         return
@@ -498,7 +501,7 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
         where = np.empty(bits.size, dtype=np.int32)
         where[order] = np.cumsum(first, dtype=np.int32) - 1
         del order, first
-        reprs = json_reprs(distinct.view(a.dtype))
+        reprs = _json_reprs(distinct.view(a.dtype))
         for elements in where.reshape(-1, len(row) - 1):
             text[1::2] = reprs[elements]
             yield opening + b"".join(text.tolist()).decode()
@@ -506,7 +509,7 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     yield "]"
 
 
-def json_reprs(values: np.ndarray) -> np.ndarray:
+def _json_reprs(values: np.ndarray) -> np.ndarray:
     """``json.dumps``'s text of each value of a finite 1-d int or float array, as an ``S24`` array: ``_float_reprs``
     writes ``_FLOAT_KERNEL_MIN`` or more floats (as float64, what ``tolist()`` gives), ``repr`` fewer, and ints."""
     if not np.isfinite(values).all():

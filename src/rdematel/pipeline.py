@@ -152,6 +152,10 @@ def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[n
         raise DegenerateInputError(
             f"normalization: tau ({strategy}) is {tau}; the rough group's row sums must be finite"
         )
+    if tau < 0.0:
+        raise DegenerateInputError(
+            f"normalization: tau ({strategy}) is {tau}; a negative tau would flip the sign of every judgment"
+        )
     if tau == 0.0:
         raise DegenerateInputError("normalization: all-zero rough matrix cannot be normalized")
     return g / tau, tau

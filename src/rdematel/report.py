@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import network as net_mod
 from . import pipeline
 from .errors import InvalidArgumentError
-from .ingest import StudyBundle, json_chunks, json_grid, json_reprs
+from .ingest import StudyBundle, json_chunks, json_grid
 from .pipeline import AnalysisResult, RoughAnalysis
 
 PASS = "pass"
@@ -117,39 +116,30 @@ def render_report_json(report: AnalysisReport) -> bytes:
 def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
     """Yield the text of ``report.json`` in chunks, for a caller that writes it as it renders.
 
-    Schema 3 writes each value once and leaves out what a reader can recompute: the normalized grid
-    ``rough_group / config.tau``, the crisp grid ``network.crispify_total(total, config.crispify_mode)``, q (it is
-    ``config.threshold_q``) and the nodes (``criteria``).  The text is exactly that of ``json.dumps(doc) + "\n"``
-    with each grid as its ``tolist()`` and each edge as ``{"source": id, "target": id, "strength": float}``.
-    ``ingest.json_chunks`` writes it: each grid comes one row at a time from ``ingest.json_grid``, which reprs every
-    distinct value of ``rough_group`` once (a raw panel's rough group repeats values: a cell's bounds depend only on
-    how many experts chose each judgment) and those of ``total``, all distinct, a 4096-value window at a time; the
-    edges are joined from the network's arrays (each id encoded once, the strengths' reprs by
-    ``ingest.json_reprs``), and the results and deviations tables are one C-encoder call each.
+    Schema 4 writes each value once and leaves out what a reader can recompute: the normalized grid
+    ``rough_group / config.tau``, the crisp grid ``tstar = network.crispify_total(total, config.crispify_mode)``,
+    q (it is ``config.threshold_q``) and the network, whose edges are
+    ``network.extract_network(tstar, config.threshold_q, criteria)``.  The text is exactly that of
+    ``json.dumps(doc) + "\n"`` with each grid as its ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes
+    one row at a time from ``ingest.json_grid``, which reprs every distinct value of ``rough_group`` once (a raw
+    panel's rough group repeats values: a cell's bounds depend only on how many experts chose each judgment) and
+    those of ``total``, all distinct, a 4096-value window at a time; the results and deviations tables are one
+    C-encoder call each.
     """
     a = report.analysis
     doc = {
-        "schema": 3,
+        "schema": 4,
         "config": report.config,
         "criteria": a.criteria,
         "results": [dict(zip(_RESULT_COLUMNS, vars(r).values())) for r in report.results],
         "rough_group": a.group_matrix,
         "total": json_grid(a.total, 4096),  # all distinct: a repr table per 4096-value window, not one of 2n^2
-        "network": {"edges": _json_edges(report.network)},  # a generator: its text is built when written
         # vars() lists a dataclass's fields in declaration order; dataclasses.asdict
         # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
         "deviations": [vars(d) for d in report.deviations],
     }
     yield from json_chunks(doc)
     yield "\n"
-
-
-def _json_edges(network: net_mod.InfluenceNetwork) -> Iterator[str]:
-    """Yield ``json.dumps`` of the edge table, one ``{"source", "target", "strength"}`` object an edge."""
-    ids = [json.dumps(node) for node in network.nodes]
-    edges = zip(network.source.tolist(), network.target.tolist(), json_reprs(network.strength).tolist())
-    yield "[" + ", ".join([f'{{"source": {ids[i]}, "target": {ids[j]}, "strength": {s.decode()}}}'
-                           for i, j, s in edges]) + "]"
 
 
 def render_graph_dot(network: net_mod.InfluenceNetwork) -> bytes:

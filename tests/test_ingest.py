@@ -234,6 +234,9 @@ class TestBundleParsing:
         extra_slice.panel = np.concatenate([extra_slice.panel, extra_slice.panel[:1]])
         with pytest.raises(InvalidArgumentError, match="one panel slice per respondent"):
             write_bundle(extra_slice)
+        with pytest.raises(InvalidArgumentError) as exc_info:  # a 0-d panel has no slices at all
+            write_bundle(StudyBundle(extra_slice.criteria, extra_slice.respondents, panel=np.int64(3)))
+        assert str(exc_info.value) == "a raw bundle needs one panel slice per respondent, got shape () for 2 respondents"
 
     def test_write_rejects_what_parse_rejects(self):
         wide = make_raw_bundle(n=2, m=2)

@@ -212,6 +212,13 @@ class TestNormalizeRough:
         with pytest.raises(DegenerateInputError):
             normalize_rough(z)
 
+    @pytest.mark.parametrize("strategy, tau", [(TAU_MAX_TOTAL_SUM, -4.0), (TAU_MAX_UPPER_SUM, -2.0)])
+    def test_negative_tau_rejected(self, strategy, tau):
+        # dividing by a negative tau flips every sign back, so without the check this would be a full report
+        with pytest.raises(DegenerateInputError) as exc_info:
+            analyze_rough(["A", "B"], group_matrix=-np.ones((2, 2, 2)), tau_strategy=strategy)
+        assert str(exc_info.value).startswith(f"normalization: tau ({strategy}) is {tau}; ")
+
     def test_normalized_uppers_at_most_one(self, paper_group):
         for strategy in (TAU_MAX_TOTAL_SUM, TAU_MAX_UPPER_SUM):
             normalized, _ = normalize_rough(paper_group, strategy)

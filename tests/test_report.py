@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
 from rdematel.ingest import (
-    _FLOAT_KERNEL_MIN,
     CriterionMeta,
     RespondentMeta,
     StudyBundle,
@@ -117,11 +116,10 @@ class TestResultTables:
         assert [r["criterion"] for r in rows] == ids
         assert [r["group"] for r in rows] == [r.group for r in results]
 
-    def test_report_json_schema_3_writes_each_value_once(self, fixture_report):
+    def test_report_json_schema_4_writes_each_value_once(self, fixture_report):
         doc = json.loads(render_report_json(fixture_report))
-        assert list(doc) == ["schema", "config", "criteria", "results", "rough_group", "total", "network", "deviations"]
-        assert doc["schema"] == 3
-        assert list(doc["network"]) == ["edges"]
+        assert list(doc) == ["schema", "config", "criteria", "results", "rough_group", "total", "deviations"]
+        assert doc["schema"] == 4
         # the causal diagram reads its points from the results
         assert [(r["criterion"], r["prominence"], r["relation"], r["group"]) for r in doc["results"]] == [
             (r.criterion_id, r.prominence, r.relation, r.group) for r in fixture_report.results
@@ -136,8 +134,11 @@ class TestResultTables:
         tstar = crispify_total(np.array(doc["total"]), config["crispify_mode"])
         q = threshold(tstar, config["threshold_mode"], config["threshold_value"])
         assert q == config["threshold_q"]
-        edges = edge_dicts(extract_network(tstar, q, doc["criteria"]))
-        assert edges and edges == doc["network"]["edges"]
+        net = extract_network(tstar, q, doc["criteria"])
+        assert net.strength.size
+        for name in ("source", "target", "strength"):
+            assert np.array_equal(getattr(net, name), getattr(rep.network, name)), name
+        assert render_graph_dot(net) == render_graph_dot(rep.network)
 
     def test_readme_names_the_report_json_keys(self, fixture_report):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -279,10 +280,10 @@ class TestDeviationLedger:
 
 
 def oracle_report_json(report):
-    """The whole schema-3 report through the stdlib's encoder, grids built with .tolist()."""
+    """The whole schema-4 report through the stdlib's encoder, grids built with .tolist()."""
     a = report.analysis
     doc = {
-        "schema": 3,
+        "schema": 4,
         "config": report.config,
         "criteria": a.criteria,
         "results": [
@@ -301,7 +302,6 @@ def oracle_report_json(report):
         ],
         "rough_group": a.group_matrix.tolist(),
         "total": a.total.tolist(),
-        "network": {"edges": edge_dicts(report.network)},
         "deviations": [dataclasses.asdict(d) for d in report.deviations],
     }
     return (json.dumps(doc) + "\n").encode("utf-8")
@@ -328,6 +328,7 @@ grid_floats = st.one_of(
 
 
 array_shapes = hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4)
+doc_shapes = hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4)  # a 0-d array too
 # a grid of two or three distinct values, 0.0 and -0.0 among them
 few_valued_grids = grid_floats.flatmap(
     lambda v: hnp.arrays(np.float64, array_shapes, elements=st.sampled_from([0.0, -0.0, v]))
@@ -340,8 +341,8 @@ row_values = (
 )
 row_tables = st.lists(st.dictionaries(row_text, row_values, max_size=3), min_size=1, max_size=3)
 json_docs = st.recursive(
-    hnp.arrays(np.float64, array_shapes, elements=grid_floats)
-    | hnp.arrays(st.sampled_from([np.int16, np.int32, np.int64]), array_shapes)  # a parsed panel's dtypes
+    hnp.arrays(np.float64, doc_shapes, elements=grid_floats)
+    | hnp.arrays(st.sampled_from([np.int16, np.int32, np.int64]), doc_shapes)  # a parsed panel's dtypes
     | few_valued_grids | row_tables
     | st.none() | st.booleans() | st.integers() | grid_floats | st.text(max_size=3)
     | st.lists(st.integers() | st.text(max_size=3), max_size=3),
@@ -366,6 +367,7 @@ def kernel_grid(dtype):
 class TestReportJsonLayout:
     @settings(max_examples=300, deadline=None)
     @given(json_docs, st.booleans())
+    @example({"g": np.array(1.5), "n": np.array(7, dtype=np.int16)}, True)  # 0-d arrays
     def test_grid_matches_encoder(self, doc, ensure_ascii):
         """Grids (few-valued ones too), lists of dicts, nested dicts (empty ones too) and non-ASCII keys, under both
         ``ensure_ascii``."""
@@ -404,8 +406,9 @@ class TestReportJsonLayout:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_rejects_non_finite(self, bad):
-        with pytest.raises(InvalidArgumentError):
-            dump_json({"tstar": np.array([[0.0, bad], [1.0, 0.0]])})
+        for grid in (np.array([[0.0, bad], [1.0, 0.0]]), np.array(bad)):
+            with pytest.raises(InvalidArgumentError):
+                dump_json({"tstar": grid})
 
     def test_all_distinct_grid_peaks_below_56_bytes_a_value(self):
         # the distinct reprs sit in a fixed-width bytes table, ~24 bytes each, not ~70 as str objects
@@ -442,17 +445,9 @@ class TestReportJsonLayout:
         assert render_report_json(rep) == oracle_report_json(rep)
 
     def test_synth_raw_panel_matches_encoder(self):
-        # a raw panel's rough group repeats its values; hundreds of edges make a long row table, too short for the
-        # repr kernel, so each strength takes float.__repr__
+        # a raw panel's rough group repeats its values
         rep = run_analysis(synth_raw_bundle(), AnalysisConfig(crispify_mode=CRISPIFY_GLOBAL))
-        assert 200 <= len(rep.network.strength) < _FLOAT_KERNEL_MIN
         assert len(np.unique(rep.analysis.group_matrix)) < rep.analysis.group_matrix.size / 4
-        assert render_report_json(rep) == oracle_report_json(rep)
-
-    def test_synth_raw_panel_kernel_strengths_match_encoder(self):
-        # q at the mean keeps about half the off-diagonal cells: enough edges that the repr kernel writes the strengths
-        rep = run_analysis(synth_raw_bundle(), AnalysisConfig(crispify_mode=CRISPIFY_GLOBAL, threshold_value=0.0))
-        assert len(rep.network.strength) >= _FLOAT_KERNEL_MIN
         assert render_report_json(rep) == oracle_report_json(rep)
 
     def test_escaped_ids_match_encoder(self):
@@ -464,8 +459,7 @@ class TestReportJsonLayout:
             "respondents": [{"id": f"r{k}"} for k in range(3)],
             "matrices": {f"r{k}": g.tolist() for k, g in enumerate(grids)},
         }
-        rep = run_analysis(parse_study_bundle(json.dumps(doc)), AnalysisConfig(threshold_value=0.0))
-        assert rep.network.strength.size
+        rep = run_analysis(parse_study_bundle(json.dumps(doc)))
         assert render_report_json(rep) == oracle_report_json(rep)
 
 
