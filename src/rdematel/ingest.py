@@ -25,10 +25,10 @@ from .pipeline import check_intervals
 CATEGORIES = ("internal", "external", "custom")
 ROLES = ("practitioner", "academic")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_GRID_OPEN = re.compile(r"\[[ \t\n\r]*\[(?=[ \t\n\r]*[0-9][ \t\n\r]*[,\]])")  # "[[" and a one-digit int
-_GRID_CLOSE = re.compile(r"\][ \t\n\r]*\]")
+_GRID_OPEN = re.compile(rb"\[[ \t\n\r]*\[(?=[ \t\n\r]*[0-9][ \t\n\r]*[,\]])")  # "[[" and a one-digit int
+_GRID_CLOSE = re.compile(rb"\][ \t\n\r]*\]")
+_BOM = b"\xef\xbb\xbf"
 _JSON_WHITESPACE = b" \t\n\r"
-_DIGITS_AS_ZEROS = bytes(48 if 48 <= c <= 57 else c for c in range(256))
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,6 @@ class StudyBundle:
         return len(self.criteria)
 
 
-def _decode(data: bytes | str) -> str:
-    """The text with one leading byte-order mark dropped (Excel's "CSV UTF-8" writes one)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data.removeprefix("\ufeff")
-
-
 def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
     """Parse one expert's int64 n x n matrix: header of criterion ids, then rows of ``id,v1,...,vn``.
 
@@ -100,10 +93,11 @@ def parse_expert_csv(data: bytes | str, scale: Scale = Scale()) -> np.ndarray:
     (the bundle's criterion-id rule), then a malformed row, then the grid's
     first bad cell in row-major order, worded as in a bundle.
     """
-    try:
-        text = _decode(data).replace("\r\n", "\n").replace("\r", "\n")
+    try:  # one leading byte-order mark dropped: Excel's "CSV UTF-8" writes one
+        text = (data.decode("utf-8") if isinstance(data, bytes) else data).removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     if not rows:
         raise ParseError("empty CSV file")
@@ -323,17 +317,15 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool) -> StudyBundle:
 
 
 def parse_study_bundle(data: bytes | str) -> StudyBundle:
-    """Parse and fully cross-validate a bundle document.
+    """Parse and fully cross-validate a bundle document, UTF-8 bytes (one leading byte-order mark dropped) or text.
 
     Raises BundleValidationError listing every violation found, not just
     the first.
     """
     try:
-        text = _decode(data)
+        doc, rest = _load_bundle_json(data)
     except UnicodeDecodeError as exc:
         raise BundleValidationError([f"not valid UTF-8: {exc}"]) from None
-    try:
-        doc, rest = _load_bundle_json(text)
     except json.JSONDecodeError as exc:
         raise BundleValidationError([f"not valid JSON: {exc}"]) from None
     except RecursionError:
@@ -343,58 +335,60 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
     return _validate_bundle_dict(doc, "true" in rest or "false" in rest)
 
 
-def _load_bundle_json(text: str) -> tuple[object, str]:
-    """``json.loads(text)``, each grid that ``_int_grid`` reads as its array, and the text with those grids as ``NaN``.
+def _load_bundle_json(data: bytes | str) -> tuple[object, str]:
+    """``json.loads`` of ``data``, each grid that ``_int_grid`` reads as its array, and the text with them as ``NaN``.
 
-    Each span from a ``[[`` to the next ``]]`` that ``_int_grid`` reads is
-    replaced by a ``NaN`` token, which ``parse_constant`` turns back into its
-    array.  The result is kept only when every array is a value of the
-    top-level ``matrices`` object, the one place the validator takes arrays
-    (a span inside a string is never handed out, so it fails that count
-    too).  Otherwise, and for a text with no such grid, a text holding
-    ``NaN`` or ``Infinity`` or a spliced text that does not parse, ``text``
-    itself is parsed, so errors name its offsets; a text that fails a check
-    after the splice is thus parsed twice.  A grid holds no letters, so the
-    spliced text holds every ``true``/``false`` token of ``text``.
+    Each span of the bytes from a ``[[`` to the next ``]]`` that ``_int_grid`` reads is replaced by a ``NaN`` token,
+    which ``parse_constant`` turns back into its array, and only the bytes left are decoded.  The result is kept only
+    when every array is a value of the top-level ``matrices`` object, the one place the validator takes arrays (a span
+    inside a string is never handed out, so it fails that count too).  Otherwise, and for a text with no such grid,
+    a text holding ``NaN`` or ``Infinity``, or a spliced text that does not decode or parse, the whole of ``data`` is
+    decoded and parsed, so errors name its offsets; a text that fails a check after the splice is thus parsed twice.
+    A grid holds no letters, so the spliced text holds every ``true``/``false`` token of the whole.  Text goes through
+    as its UTF-8 bytes, a lone surrogate (as a JSON escape also gives) passed.
     """
-    pieces, grids, cut, end = [], [], 0, 0
-    while (opening := _GRID_OPEN.search(text, end)) and (closing := _GRID_CLOSE.search(text, opening.end())):
+    errors = "surrogatepass" if isinstance(data, str) else "strict"
+    data = data.encode("utf-8", errors) if isinstance(data, str) else data
+    pieces, grids = [], []
+    cut = end = len(_BOM) if data.startswith(_BOM) else 0
+    while (opening := _GRID_OPEN.search(data, end)) and (closing := _GRID_CLOSE.search(data, opening.end())):
         start, end = opening.start(), closing.end()  # the search goes on past a span, so it stays linear
-        if (span := text[start:end]).isascii() and (grid := _int_grid(span.encode())) is not None:
-            pieces.append(text[cut:start])
+        if (grid := _int_grid(data[start:end])) is not None:
+            pieces.append(data[cut:start])
             grids.append(grid)
             cut = end
-    pieces.append(text[cut:])
-    spliced = "NaN".join(pieces)
+    pieces.append(data[cut:])
+    spliced = b"NaN".join(pieces)
     # count finds a "NaN" at least once per splice, so one more means the text holds one
-    if grids and spliced.count("NaN") == len(grids) and "Infinity" not in spliced:
+    if grids and spliced.count(b"NaN") == len(grids) and b"Infinity" not in spliced:
         arrays = iter(grids)
         try:
-            doc = json.loads(spliced, parse_constant=lambda _: next(arrays))
-        except (ValueError, RecursionError):
+            text = spliced.decode("utf-8", errors)
+            doc = json.loads(text, parse_constant=lambda _: next(arrays))
+        except (ValueError, RecursionError):  # a UnicodeDecodeError too, worded below from the whole input
             doc = None
         matrices = doc.get("matrices") if isinstance(doc, dict) else None
         if isinstance(matrices, dict) and sum(type(g) is np.ndarray for g in matrices.values()) == len(grids):
-            return doc, spliced
+            return doc, text
+    text = data.decode("utf-8", errors).removeprefix("\ufeff")
     return json.loads(text), text
 
 
 def _int_grid(span: bytes) -> np.ndarray | None:
     """``np.array(json.loads(span))`` as uint8 if ``span`` is a square grid of one-digit ints, else None.
 
-    With JSON whitespace dropped and each digit as "0", ``span`` must be
-    exactly the layout of an r x r grid with one digit to a slot (the layout
-    holds no "00", so a wider number, or whitespace inside one, breaks it).
-    The values are then the grid's bytes - 48; a uint8 grid of 200 x 200
-    costs 40 KB, an int64 one 320 KB.  A grid of wider numbers is left to
-    ``json.loads``.
+    With JSON whitespace dropped, ``span`` must be exactly the layout of an r x r grid with one digit to a slot (no two
+    digits in a row, so a wider number, or whitespace inside one, breaks it), checked through strided views of its
+    bytes.  The values are the slots' bytes - 48: a uint8 grid of 200 x 200 costs 40 KB, an int64 one 320 KB.
     """
     packed = span.translate(None, _JSON_WHITESPACE)
-    r = math.isqrt(len(packed) // 2)  # an r x r layout is 2r(r + 1) + 1 bytes, so about as long as packed
-    layout = b"[" + b",".join([b"[" + b"0," * (r - 1) + b"0]"] * r) + b"]"
-    if r < 1 or packed.translate(_DIGITS_AS_ZEROS) != layout:
+    r = math.isqrt(len(packed) // 2)  # an r x r layout is 2r(r + 1) + 1 bytes
+    if r < 1 or len(packed) != 2 * r * (r + 1) + 1 or packed[0] != ord("["):
         return None
-    return np.frombuffer(packed, np.uint8)[1:].reshape(r, 2 * r + 2)[:, 1 : 2 * r : 2] - 48
+    rows = np.frombuffer(packed, np.uint8)[1:].reshape(r, 2 * r + 2)  # "[d,...,d]" then "," (the last row "]")
+    digits = rows[:, 1 : 2 * r : 2] - 48
+    frame, ends = (np.frombuffer(b"[" * first + b"," * (r - 1) + b"]", np.uint8) for first in (1, 0))
+    return digits if (rows[:, ::2] == frame).all() and (rows[:, -1] == ends).all() and (digits < 10).all() else None
 
 
 def write_bundle(bundle: StudyBundle) -> bytes:
@@ -470,15 +464,15 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     """Yield ``json.dumps(a.tolist())`` for a finite int or float array.
 
     The text comes one leading-axis row at a time (the first opens the list),
-    then the closing bracket; a 0-d array is one chunk.  Each distinct value
-    of a window (the leading rows that fit in ``window`` values, one at least;
-    by default the whole grid) is repr'd once, found by an argsort with an
-    int32 inverse (a float's bit pattern keeps -0.0 apart from 0.0): a raw
-    panel's rough group repeats its values across rows, and a grid of
-    distinct values is better windowed.  The reprs are kept in a fixed-width
-    bytes table, 24 bytes each (a str object costs ~70), and each row is
-    joined as bytes between the pieces of the stdlib's own text for a row of
-    placeholders, and decoded.  ``_json_reprs`` writes the table.
+    then the closing bracket; a 0-d array is one chunk.  By default each
+    distinct value is repr'd once, found by an argsort with an int32 inverse
+    (a float's bit pattern keeps -0.0 apart from 0.0): a raw panel's rough
+    group repeats its values across rows.  A grid of distinct values gains
+    nothing from that table, so with a ``window`` the reprs are written in
+    order, for the leading rows that fit in ``window`` values (one row at
+    least) at a time.  ``_json_reprs`` writes reprs as 24-byte ``S24`` entries
+    (a str costs ~70); each row is joined as bytes between the pieces of the
+    stdlib's own text for a row of placeholders, and decoded.
     """
     if a.ndim == 0:  # a scalar has no rows
         yield _json_reprs(a.ravel())[0].decode()
@@ -489,10 +483,8 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     row = json.dumps(np.full(a.shape[1:], "%").tolist()).encode().split(b'"%"')
     text = np.empty(2 * len(row) - 1, dtype=object)
     text[0::2] = row
-    step = len(a) if window is None else max(window // (a.size // len(a)), 1)
-    opening = "["
-    for start in range(0, len(a), step):
-        bits = a[start:start + step].ravel().view(f"i{a.itemsize}")
+    if window is None:
+        bits = a.ravel().view(f"i{a.itemsize}")
         order = np.argsort(bits)
         ordered = bits[order]
         first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
@@ -502,10 +494,16 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
         where[order] = np.cumsum(first, dtype=np.int32) - 1
         del order, first
         reprs = _json_reprs(distinct.view(a.dtype))
-        for elements in where.reshape(-1, len(row) - 1):
-            text[1::2] = reprs[elements]
-            yield opening + b"".join(text.tolist()).decode()
-            opening = ", "
+        rows = (reprs[elements] for elements in where.reshape(len(a), -1))
+    else:
+        step = max(window // (a.size // len(a)), 1)
+        rows = (line for start in range(0, len(a), step)
+                for line in _json_reprs(a[start:start + step].ravel()).reshape(-1, len(row) - 1))
+    opening = "["
+    for line in rows:
+        text[1::2] = line
+        yield opening + b"".join(text.tolist()).decode()
+        opening = ", "
     yield "]"
 
 

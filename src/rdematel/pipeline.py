@@ -111,7 +111,7 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     alone, not on how wide its scale is.
 
     The call peaks at the sorted copy of the panel, in the panel's dtype,
-    plus a few n x n float rows.
+    plus a few n x n float rows; the result is C-contiguous.
     """
     panel = np.asarray(panel)
     if panel.ndim != 3 or panel.shape[1] != panel.shape[2]:
@@ -120,17 +120,18 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     if m < 2:
         raise InsufficientExpertsError(f"rough aggregation needs at least two experts, got {m}")
     cells = np.sort(panel.reshape(m, n * n), axis=0)
-    group = np.zeros((n, n, 2))
-    for bound, walk in zip(group.reshape(n * n, 2).T, (cells, cells[::-1])):
+    bounds = np.zeros((2, n * n))  # each bound's n x n cells contiguous, so the walk's passes are unit-stride
+    for bound, walk in zip(bounds, (cells, cells[::-1])):
         seen_sum = np.zeros(n * n)  # float64: an int64 sum wraps past 2**63, a float one is exact below 2**53
         run = np.zeros(n * n)
         for seen, k in enumerate(walk, 1):
             run += 1
-            c = np.where(walk[seen] != k if seen < m else True, run, 0.0)  # a run's length at its end, else 0
+            c = run * (walk[seen] != k) if seen < m else run  # a run's length at its end, else 0
             seen_sum += c * k
             bound += c * (seen_sum / seen)
             run -= c
-    return group / m
+    bounds /= m
+    return np.stack(bounds, axis=-1).reshape(n, n, 2)  # C-contiguous, so a writer's ravel copies nothing
 
 
 def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[np.ndarray, float]:

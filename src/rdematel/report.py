@@ -133,7 +133,7 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
         "criteria": a.criteria,
         "results": [dict(zip(_RESULT_COLUMNS, vars(r).values())) for r in report.results],
         "rough_group": a.group_matrix,
-        "total": json_grid(a.total, 4096),  # all distinct: a repr table per 4096-value window, not one of 2n^2
+        "total": json_grid(a.total, 4096),  # all distinct: reprs written 4096 values at a time, with no table
         # vars() lists a dataclass's fields in declaration order; dataclasses.asdict
         # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
         "deviations": [vars(d) for d in report.deviations],
@@ -149,12 +149,12 @@ def render_graph_dot(network: net_mod.InfluenceNetwork) -> bytes:
     order = sorted(range(len(quoted)), key=network.nodes.__getitem__)
     rank = np.argsort(order)  # each id's place in sorted order; ids are unique, so rank order is id order
     edges = np.lexsort((rank[network.target], rank[network.source]))
-    lines = ["digraph influence {"]
-    lines += [f"  {quoted[i]};" for i in order]
-    lines += [f"  {quoted[i]} -> {quoted[j]} [weight={w:.6f}];" for i, j, w in
-              zip(network.source[edges].tolist(), network.target[edges].tolist(), network.strength[edges].tolist())]
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    fields: list = [None] * (3 * len(edges))  # each edge's source, target and weight, formatted in one % call
+    fields[0::3] = map(quoted.__getitem__, network.source[edges].tolist())
+    fields[1::3] = map(quoted.__getitem__, network.target[edges].tolist())
+    fields[2::3] = network.strength[edges].tolist()
+    text = "".join(f"  {quoted[i]};\n" for i in order) + "  %s -> %s [weight=%.6f];\n" * len(edges) % tuple(fields)
+    return ("digraph influence {\n" + text + "}\n").encode("utf-8")
 
 
 def render_deviations_csv(entries: Sequence[DeviationEntry]) -> bytes:

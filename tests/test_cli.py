@@ -63,6 +63,14 @@ def bundle_path(tmp_path):
     return str(p)
 
 
+def raw_bundle_bytes(n=3, m=3):
+    """A raw bundle of criteria C0..C{n-1} and m experts, with judgments on 0..4, as its file bytes."""
+    panel = np.random.default_rng(0).integers(0, 5, size=(m, n, n))
+    panel[:, range(n), range(n)] = 0
+    ids = [CriterionMeta(f"C{i}") for i in range(n)]
+    return write_bundle(StudyBundle(ids, [RespondentMeta(f"r{k}") for k in range(m)], panel=panel))
+
+
 class TestValidate:
     def test_valid_bundle(self, bundle_path):
         result = invoke(["validate", bundle_path])
@@ -124,6 +132,27 @@ class TestValidate:
     def test_missing_file_exits_3(self):
         result = invoke(["validate", "/nonexistent/bundle.json"])
         assert result.exit_code == 3
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        for name, data in (("study", _read("fbsc_study.json")), ("raw", raw_bundle_bytes())):
+            p = tmp_path / f"{name}.json"
+            p.write_bytes(b"\xef\xbb\xbf" + data)
+            result = invoke(["validate", str(p)])
+            assert result.exit_code == 0, result.output
+            assert result.output.startswith("OK: ")
+
+    @pytest.mark.parametrize("where", [b'"C1"', b"], ["], ids=["an id", "a grid"])
+    def test_invalid_utf8_names_the_byte_position(self, tmp_path, where):
+        # a 0xff byte in a criterion id, or inside a grid that the parser reads with numpy
+        data = raw_bundle_bytes().replace(where, where[:-1] + b"\xff" + where[-1:], 1)
+        p = tmp_path / "latin1.json"
+        p.write_bytes(data)
+        at = data.index(b"\xff")
+        for args in (["validate", str(p)], ["analyze", str(p), "--out", str(tmp_path / "o")]):
+            result = invoke(args)
+            assert result.exit_code == 2
+            assert result.output == ("invalid: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                     f"in position {at}: invalid start byte\n")
 
 
 class TestAnalyze:

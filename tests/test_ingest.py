@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -708,7 +709,8 @@ class TestIntGrid:
     def test_patterns_use_no_syntax_newer_than_python_3_10(self):
         # possessive quantifiers and atomic groups came in Python 3.11, where 3.10 fails to compile them
         for pattern in [v for v in vars(ingest).values() if isinstance(v, re.Pattern)]:
-            assert not re.search(r"[*+?}]\+|\(\?>", pattern.pattern), pattern.pattern
+            source = pattern.pattern if isinstance(pattern.pattern, str) else pattern.pattern.decode("ascii")
+            assert not re.search(r"[*+?}]\+|\(\?>", source), source
 
     @settings(max_examples=300, deadline=None)
     @given(grid_spans())
@@ -809,11 +811,70 @@ class TestLargeBundleParse:
         assert parse_outcome(text) == json_loads_outcome(text)
 
     def test_grids_are_read_as_arrays(self):
-        text = json.dumps(raw_doc(), indent=2)
-        doc, rest = ingest._load_bundle_json(text)
+        data = json.dumps(raw_doc(), indent=2).encode()
+        doc, rest = ingest._load_bundle_json(data)
         assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * 3
-        assert {k: g.tolist() for k, g in doc["matrices"].items()} == json.loads(text)["matrices"]
-        assert len(rest) < len(text)
+        assert {k: g.tolist() for k, g in doc["matrices"].items()} == json.loads(data)["matrices"]
+        assert len(rest) < len(data)
+
+
+def invalid_byte(data: bytes, where: str) -> bytes:
+    """``data`` with a 0xff byte in the first criterion id, or inside the first grid that numpy would read."""
+    if where == "an id":
+        return data.replace(b'"C1"', b'"C\xff1"', 1)
+    edited = data.replace(b"], [", b"], \xff[", 1)
+    assert edited.index(b"\xff") > data.index(b'"matrices"')
+    return edited
+
+
+# bundle texts that decode, parse or validate in different ways: a bundle of numpy-read grids with one edit
+ENCODING_EDITS = {
+    "plain": lambda text: text,
+    "a byte-order mark": lambda text: "\ufeff" + text,
+    "a non-ASCII id": lambda text: text.replace('"C1"', '"\u00c41"', 1),
+    "a non-ASCII id, then invalid JSON": lambda text: text.replace('"C1"', '"\u00c41"', 1)[:-40],
+    "a byte-order mark, then invalid JSON": lambda text: "\ufeff" + text[:-40],
+    "a lone surrogate escape in a name": lambda text: text.replace('"crit 1"', '"crit \\ud8001"', 1),
+    "a ragged grid": lambda text: text.replace("[[0, ", "[[0, 7, ", 1).replace(", 0]", "]", 1),
+}
+
+
+class TestBundleEncoding:
+    """A bundle is read from its bytes and only the text around the numpy-read grids is decoded, with the
+    results, offsets and messages of decoding the whole input first."""
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    @pytest.mark.parametrize("where", ["an id", "a grid"])
+    def test_invalid_utf8_names_the_byte_position(self, where, bom):
+        data = invalid_byte(bom + write_bundle(make_raw_bundle()), where)
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(data)
+        at = data.index(b"\xff")  # counted from the start of the file, byte-order mark included
+        assert exc_info.value.errors == [
+            f"not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"]
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_byte_order_mark_dropped_before_the_grids(self, layout):
+        text = json.dumps(raw_doc(), **LAYOUTS[layout])
+        want = parse_outcome(text)
+        assert isinstance(want, tuple)
+        assert parse_outcome(b"\xef\xbb\xbf" + text.encode()) == parse_outcome("\ufeff" + text) == want
+
+    @pytest.mark.parametrize("edit", list(ENCODING_EDITS))
+    def test_text_and_bytes_agree(self, edit):
+        text = ENCODING_EDITS[edit](json.dumps(raw_doc(), ensure_ascii=False))
+        assert parse_outcome(text) == parse_outcome(text.encode("utf-8", "surrogatepass"))
+
+    def test_parse_peaks_below_one_and_a_half_bundles(self):
+        # no decoded copy of the bundle: the grids are read from its bytes, and only the text around them is decoded
+        data = write_bundle(make_raw_bundle(n=200, m=21))
+        tracemalloc.start()
+        try:
+            parse_study_bundle(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(data)
 
 
 def assert_reprs_match(values):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -75,6 +75,36 @@ def expert_panels(draw):
     grids[:, np.arange(n), np.arange(n)] = 0
     order = draw(st.permutations(range(m)))
     return grids, grids[order], hi
+
+
+def walk_oracle(panel):
+    """The rough group matrix from the walk as first written, kept as the oracle of its leaner form: a ``np.where``
+    at each position, and each bound written through a strided column of the (n, n, 2) grid."""
+    m, n = panel.shape[:2]
+    cells = np.sort(panel.reshape(m, n * n), axis=0)
+    group = np.zeros((n, n, 2))
+    for bound, walk in zip(group.reshape(n * n, 2).T, (cells, cells[::-1])):
+        seen_sum = np.zeros(n * n)
+        run = np.zeros(n * n)
+        for seen, k in enumerate(walk, 1):
+            run += 1
+            c = np.where(walk[seen] != k if seen < m else True, run, 0.0)
+            seen_sum += c * k
+            bound += c * (seen_sum / seen)
+            run -= c
+    return group / m
+
+
+@st.composite
+def walk_panels(draw):
+    """An int16, int32 or int64 (m, n, n) panel, m up to 50, on a band of its dtype's range: from 0, or a few
+    values wide so that runs form; an int64 band may reach past 2**62, where the float sums round."""
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    top = np.iinfo(dtype).max if dtype is not np.int64 else 2**62 + 2**20
+    hi = draw(st.integers(1, top) | st.integers(top - 2**10, top))
+    lo = draw(st.sampled_from([0, max(hi - 3, 0)]))
+    m, n = draw(st.integers(2, 50)), draw(st.integers(1, 6))
+    return draw(hnp.arrays(dtype, (m, n, n), elements=st.integers(lo, hi)))
 
 
 @st.composite
@@ -160,6 +190,15 @@ class TestRoughGroupMatrix:
         # a parsed panel is as narrow as its scale allows; the sorted copy takes its dtype
         groups = [rough_group_matrix(panel.astype(dtype)).tobytes() for dtype in (np.int16, np.int32, np.int64)]
         assert groups[0] == groups[1] == groups[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk_panels())
+    @example(np.full((50, 2, 2), 2**62, dtype=np.int64))
+    @example(np.array([[[2**62 - 1]], [[2**62]], [[2**62]], [[2**62 + 1]]], dtype=np.int64))
+    def test_walk_matches_its_first_form_bit_for_bit(self, panel):
+        group = rough_group_matrix(panel)
+        assert group.flags.c_contiguous
+        assert group.tobytes() == walk_oracle(panel).tobytes()
 
     def test_judgments_near_the_int64_limit_do_not_wrap(self):
         # two judgments of 2**62 sum to 2**63, one past the largest int64
