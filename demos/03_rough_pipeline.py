@@ -21,16 +21,16 @@ for key, value in report.config.items():
 print("\nid   X        Y        X+Y      X-Y      omega    weight  rank  group")
 for r in report.results:
     print(
-        f"{r.criterion_id:<4} {r.x:>7.4f}  {r.y:>7.4f}  {r.prominence:>7.4f}  "
+        f"{r.criterion:<4} {r.x:>7.4f}  {r.y:>7.4f}  {r.prominence:>7.4f}  "
         f"{r.relation:>7.4f}  {r.omega:>7.4f}  {r.weight:.4f}  {r.rank:>4}  {r.group}"
     )
 
 print("\ncause criteria (drive the system):")
 for r in report.results:
     if r.group == "cause":
-        print(f"  {r.criterion_id}: {names[r.criterion_id]}")
+        print(f"  {r.criterion}: {names[r.criterion]}")
 
-print(f"\ninfluence network at threshold q = {report.network.threshold:.4f}:")
+print(f"\ninfluence network at threshold q = {report.config['threshold_q']:.4f}:")
 net = report.network
 for i, j, strength in zip(net.source, net.target, net.strength):
     print(f"  {net.nodes[i]} -> {net.nodes[j]}  (strength {strength:.4f})")

@@ -24,11 +24,11 @@ entries = deviation_ledger(report.analysis, load_reference_tables())
 
 by_table: dict[str, Counter] = {}
 for e in entries:
-    by_table.setdefault(e.table, Counter())[e.status] += 1
+    by_table.setdefault(e["table"], Counter())[e["status"]] += 1
 
 print(f"{'table':<16} {'pass':>5} {'fail':>5} {'n/c':>5}   worst difference")
 for table, counts in by_table.items():
-    diffs = [e.difference for e in entries if e.table == table and e.difference is not None]
+    diffs = [e["difference"] for e in entries if e["table"] == table and e["difference"] is not None]
     worst = f"{max(diffs):.2e}" if diffs else "-"
     print(
         f"{table:<16} {counts.get('pass', 0):>5} {counts.get(FAIL, 0):>5} "
@@ -42,5 +42,5 @@ print(f"\noverall: {'PASS' if ledger_passes(entries) else 'FAIL'} "
 # which is how the default strategy was chosen.
 alt = run_analysis(load_study_bundle(), AnalysisConfig(tau_strategy="max-upper-sum"))
 alt_entries = deviation_ledger(alt.analysis, load_reference_tables())
-failures = sum(1 for e in alt_entries if e.status == FAIL)
+failures = sum(1 for e in alt_entries if e["status"] == FAIL)
 print(f"with tau strategy 'max-upper-sum': {failures} cells out of tolerance")

@@ -40,7 +40,7 @@ doc = b"""{
 bundle = parse_study_bundle(doc)
 print(f"\npanel: shape {bundle.panel.shape}, respondents {[r.id for r in bundle.respondents]}")
 analysis = analyze_rough(bundle.criterion_ids, panel=bundle.panel)
-print("bundle analyzed; weights:", [f"{r.criterion_id}={r.weight:.3f}" for r in analysis.results])
+print("bundle analyzed; weights:", [f"{r.criterion}={r.weight:.3f}" for r in analysis.results])
 
 # Validation is total: every fault is reported, not just the first.
 broken = b'{"criteria": [{"id": "A"}, {"id": "A"}], "respondents": [{"id": "r1", "role": "wizard"}]}'

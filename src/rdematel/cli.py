@@ -110,12 +110,11 @@ def reproduce_paper(args):
         out = Path(args.out_dir)
         _write_file(out / "deviations.csv", report_mod.render_deviations_csv(entries))
         _write_file(out / "report.json", report_mod.report_json_chunks(rep))
-    for table in sorted({e.table for e in entries}):
-        rows = [e for e in entries if e.table == table]
-        failed = sum(1 for e in rows if e.status == report_mod.FAIL)
-        skipped = sum(1 for e in rows if e.status == report_mod.NOT_COMPARABLE)
-        status = "FAIL" if failed else ("NOT-COMPARABLE" if skipped == len(rows) else "PASS")
-        _echo(f"{table}: {status} ({len(rows)} cells, {failed} failed, {skipped} not comparable)\n")
+    for table in sorted({e["table"] for e in entries}):
+        statuses = [e["status"] for e in entries if e["table"] == table]
+        failed, skipped = statuses.count(report_mod.FAIL), statuses.count(report_mod.NOT_COMPARABLE)
+        status = "FAIL" if failed else ("NOT-COMPARABLE" if skipped == len(statuses) else "PASS")
+        _echo(f"{table}: {status} ({len(statuses)} cells, {failed} failed, {skipped} not comparable)\n")
     _echo(f"tau strategy: {args.tau_strategy} (tau = {rep.analysis.tau:.4f})\n")
     if not report_mod.ledger_passes(entries):
         sys.exit(2)

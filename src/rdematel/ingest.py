@@ -294,15 +294,22 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool) -> StudyBundle:
             errors.append("matrices: must map respondent id to an n x n integer grid")
             raw = {}
         rows = {r.id: k for k, r in enumerate(respondents)}  # each respondent's row of the panel
-        errors.extend(f"matrices[{rid}]: dangling respondent reference" for rid in raw if rid not in rows)
-        errors.extend(f"matrices: no matrix for respondent {rid}" for rid in rows if rid not in raw)
+        keys: dict[str, str] = {}  # respondent id -> its matrices key, which names it as an id does: stripped
+        for key in raw:
+            if (rid := key.strip()) not in rows:
+                errors.append(f"matrices[{key}]: dangling respondent reference")
+            elif rid in keys:
+                errors.append(f"matrices[{key}]: respondent {rid} already has a matrix, at matrices[{keys[rid]}]")
+            else:
+                keys[rid] = key
+        errors.extend(f"matrices: no matrix for respondent {rid}" for rid in rows if rid not in keys)
         # signed and holding -1 - maximum, so a difference of two fits; 8-bit ints sort several times slower
         panel = np.zeros((len(rows), n, n), dtype=np.promote_types(np.min_scalar_type(-1 - scale.maximum), np.int16))
-        for rid, grid in raw.items():
+        for key, grid in raw.items():
             a = _read_grid(grid, criteria, scale, maybe_bool)
             if isinstance(a, str):
-                errors.append(f"matrices[{rid}]: {a}")
-            elif rid in rows:
+                errors.append(f"matrices[{key}]: {a}")
+            elif keys.get(rid := key.strip()) == key:
                 panel[rows[rid]] = a
 
     rough_group: np.ndarray | None = None
@@ -438,12 +445,13 @@ def json_chunks(value, ensure_ascii: bool = True) -> Iterator[str]:
     leading-axis row at a time.
 
     Arrays go through ``json_grid``, which writes each distinct value's repr
-    once (a float grid's with a numpy shortest-digit kernel when it has 512 or
-    more distinct values, the text still exactly ``float.__repr__``'s); a
-    non-empty dict (string keys) is walked key by key; an iterator is text its
-    caller encodes as it is written, and its chunks are passed on; any other
-    value is one call of the stdlib's C encoder.  No chunk holds more than one
-    row of a grid, one key or one other value.
+    once; an iterator, such as a windowed ``json_grid``, is text its caller
+    encodes as it is written, and its chunks are passed on.  ``_json_reprs``
+    writes a call's floats (distinct values, or a window's) with a numpy
+    shortest-digit kernel when there are 512 or more, the text still exactly
+    ``float.__repr__``'s.  A non-empty dict (string keys) is walked key by
+    key; any other value is one call of the stdlib's C encoder.  No chunk
+    holds more than one row of a grid, one key or one other value.
     """
     if isinstance(value, np.ndarray):
         yield from json_grid(value)

@@ -26,13 +26,12 @@ THRESHOLD_FIXED = "fixed"
 
 @dataclass(frozen=True, eq=False)  # == on array fields would be ambiguous; compare the fields with np.array_equal
 class InfluenceNetwork:
-    """Edge k runs from ``nodes[source[k]]`` to ``nodes[target[k]]`` with ``strength[k]``."""
+    """Edge k runs from ``nodes[source[k]]`` to ``nodes[target[k]]``, ``strength[k]``; q is in the report's config."""
 
     nodes: tuple[str, ...]
     source: np.ndarray  # intp
     target: np.ndarray  # intp
     strength: np.ndarray  # float64
-    threshold: float
 
 
 def crispify_total(t: np.ndarray, mode: str = CRISPIFY_MIDPOINT) -> np.ndarray:
@@ -84,4 +83,4 @@ def extract_network(tstar: np.ndarray, q: float, criteria: Sequence[str]) -> Inf
     keep = tstar >= q
     np.fill_diagonal(keep, False)
     source, target = np.nonzero(keep)
-    return InfluenceNetwork(tuple(criteria), source, target, tstar[source, target], float(q))
+    return InfluenceNetwork(tuple(criteria), source, target, tstar[source, target])

@@ -39,7 +39,7 @@ NEUTRAL = "neutral"
 class AnalysisResult:
     """Per-criterion outcome of a rough DEMATEL run."""
 
-    criterion_id: str
+    criterion: str
     x: float
     y: float
     prominence: float
@@ -66,19 +66,21 @@ class RoughAnalysis:
 
 
 def check_intervals(intervals) -> np.ndarray:
-    """``intervals`` as a float array whose last axis is ``[lower, upper]``, with no lower bound above its upper.
+    """``intervals`` as a float array whose last axis is ``[lower, upper]``: finite, no lower bound above its upper.
 
-    Raises ShapeError for a last axis other than 2 and IntervalOrderError
-    naming the first reversed entry in row-major order.
+    Raises ShapeError for a last axis other than 2, InvalidArgumentError
+    naming the first entry with a non-finite bound and IntervalOrderError
+    naming the first reversed entry, each first in row-major order.
     """
     a = np.asarray(intervals, dtype=float)
     if a.ndim == 0 or a.shape[-1] != 2:
         raise ShapeError(f"intervals need a last axis of [lower, upper], got shape {a.shape}")
-    reversed_entries = np.argwhere(a[..., 0] > a[..., 1])
-    if reversed_entries.size:
-        entry = tuple(reversed_entries[0].tolist())
-        lo, up = a[entry]
-        raise IntervalOrderError(f"entry ({','.join(map(str, entry))}) has lower {lo} > upper {up}")
+    faults = ((~np.isfinite(a).all(axis=-1), InvalidArgumentError, "has a non-finite bound: lower {}, upper {}"),
+              (a[..., 0] > a[..., 1], IntervalOrderError, "has lower {} > upper {}"))
+    for bad, error, fault in faults:
+        if bad.any():  # not argwhere's size: a single interval's mask is 0-d, and its argwhere is empty
+            entry = tuple(np.argwhere(bad)[0].tolist())
+            raise error(f"entry ({','.join(map(str, entry))}) " + fault.format(*a[entry]))
     return a
 
 
@@ -89,6 +91,8 @@ def interval_sums(g: np.ndarray, axis: int) -> np.ndarray:
     own would: numpy's order of addition follows the memory layout, and
     ``g.sum(axis=axis)`` can add in another order.
     """
+    if g.ndim != 3 or g.shape[0] != g.shape[1] or g.shape[2] != 2:
+        raise ShapeError(f"interval sums need an (n, n, 2) grid of [lower, upper] pairs, got shape {g.shape}")
     return np.stack([g[..., 0].sum(axis=axis), g[..., 1].sum(axis=axis)], axis=-1)
 
 
@@ -202,7 +206,7 @@ def rough_sums(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weights(prominence: np.ndarray, relation: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Importance omega = sqrt(m^2 + n^2), normalized weights, 1-based ranks.
+    """Importance omega = sqrt(m^2 + n^2) of finite m and n, normalized weights, 1-based ranks.
 
     Ranks order by descending omega; ties break by input order (stable sort).
     """
@@ -210,6 +214,10 @@ def weights(prominence: np.ndarray, relation: np.ndarray) -> tuple[np.ndarray, n
     relation = np.asarray(relation, dtype=float)
     if prominence.size == 0:
         raise InvalidArgumentError("need at least one criterion")
+    if not (finite := np.isfinite(prominence) & np.isfinite(relation)).all():
+        i = np.flatnonzero(~finite)[0]
+        raise InvalidArgumentError(f"weights: criterion {i} has prominence {prominence.flat[i]} and relation "
+                                   f"{relation.flat[i]}; both must be finite")
     omega = np.sqrt(prominence**2 + relation**2)
     total = omega.sum()
     if total == 0.0:

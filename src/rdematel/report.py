@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,6 +24,10 @@ from .pipeline import AnalysisResult, RoughAnalysis
 PASS = "pass"
 FAIL = "fail"
 NOT_COMPARABLE = "not-comparable"
+
+# a deviation ledger row is a dict of these keys in this order, the columns of deviations.csv and report.json;
+# a not-comparable row's computed value, difference and tolerance are None
+_LEDGER_COLUMNS = ("table", "cell", "reference", "computed", "difference", "tolerance", "status", "note")
 
 
 @dataclass(frozen=True)
@@ -46,19 +50,7 @@ class AnalysisReport:
     results: list[AnalysisResult]
     analysis: RoughAnalysis
     network: net_mod.InfluenceNetwork
-    deviations: list["DeviationEntry"] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class DeviationEntry:
-    table: str
-    cell: str
-    reference: float | None
-    computed: float | None
-    difference: float | None
-    tolerance: float | None
-    status: str
-    note: str = ""
+    deviations: list[dict] = field(default_factory=list)
 
 
 def run_analysis(bundle: StudyBundle, config: AnalysisConfig = AnalysisConfig()) -> AnalysisReport:
@@ -89,22 +81,13 @@ def run_analysis(bundle: StudyBundle, config: AnalysisConfig = AnalysisConfig())
     )
 
 
-# the result table's columns, one per AnalysisResult field in declaration order
-_RESULT_COLUMNS = ("criterion", "x", "y", "prominence", "relation", "omega", "weight", "rank", "group")
-
-
-def _fmt(v: float) -> str:
-    # 4 fractional digits, round-half-even (python's default float formatting)
-    return f"{v:.4f}"
-
-
 def render_results_csv(report: AnalysisReport) -> bytes:
-    """Result table mirroring the X / Y / X+Y / X-Y and weight/ranking columns."""
+    """Result table, a column per ``AnalysisResult`` field; floats to 4 places, rounded half to even."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(_RESULT_COLUMNS)
+    writer.writerow([f.name for f in fields(AnalysisResult)])
     for r in report.results:
-        writer.writerow([_fmt(v) if type(v) is float else v for v in vars(r).values()])
+        writer.writerow([f"{v:.4f}" if type(v) is float else v for v in vars(r).values()])
     return buf.getvalue().encode("utf-8")
 
 
@@ -116,10 +99,10 @@ def render_report_json(report: AnalysisReport) -> bytes:
 def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
     """Yield the text of ``report.json`` in chunks, for a caller that writes it as it renders.
 
-    Schema 4 writes each value once and leaves out what a reader can recompute: the normalized grid
-    ``rough_group / config.tau``, the crisp grid ``tstar = network.crispify_total(total, config.crispify_mode)``,
-    q (it is ``config.threshold_q``) and the network, whose edges are
-    ``network.extract_network(tstar, config.threshold_q, criteria)``.  The text is exactly that of
+    Schema 4 leaves out what a reader can recompute: the normalized grid ``rough_group / config.tau``, the crisp
+    grid ``tstar = network.crispify_total(total, config.crispify_mode)`` and the network, whose edges are
+    ``network.extract_network(tstar, config.threshold_q, criteria)``.  Only ``criteria`` repeats values, the
+    results' ``criterion`` column.  The text is exactly that of
     ``json.dumps(doc) + "\n"`` with each grid as its ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes
     one row at a time from ``ingest.json_grid``, which reprs every distinct value of ``rough_group`` once (a raw
     panel's rough group repeats values: a cell's bounds depend only on how many experts chose each judgment) and
@@ -131,12 +114,11 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
         "schema": 4,
         "config": report.config,
         "criteria": a.criteria,
-        "results": [dict(zip(_RESULT_COLUMNS, vars(r).values())) for r in report.results],
+        # vars() lists a dataclass's fields in declaration order; dataclasses.asdict deep-copies each value
+        "results": [vars(r) for r in report.results],
         "rough_group": a.group_matrix,
         "total": json_grid(a.total, 4096),  # all distinct: reprs written 4096 values at a time, with no table
-        # vars() lists a dataclass's fields in declaration order; dataclasses.asdict
-        # deep-copies each value, ~3 ms for the bundled study's ledger, as long as its analysis
-        "deviations": [vars(d) for d in report.deviations],
+        "deviations": report.deviations,
     }
     yield from json_chunks(doc)
     yield "\n"
@@ -157,23 +139,26 @@ def render_graph_dot(network: net_mod.InfluenceNetwork) -> bytes:
     return ("digraph influence {\n" + text + "}\n").encode("utf-8")
 
 
-def render_deviations_csv(entries: Sequence[DeviationEntry]) -> bytes:
+def render_deviations_csv(entries: Sequence[dict]) -> bytes:
+    """The ledger rows as CSV, a column per ledger key; a float is written as its repr, a None as an empty cell."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["table", "cell", "reference", "computed", "difference", "tolerance", "status", "note"])
-    for d in entries:
-        numbers = ("" if v is None else repr(v) for v in (d.reference, d.computed, d.difference, d.tolerance))
-        writer.writerow([d.table, d.cell, *numbers, d.status, d.note])
+    writer = csv.DictWriter(buf, _LEDGER_COLUMNS)
+    writer.writeheader()
+    writer.writerows(entries)
     return buf.getvalue().encode("utf-8")
 
 
-def _compare(table: str, cell: str, reference: float, computed: float, tol: float, note: str = "") -> DeviationEntry:
+def _row(*values) -> dict:
+    return dict(zip(_LEDGER_COLUMNS, values, strict=True))
+
+
+def _compare(table: str, cell: str, reference: float, computed: float, tol: float, note: str = "") -> dict:
     diff = float(abs(reference - computed))
     status = PASS if diff <= tol else FAIL
-    return DeviationEntry(table, cell, float(reference), float(computed), diff, tol, status, note)
+    return _row(table, cell, float(reference), float(computed), diff, tol, status, note)
 
 
-def deviation_ledger(analysis: RoughAnalysis, reference: dict) -> list[DeviationEntry]:
+def deviation_ledger(analysis: RoughAnalysis, reference: dict) -> list[dict]:
     """Reconcile a run entered at the published rough group matrix against the reference tables.
 
     The published total-relation grid is printed transposed relative to the
@@ -207,8 +192,8 @@ def deviation_ledger(analysis: RoughAnalysis, reference: dict) -> list[Deviation
                                  note="transposed grid mapping applied") for i in range(n)]
     # the published crisp X/Y cannot be recovered from the published sums
     entries += [
-        DeviationEntry(kind, ids[i], float(reference[kind][i]), None, None, None, NOT_COMPARABLE,
-                       note="published crisp values do not follow from the published sums via the stated conversion")
+        _row(kind, ids[i], float(reference[kind][i]), None, None, None, NOT_COMPARABLE,
+             "published crisp values do not follow from the published sums via the stated conversion")
         for kind in ("crisp_x", "crisp_y") for i in range(n)
     ]
     # weight table, recomputed from the published crisp X/Y values
@@ -224,6 +209,6 @@ def deviation_ledger(analysis: RoughAnalysis, reference: dict) -> list[Deviation
     return entries
 
 
-def ledger_passes(entries: Sequence[DeviationEntry]) -> bool:
+def ledger_passes(entries: Sequence[dict]) -> bool:
     """True iff every comparable cell passes its tolerance."""
-    return all(e.status != FAIL for e in entries)
+    return all(e["status"] != FAIL for e in entries)

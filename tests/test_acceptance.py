@@ -120,8 +120,8 @@ def test_06_crisp_conversion_marked_not_comparable(bundle, reference):
     with criterion(6, "irreproducible step marked not-comparable"):
         rep = run_analysis(bundle, AnalysisConfig())
         entries = deviation_ledger(rep.analysis, reference)
-        ncomp = [e for e in entries if e.status == NOT_COMPARABLE]
-        assert {e.table for e in ncomp} == {"crisp_x", "crisp_y"}
+        ncomp = [e for e in entries if e["status"] == NOT_COMPARABLE]
+        assert {e["table"] for e in ncomp} == {"crisp_x", "crisp_y"}
         # the published value really is unreachable from the published sums
         hand = crisp_convert(np.stack([reference["sum_x_lower"], reference["sum_x_upper"]], axis=-1))
         assert hand[0] == pytest.approx(1.30, abs=0.01)
@@ -250,5 +250,5 @@ def test_reproduction_ledger_overall(bundle, reference):
     with criterion("1-6 combined", "full reproduction ledger"):
         rep = run_analysis(bundle, AnalysisConfig())
         entries = deviation_ledger(rep.analysis, reference)
-        failed = [e for e in entries if e.status == FAIL]
+        failed = [e for e in entries if e["status"] == FAIL]
         assert not failed, f"{len(failed)} reference cells outside tolerance"

@@ -355,6 +355,13 @@ class TestGraph:
         assert "threshold spec" in result.output
 
 
+    @pytest.mark.parametrize("spec", ["fixed", "fixed:"])
+    def test_fixed_threshold_without_a_value_is_a_usage_error(self, bundle_path, spec):
+        result = invoke(["graph", bundle_path, "--threshold", spec])
+        assert result.exit_code == 2
+        assert "fixed threshold needs a value, e.g. fixed:0.5" in result.output
+
+
 class TestReproducePaper:
     def test_default_run_passes(self, tmp_path):
         out = tmp_path / "repro"

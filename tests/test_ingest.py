@@ -288,6 +288,23 @@ class TestBundleParsing:
         reread = parse_study_bundle(data)
         assert reread.criterion_ids[0] == "C0" and reread.respondents[1].id == "R1"
 
+    def test_matrices_keys_follow_the_id_rule(self):
+        # a key names its respondent as the respondent's own id does, stripped of surrounding whitespace
+        b = make_raw_bundle(n=3, m=3)
+        doc = json.loads(write_bundle(b))
+        doc["respondents"][1]["id"] = " R1"
+        doc["matrices"] = {" R0\t": doc["matrices"]["R0"], " R1": doc["matrices"]["R1"], "R2": doc["matrices"]["R2"]}
+        parsed = parse_study_bundle(json.dumps(doc))
+        assert [r.id for r in parsed.respondents] == ["R0", "R1", "R2"]
+        assert np.array_equal(parsed.panel, b.panel)
+
+    def test_two_matrices_for_one_respondent_rejected(self):
+        doc = json.loads(write_bundle(make_raw_bundle(n=3, m=2)))
+        doc["matrices"]["R1 "] = doc["matrices"]["R0"]
+        with pytest.raises(BundleValidationError) as exc_info:
+            parse_study_bundle(json.dumps(doc))
+        assert exc_info.value.errors == ["matrices[R1 ]: respondent R1 already has a matrix, at matrices[R1]"]
+
     def test_empty_criteria_rejected(self):
         with pytest.raises(BundleValidationError, match="criteria"):
             parse_study_bundle(json.dumps({"criteria": [], "respondents": [], "rough_group": []}))

@@ -12,7 +12,7 @@ def loop_network(tstar, q, criteria):
     edges = [(i, j, tstar[i, j]) for i in range(len(tstar)) for j in range(len(tstar)) if i != j and tstar[i, j] >= q]
     source, target, strength = (np.array([e[k] for e in edges], dtype=dtype)
                                 for k, dtype in enumerate((np.intp, np.intp, np.float64)))
-    return InfluenceNetwork(tuple(criteria), source, target, strength, float(q))
+    return InfluenceNetwork(tuple(criteria), source, target, strength)
 
 
 def edge_set(net):
@@ -128,7 +128,7 @@ class TestExtractNetwork:
             ids = [f"C{i}" for i in range(n)]
             for q in (0.0, 0.5, float(np.median(t)), 2.0):
                 got, want = extract_network(t, q, ids), loop_network(t, q, ids)
-                assert (got.nodes, got.threshold) == (want.nodes, want.threshold)
+                assert got.nodes == want.nodes
                 for field in ("source", "target", "strength"):
                     a, b = getattr(got, field), getattr(want, field)
                     assert a.dtype == b.dtype and np.array_equal(a, b), field

@@ -225,6 +225,14 @@ class TestRoughGroupMatrix:
 
 
 class TestNormalizeRough:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 2), (2, 2, 3), (4,)])
+    def test_needs_an_n_by_n_interval_grid(self, shape):
+        # a 2-d grid used to raise numpy's AxisError
+        with pytest.raises(ShapeError, match=rf"got shape \({shape[0]},"):
+            normalize_rough(np.ones(shape))
+        with pytest.raises(ShapeError, match=r"need an \(n, n, 2\) grid"):
+            interval_sums(np.ones(shape), axis=1)
+
     def test_paper_tau_total(self, paper_group):
         normalized, tau = normalize_rough(paper_group, TAU_MAX_TOTAL_SUM)
         assert tau == pytest.approx(28.2619, abs=1e-4)
@@ -350,6 +358,15 @@ class TestScoresToResults:
         with pytest.raises(InvalidArgumentError, match="need at least one criterion"):
             weights([], [])
 
+    @pytest.mark.parametrize("prominence, relation, message", [
+        ([np.nan, 1.0], [0.0, 0.0], "criterion 0 has prominence nan and relation 0.0"),
+        ([1.0, 2.0], [0.0, -np.inf], "criterion 1 has prominence 2.0 and relation -inf"),
+    ])
+    def test_non_finite_scores_rejected(self, prominence, relation, message):
+        # a NaN prominence used to give NaN weights and ranks [2, 1]
+        with pytest.raises(InvalidArgumentError, match=f"^weights: {message}; both must be finite$"):
+            weights(prominence, relation)
+
     def test_tied_omegas_rank_by_input_order(self):
         omega, w, ranks = weights(np.array([3.0, 3.0, 5.0]), np.zeros(3))
         assert list(ranks) == [2, 3, 1]
@@ -397,7 +414,7 @@ class TestAnalyzeRough:
         a2 = analyze_rough([crit[i] for i in perm], panel=permuted)
         for pos, i in enumerate(perm):
             r1, r2 = a1.results[i], a2.results[pos]
-            assert r1.criterion_id == r2.criterion_id
+            assert r1.criterion == r2.criterion
             assert r1.omega == pytest.approx(r2.omega, abs=1e-9)
             assert r1.rank == r2.rank
             assert r1.group == r2.group

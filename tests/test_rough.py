@@ -171,6 +171,24 @@ def test_reversed_bounds_rejected():
         crisp_convert(intervals([0.0, 2.0], [1.0, 1.5]))
 
 
+def test_single_reversed_interval_rejected():
+    with pytest.raises(IntervalOrderError, match=r"^entry \(\) has lower 3.0 > upper 1.0$"):
+        crisp_convert([3.0, 1.0])
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([[np.nan, 1.0], [0.0, 2.0]], r"^entry \(0\) has a non-finite bound: lower nan, upper 1.0$"),
+    ([[0.0, np.inf], [0.0, 2.0]], r"^entry \(0\) has a non-finite bound: lower 0.0, upper inf$"),
+    ([[[0.0, 0.0], [1.0, 2.0]], [[0.5, 1.0], [-np.inf, 0.0]]], r"^entry \(1,1\) has a non-finite bound"),
+], ids=["nan", "inf", "grid"])
+def test_non_finite_bounds_rejected_naming_the_entry(grid, message):
+    # a non-finite bound used to give NaN crisp values, or a divide warning
+    with pytest.raises(InvalidArgumentError, match=message):
+        crisp_convert(grid)
+    with pytest.raises(InvalidArgumentError, match=message):
+        check_intervals(grid)
+
+
 def test_intervals_need_a_bound_axis():
     for shape in [(3,), (2, 3), ()]:
         with pytest.raises(ShapeError, match="last axis"):
