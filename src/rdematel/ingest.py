@@ -150,7 +150,8 @@ def _read_grid(grid, criteria: list[CriterionMeta], scale: Scale, maybe_bool: bo
         if a.dtype.kind in "iu" and not (maybe_bool and isinstance(grid, list)):
             off = (a < lo) | (a > hi)
             np.fill_diagonal(off, np.diagonal(a) != 0)
-            cells = ((i, j, a[i, j].item()) for i, j in zip(*np.nonzero(off)))
+            # a genexp evaluates its first iterable at once, so np.nonzero runs only on a grid with a bad cell
+            cells = ((i, j, a[i, j].item()) for i, j in zip(*np.nonzero(off))) if off.any() else iter(())
         else:
             cells = ((i, j, v) for i, row in enumerate(grid) for j, v in enumerate(row)
                      if type(v) is not int or (v != 0 if i == j else not lo <= v <= hi))

@@ -1,9 +1,9 @@
 """The rough DEMATEL pipeline.
 
-Expert judgment panel -> per-cell sorted judgments -> rough group matrix ->
-normalized rough matrix -> rough total-relation matrix -> interval row and
-column sums -> crisp prominence/relation -> weights, ranking and
-cause/effect classification.
+Expert judgment panel -> each cell's judgments, counted per value or sorted
+-> rough group matrix -> normalized rough matrix -> rough total-relation
+matrix -> interval row and column sums -> crisp prominence/relation ->
+weights, ranking and cause/effect classification.
 
 Every interval grid is a float array whose last axis is ``[lower, upper]``,
 the (n, n, 2) layout bundles and ``report.json`` store.
@@ -96,6 +96,11 @@ def interval_sums(g: np.ndarray, axis: int) -> np.ndarray:
     return np.stack([g[..., 0].sum(axis=axis), g[..., 1].sum(axis=axis)], axis=-1)
 
 
+# Judgments per block of the count path. Its bincount index, 8 bytes a judgment, sets the path's peak: 256 KiB here,
+# where twice that would pass the walk's sorted copy of a (30 criteria, 200 experts) int16 panel.
+_COUNT_BLOCK = 2**15
+
+
 def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     """Pool an (experts, n, n) panel of integer judgments into the averaged (n, n, 2) rough group matrix.
 
@@ -106,16 +111,27 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     unanimous cell collapses to a point, which is what makes classic crisp
     DEMATEL a degenerate case of the rough pipeline.
 
-    Each cell's m judgments are sorted once, so that a cell's equal
-    judgments form a run.  The lower bounds walk the sorted positions
-    upwards, the upper bounds downwards; at the last position of each run
-    the walk adds the run's length times the mean of every judgment seen so
-    far, and 0.0 at every other position.  The sort makes the result
-    independent of expert order, and the cost depends on the panel's shape
-    alone, not on how wide its scale is.
+    Both paths add, for each distinct judgment v of a cell in ascending
+    order (lower bounds) or descending order (upper bounds), the number of
+    judgments equal to v times the mean of every judgment up to and
+    including them, and divide the sums by m.  So neither depends on expert
+    order, and the two give the same bits.
 
-    The call peaks at the sorted copy of the panel, in the panel's dtype,
-    plus a few n x n float rows; the result is C-contiguous.
+    An integer panel (uint64 aside) whose values span at most m levels,
+    max - min + 1 <= m as on a Likert scale, takes the count path: blocks
+    of at most 2**15 judgments, each counted per cell and value by one
+    ``np.bincount`` and summed by ``_level_sums`` over the levels, written
+    straight into the result.  It sorts nothing, and peaks at the 256 KiB
+    index plus the result.
+
+    Any other panel (float, bool, or a range wider than m) takes the walk:
+    each cell's m judgments are sorted once, so that equal judgments form
+    a run, and the walk adds a run's share at its last position and 0.0
+    at every other.  Its cost depends on the panel's shape alone, not on
+    how wide its scale is, and it peaks at the sorted copy of the panel,
+    in the panel's dtype, plus a few n x n float rows.
+
+    The result is C-contiguous.
     """
     panel = np.asarray(panel)
     if panel.ndim != 3 or panel.shape[1] != panel.shape[2]:
@@ -123,7 +139,19 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     m, n = panel.shape[:2]
     if m < 2:
         raise InsufficientExpertsError(f"rough aggregation needs at least two experts, got {m}")
-    cells = np.sort(panel.reshape(m, n * n), axis=0)
+    cells = panel.reshape(m, n * n)
+    if n and panel.dtype.kind in "iu" and np.can_cast(panel.dtype, np.intp):
+        lo, hi = int(cells.min()), int(cells.max())
+        if hi - lo < m:
+            levels = (lo + np.arange(hi - lo + 1)).astype(float)  # each as exact as the walk's cast of a judgment
+            group = np.empty((n * n, 2))
+            k = max(1, _COUNT_BLOCK // m)
+            for start in range(0, n * n, k):
+                group[start:start + k] = _level_sums(_level_counts(cells[:, start:start + k], lo, levels.size),
+                                                     levels).T
+            group /= m
+            return group.reshape(n, n, 2)
+    cells = np.sort(cells, axis=0)
     bounds = np.zeros((2, n * n))  # each bound's n x n cells contiguous, so the walk's passes are unit-stride
     for bound, walk in zip(bounds, (cells, cells[::-1])):
         seen_sum = np.zeros(n * n)  # float64: an int64 sum wraps past 2**63, a float one is exact below 2**53
@@ -136,6 +164,36 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
             run -= c
     bounds /= m
     return np.stack(bounds, axis=-1).reshape(n, n, 2)  # C-contiguous, so a writer's ravel copies nothing
+
+
+def _level_counts(block: np.ndarray, lo: int, nlevels: int) -> np.ndarray:
+    """How many judgments each cell of an (m, k) block holds of each value lo, lo + 1, ..., as (nlevels, k) ints."""
+    k = block.shape[1]
+    index = block.astype(np.intp)  # (value - lo) * k + cell: the count's row is its value, its column its cell
+    index -= lo
+    index *= k
+    index += np.arange(k)
+    return np.bincount(index.ravel(), minlength=nlevels * k).reshape(nlevels, k)
+
+
+def _level_sums(counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Lower- and upper-bound sums, as (2, k) floats, of cells whose judgments are counted per value in ``counts``.
+
+    ``counts`` is (len(levels), k), ``levels`` the ascending float values.
+    Each level adds its count times the mean of every judgment seen so far.
+    A level that a cell does not hold adds a zero to both of its sums,
+    which leaves them as they are, as the walk's positions inside a run do.
+    """
+    counts = counts.astype(float)  # exact below 2**53, and float rows make each step one float loop
+    bounds = np.zeros((2, counts.shape[1]))
+    for bound, order in zip(bounds, (slice(None), slice(None, None, -1))):
+        seen = np.zeros(counts.shape[1])
+        seen_sum = np.zeros(counts.shape[1])
+        for c, v in zip(counts[order], levels[order]):
+            seen += c
+            seen_sum += c * v
+            bound += c * (seen_sum / np.maximum(seen, 1.0))
+    return bounds
 
 
 def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[np.ndarray, float]:
@@ -209,6 +267,8 @@ def weights(prominence: np.ndarray, relation: np.ndarray) -> tuple[np.ndarray, n
     """Importance omega = sqrt(m^2 + n^2) of finite m and n, normalized weights, 1-based ranks.
 
     Ranks order by descending omega; ties break by input order (stable sort).
+    Raises InvalidArgumentError naming the first criterion whose m or n is
+    not finite, or whose m^2 + n^2 overflows a float.
     """
     prominence = np.asarray(prominence, dtype=float)
     relation = np.asarray(relation, dtype=float)
@@ -218,7 +278,13 @@ def weights(prominence: np.ndarray, relation: np.ndarray) -> tuple[np.ndarray, n
         i = np.flatnonzero(~finite)[0]
         raise InvalidArgumentError(f"weights: criterion {i} has prominence {prominence.flat[i]} and relation "
                                    f"{relation.flat[i]}; both must be finite")
-    omega = np.sqrt(prominence**2 + relation**2)
+    with np.errstate(over="ignore"):
+        squares = prominence**2 + relation**2
+    if not (fits := np.isfinite(squares)).all():  # np.hypot would not overflow, but it rounds omega differently
+        i = np.flatnonzero(~fits)[0]
+        raise InvalidArgumentError(f"weights: criterion {i} has prominence {prominence.flat[i]} and relation "
+                                   f"{relation.flat[i]}; the sum of their squares overflows")
+    omega = np.sqrt(squares)
     total = omega.sum()
     if total == 0.0:
         raise DegenerateInputError("all-zero importance vector cannot be normalized")

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -162,7 +163,8 @@ class TestRoughGroupMatrix:
         assert rough_group_matrix(np.zeros((3, 0, 0), dtype=np.int64)).shape == (0, 0, 2)
 
     def test_peak_memory_below_one_and_a_half_panels(self):
-        # one sorted copy of the panel and a few n x n rows; no other panel-sized array is made
+        # a 0..4 panel takes the count path: a bincount index of at most 2**15 judgments and the (n*n, 2) result;
+        # no panel-sized array is made
         panel = random_expert_panel(120, 21, np.random.default_rng(0))
         tracemalloc.start()
         try:
@@ -184,6 +186,28 @@ class TestRoughGroupMatrix:
             tracemalloc.stop()
         assert peak < 4 * panel.nbytes
 
+    def test_int16_likert_panel_peaks_below_its_own_size(self):
+        # a parsed 0..4 panel is int16; the count path makes no panel-sized array, where a sorted copy would be one
+        panel = random_expert_panel(200, 21, np.random.default_rng(1)).astype(np.int16)
+        tracemalloc.start()
+        try:
+            rough_group_matrix(panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < panel.nbytes
+
+    def test_narrow_scale_panel_is_not_sorted(self, monkeypatch):
+        # 0..4 with six experts: five levels fit in m, so each cell is counted per value
+        panel = random_expert_panel(6, 6, np.random.default_rng(2))
+        expected = walk_oracle(panel)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.sort called")
+
+        monkeypatch.setattr(np, "sort", no_sort)
+        assert rough_group_matrix(panel).tobytes() == expected.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(int16_panels())
     def test_bit_identical_for_any_panel_dtype(self, panel):
@@ -195,6 +219,11 @@ class TestRoughGroupMatrix:
     @given(walk_panels())
     @example(np.full((50, 2, 2), 2**62, dtype=np.int64))
     @example(np.array([[[2**62 - 1]], [[2**62]], [[2**62]], [[2**62 + 1]]], dtype=np.int64))
+    # values spanning exactly m levels (counted per value), m + 1 levels (walked), and a uint8 band at its top
+    @example(np.array([[[0, 3], [1, 2]], [[3, 0], [2, 1]], [[1, 1], [0, 3]], [[2, 2], [3, 0]]], dtype=np.int16))
+    @example(np.array([[[0, 4], [1, 2]], [[3, 0], [2, 1]], [[1, 1], [0, 3]], [[2, 2], [3, 0]]], dtype=np.int16))
+    @example(np.array([[[251, 255], [252, 253]], [[255, 251], [254, 252]], [[253, 253], [251, 255]],
+                       [[254, 254], [255, 251]], [[251, 252], [253, 254]]], dtype=np.uint8))
     def test_walk_matches_its_first_form_bit_for_bit(self, panel):
         group = rough_group_matrix(panel)
         assert group.flags.c_contiguous
@@ -365,6 +394,16 @@ class TestScoresToResults:
     def test_non_finite_scores_rejected(self, prominence, relation, message):
         # a NaN prominence used to give NaN weights and ranks [2, 1]
         with pytest.raises(InvalidArgumentError, match=f"^weights: {message}; both must be finite$"):
+            weights(prominence, relation)
+
+    @pytest.mark.parametrize("prominence, relation, message", [
+        ([1e200, 1.0], [0.0, 0.0], "criterion 0 has prominence 1e+200 and relation 0.0"),
+        ([1.0, 2.0], [0.0, -1e200], "criterion 1 has prominence 2.0 and relation -1e+200"),
+    ])
+    def test_overflowing_square_rejected(self, prominence, relation, message):
+        # the square of 1e200 is inf: this used to warn and return weights [nan, 0.0]; RuntimeWarnings are errors here
+        pattern = f"^weights: {re.escape(message)}; the sum of their squares overflows$"
+        with pytest.raises(InvalidArgumentError, match=pattern):
             weights(prominence, relation)
 
     def test_tied_omegas_rank_by_input_order(self):
