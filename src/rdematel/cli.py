@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 usage/validation/analysis failure, 3 I/O failure, 1 for a closed
 stdout (nothing printed) or an interrupt (``Aborted!``); ``main`` maps every error to its code.
-Each option can also be set by an environment variable, RDEMATEL_<COMMAND>_<PARAMETER>
-(e.g. RDEMATEL_SYNTH_N_CRITERIA), checked as the flag is; a flag wins. Output is UTF-8.
+Options come from the command line only. Output is UTF-8.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import errno
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -43,14 +41,14 @@ def _echo(text: str | bytes, err: bool = False) -> None:
 
 
 def _parse_threshold(spec: str) -> tuple[str, float]:
-    """'mean-sigma:<k>' (k defaults to 1) or 'fixed:<q>' -> (mode, value), the value a finite number."""
+    """'mean-sigma:<k>' (k defaults to AnalysisConfig's) or 'fixed:<q>' -> (mode, value), the value a finite number."""
     mode, _, value = spec.partition(":")
     if mode not in (net_mod.THRESHOLD_MEAN_SIGMA, net_mod.THRESHOLD_FIXED):
         raise argparse.ArgumentTypeError(f"unknown threshold spec {spec!r}; use mean-sigma:<k> or fixed:<q>")
     if mode == net_mod.THRESHOLD_FIXED and not value:
         raise argparse.ArgumentTypeError("fixed threshold needs a value, e.g. fixed:0.5")
     try:
-        x = float(value) if value else 1.0
+        x = float(value) if value else AnalysisConfig.threshold_value
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
@@ -136,16 +134,17 @@ def synth(args):
 
 
 _BUNDLE = ("bundle", dict(metavar="BUNDLE"))
-_TAU = ("--tau", dict(dest="tau_strategy", choices=pipeline.TAU_STRATEGIES, default=pipeline.TAU_MAX_TOTAL_SUM,
+_TAU = ("--tau", dict(dest="tau_strategy", choices=pipeline.TAU_STRATEGIES, default=AnalysisConfig.tau_strategy,
                       help="Normalization scalar strategy (default: %(default)s)."))
 _ANALYSIS = [
     _BUNDLE, _TAU,
-    ("--crispify", dict(dest="crispify_mode", choices=net_mod.CRISPIFY_MODES, default=net_mod.CRISPIFY_MIDPOINT,
+    ("--crispify", dict(dest="crispify_mode", choices=net_mod.CRISPIFY_MODES, default=AnalysisConfig.crispify_mode,
                         help="How the rough total matrix is collapsed to crisp values (default: %(default)s).")),
-    ("--threshold", dict(dest="threshold_spec", type=_parse_threshold, default="mean-sigma:1",
+    ("--threshold", dict(dest="threshold_spec", type=_parse_threshold,
+                         default=f"{AnalysisConfig.threshold_mode}:{AnalysisConfig.threshold_value:g}",
                          help="Edge cutoff: mean-sigma:<k> or fixed:<q> (default: %(default)s).")),
 ]
-# command -> (its function, its arguments as (name or flag, add_argument keywords)); a dest names an env variable
+# command -> (its function, its arguments as (name or flag, add_argument keywords))
 _COMMANDS = {
     "validate": (validate, [_BUNDLE]),
     "analyze": (analyze, [*_ANALYSIS, ("--out", dict(dest="out_dir", default=".",
@@ -176,11 +175,6 @@ def main(argv: list[str] | None = None) -> None:
         command.add_argument("--help", action="help", help="Show this message and exit.")
         command.set_defaults(run=run)
     parser.add_argument("--help", action="help", help="Show this message and exit.")
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _COMMANDS:  # environment settings go first, so a flag given after them wins
-        prefix = f"RDEMATEL_{argv[0].upper().replace('-', '_')}_"
-        options = [(flag, prefix + kw["dest"].upper()) for flag, kw in _COMMANDS[argv[0]][1] if flag.startswith("--")]
-        argv[1:1] = [f"{flag}={os.environ[name]}" for flag, name in options if os.environ.get(name)]
     args = parser.parse_args(argv)
     if "run" not in args:
         parser.error("the following arguments are required: COMMAND")

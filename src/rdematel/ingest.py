@@ -25,7 +25,8 @@ from .pipeline import check_intervals
 CATEGORIES = ("internal", "external", "custom")
 ROLES = ("practitioner", "academic")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_GRID_OPEN = re.compile(rb"\[[ \t\n\r]*\[(?=[ \t\n\r]*[0-9][ \t\n\r]*[,\]])")  # "[[" and a one-digit int
+# "[[" and two one-digit ints: every grid opens with its diagonal 0, so one digit says little of a scale above 9
+_GRID_OPEN = re.compile(rb"\[[ \t\n\r]*\[(?=[ \t\n\r]*[0-9][ \t\n\r]*,[ \t\n\r]*[0-9][ \t\n\r]*[,\]])")
 _GRID_CLOSE = re.compile(rb"\][ \t\n\r]*\]")
 _BOM = b"\xef\xbb\xbf"
 _JSON_WHITESPACE = b" \t\n\r"
@@ -258,11 +259,11 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool) -> StudyBundle:
     """
     errors: list[str] = []
 
-    scale_doc = doc.get("scale", {"min": 0, "max": 4})
+    scale_doc = doc.get("scale", {})
     if not isinstance(scale_doc, dict):
         errors.append("scale: must be an object with min/max")
         scale_doc = {}
-    lo, hi = scale_doc.get("min", 0), scale_doc.get("max", 4)
+    lo, hi = scale_doc.get("min", Scale.minimum), scale_doc.get("max", Scale.maximum)
     bad = [f"scale.{k}: {json.dumps(v)} is not an integer" for k, v in (("min", lo), ("max", hi)) if type(v) is not int]
     errors.extend(bad)
     scale = Scale()

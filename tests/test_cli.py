@@ -42,11 +42,11 @@ class Result:
     exception: Exception | None = None
 
 
-def invoke(args, env=None) -> Result:
-    """Run the CLI in-process on ``args``, with ``env`` added to the environment, capturing what it writes."""
+def invoke(args) -> Result:
+    """Run the CLI in-process on ``args``, capturing what it writes."""
     captured = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
     exit_code, exception = 0, None
-    with redirect_stdout(captured), redirect_stderr(captured), mock.patch.dict(os.environ, env or {}):
+    with redirect_stdout(captured), redirect_stderr(captured):
         try:
             main(args)
         except SystemExit as exc:
@@ -231,16 +231,6 @@ class TestAnalyze:
         assert report["config"]["crispify_mode"] == "global-crisp"
         assert report["config"]["threshold_value"] == 0.5
         assert report["config"]["threshold_q"] == 0.5
-
-    def test_env_var_configuration(self, bundle_path, tmp_path):
-        out = tmp_path / "out"
-        result = invoke(
-            ["analyze", bundle_path, "--out", str(out)],
-            env={"RDEMATEL_ANALYZE_TAU_STRATEGY": "max-upper-sum"},
-        )
-        assert result.exit_code == 0, result.output
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["tau_strategy"] == "max-upper-sum"
 
     def test_one_criterion_bundle_rejected(self, tmp_path):
         doc = {
@@ -582,33 +572,43 @@ class TestOutputEncoding:
         assert "invalid: criteria[1]: duplicate id '\u00c4'\n".encode("utf-8") in proc.stderr
 
 
-class TestEnvironmentVariables:
-    """Each option's variable is RDEMATEL_<COMMAND>_<PARAMETER>, checked as the flag is; a flag wins."""
+# one variable per option, named RDEMATEL_<COMMAND>_<PARAMETER>; each would change or break its command's run
+STRAY_VARIABLES = {
+    "RDEMATEL_ANALYZE_TAU_STRATEGY": "max-upper-sum",
+    "RDEMATEL_ANALYZE_CRISPIFY_MODE": "bogus",
+    "RDEMATEL_ANALYZE_THRESHOLD_SPEC": "fixed:0",
+    "RDEMATEL_ANALYZE_OUT_DIR": "{elsewhere}",
+    "RDEMATEL_GRAPH_TAU_STRATEGY": "max-upper-sum",
+    "RDEMATEL_GRAPH_CRISPIFY_MODE": "global-crisp",
+    "RDEMATEL_GRAPH_THRESHOLD_SPEC": "fixed:0",
+    "RDEMATEL_GRAPH_OUT_FILE": "{elsewhere}/network.dot",
+    "RDEMATEL_REPRODUCE_PAPER_TAU_STRATEGY": "max-upper-sum",
+    "RDEMATEL_REPRODUCE_PAPER_OUT_DIR": "{elsewhere}",
+    "RDEMATEL_SYNTH_N_CRITERIA": "abc",
+    "RDEMATEL_SYNTH_N_EXPERTS": "3",
+    "RDEMATEL_SYNTH_SEED": "7",
+    "RDEMATEL_SYNTH_OUT_FILE": "{elsewhere}/synth.json",
+}
 
-    def test_reproduce_paper_tau(self):
-        proc = run_cli(["reproduce-paper"], env={"RDEMATEL_REPRODUCE_PAPER_TAU_STRATEGY": "max-upper-sum"})
-        assert proc.returncode == 2
-        assert b": FAIL (" in proc.stdout
 
-    def test_synth_required_counts(self):
-        proc = run_cli(["synth"], env={"RDEMATEL_SYNTH_N_CRITERIA": "3", "RDEMATEL_SYNTH_N_EXPERTS": "2"})
-        assert proc.returncode == 0, proc.stderr
-        bundle = parse_study_bundle(proc.stdout)
-        assert (bundle.n, len(bundle.respondents)) == (3, 2)
-
-    def test_flag_beats_variable(self, bundle_path, tmp_path):
-        out = tmp_path / "out"
-        args = ["analyze", bundle_path, "--tau", "max-total-sum", "--out", str(out)]
-        proc = run_cli(args, env={"RDEMATEL_ANALYZE_TAU_STRATEGY": "max-upper-sum"})
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads((out / "report.json").read_text())["config"]["tau_strategy"] == "max-total-sum"
-
-    def test_bad_value_is_a_usage_error(self, bundle_path, tmp_path):
-        args = ["analyze", bundle_path, "--out", str(tmp_path / "out")]
-        proc = run_cli(args, env={"RDEMATEL_ANALYZE_CRISPIFY_MODE": "bogus"})
-        assert proc.returncode == 2
-        assert b"bogus" in proc.stderr
-        assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("args", [
+    ["analyze", "{bundle}", "--out", "{out}"],
+    ["graph", "{bundle}"],
+    ["reproduce-paper", "--out", "{out}"],
+    ["synth", "--criteria", "4", "--experts", "2"],
+], ids=lambda args: args[0])
+def test_environment_sets_no_option(bundle_path, tmp_path, args):
+    """Options come from the command line only: variables named after them change no exit code, output or file."""
+    elsewhere = tmp_path / "elsewhere"
+    runs = []
+    for name, env in [("clean", {}), ("stray", {k: v.format(elsewhere=elsewhere) for k, v in STRAY_VARIABLES.items()})]:
+        out = tmp_path / name
+        proc = run_cli([a.format(bundle=bundle_path, out=out) for a in args], env=env)
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")} if out.exists() else {}
+        runs.append((proc.returncode, proc.stdout.replace(bytes(out), b"<out>"), proc.stderr, files))
+    assert runs[0][0] == 0, runs[0][2]
+    assert runs[1] == runs[0]
+    assert not elsewhere.exists()
 
 
 numbers = st.one_of(st.floats(), st.integers(-10, 10)).map(str)

@@ -800,6 +800,7 @@ LARGE_CASES = {
     "a cell at 2**63 - 1": lambda doc: doc["matrices"]["R0"][1].__setitem__(2, 2**63 - 1),
     "a cell beyond 64 bits": lambda doc: doc["matrices"]["R2"][2].__setitem__(0, 2**70),
     "a grid of the wrong size": lambda doc: doc["matrices"].update(R1=GRID),
+    "a 1 x 1 grid": lambda doc: doc["matrices"].update(R1=[[0]]),
     "a scale above every cell": lambda doc: doc["scale"].update(min=300, max=2**63 - 1),
 }
 
@@ -826,6 +827,17 @@ class TestLargeBundleParse:
     def test_edited_text(self, edit):
         text = edit(json.dumps(raw_doc()))
         assert parse_outcome(text) == json_loads_outcome(text)
+
+    def test_a_grid_with_a_wider_second_cell_is_not_offered_to_the_reader(self):
+        doc = raw_doc()
+        doc["scale"]["max"] = 100
+        for grid in doc["matrices"].values():  # each grid opens "[[0, 57", as on a scale above 9
+            grid[0][1] = 57
+        text = json.dumps(doc).encode()
+        with mock.patch.object(ingest, "_int_grid", wraps=ingest._int_grid) as reader:
+            outcome = parse_outcome(text)
+        assert reader.call_count == 0
+        assert outcome == json_loads_outcome(text)
 
     def test_grids_are_read_as_arrays(self):
         data = json.dumps(raw_doc(), indent=2).encode()
