@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from . import fixtures, ingest, network as net_mod, pipeline, report as report_mod
-from .errors import BundleValidationError, RDematelError
+from .errors import BundleValidationError, DegenerateInputError, RDematelError
 from .report import AnalysisConfig
 
 
@@ -125,6 +125,8 @@ def synth(args):
     respondents = [ingest.RespondentMeta(f"X{k + 1}") for k in range(m)]
     panel = np.random.default_rng(args.seed).integers(scale.minimum, scale.maximum, size=(m, n, n), endpoint=True)
     panel[:, range(n), range(n)] = 0
+    if not panel.any():  # analyze cannot normalize an all-zero rough group: write no bundle it would refuse
+        raise DegenerateInputError(f"synth: seed {args.seed} draws an all-zero panel, which cannot be normalized")
     chunks = ingest.bundle_chunks(ingest.StudyBundle(criteria, respondents, scale, panel))
     if args.out_file:
         _write_file(Path(args.out_file), chunks)

@@ -481,8 +481,12 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     nothing from that table, so with a ``window`` the reprs are written in
     order, for the leading rows that fit in ``window`` values (one row at
     least) at a time.  ``_json_reprs`` writes reprs as 24-byte ``S24`` entries
-    (a str costs ~70); each row is joined as bytes between the pieces of the
-    stdlib's own text for a row of placeholders, and decoded.
+    (a str costs ~70).  A row is laid out in one buffer of slots, one a value:
+    24 bytes for its repr, then the text that follows it in the stdlib's own
+    text for a row of placeholders (``", "``, ``"], ["``, ``"]]"``), padded
+    with NULs to the widest such text.  Each row's reprs are copied into the
+    slots, and the buffer is decoded with its NULs deleted: no repr or layout
+    text holds one, and a 24-character repr fills its slot.
     """
     if a.ndim == 0:  # a scalar has no rows
         yield _json_reprs(a.ravel())[0].decode()
@@ -491,8 +495,9 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
         yield json.dumps(a.tolist())
         return
     row = json.dumps(np.full(a.shape[1:], "%").tolist()).encode().split(b'"%"')
-    text = np.empty(2 * len(row) - 1, dtype=object)
-    text[0::2] = row
+    width = 24 + max(map(len, row[1:]))  # a value's repr slot, then the text after it in the row, NUL-padded
+    buffer = bytearray(b"".join((b"\0" * 24 + after).ljust(width, b"\0") for after in row[1:]))
+    slots = np.frombuffer(buffer, np.uint8).reshape(-1, width)[:, :24].view("S24")[:, 0]
     if window is None:
         bits = a.ravel().view(f"i{a.itemsize}")
         order = np.argsort(bits)
@@ -509,11 +514,11 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
         step = max(window // (a.size // len(a)), 1)
         rows = (line for start in range(0, len(a), step)
                 for line in _json_reprs(a[start:start + step].ravel()).reshape(-1, len(row) - 1))
-    opening = "["
+    opening = b"[" + row[0]
     for line in rows:
-        text[1::2] = line
-        yield opening + b"".join(text.tolist()).decode()
-        opening = ", "
+        slots[:] = line
+        yield (opening + buffer.translate(None, b"\0")).decode()
+        opening = b", " + row[0]
     yield "]"
 
 

@@ -106,8 +106,9 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
     ``json.dumps(doc) + "\n"`` with each grid as its ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes
     one row at a time from ``ingest.json_grid``, which reprs every distinct value of ``rough_group`` once (a raw
     panel's rough group repeats values: a cell's bounds depend only on how many experts chose each judgment) and
-    those of ``total``, all distinct, a 4096-value window at a time; the results and deviations tables are one
-    C-encoder call each.
+    those of ``total``, all distinct, a 4096-value window at a time, and lays each row out by copying its reprs into
+    24-byte slots between the row's NUL-padded layout text and deleting the NULs; the results and deviations tables
+    are one C-encoder call each.
     """
     a = report.analysis
     doc = {
@@ -130,7 +131,7 @@ def render_graph_dot(network: net_mod.InfluenceNetwork) -> bytes:
     quoted = ['"' + node.replace("\\", "\\\\").replace('"', '\\"') + '"' for node in network.nodes]
     order = sorted(range(len(quoted)), key=network.nodes.__getitem__)
     rank = np.argsort(order)  # each id's place in sorted order; ids are unique, so rank order is id order
-    edges = np.lexsort((rank[network.target], rank[network.source]))
+    edges = np.argsort(rank[network.source] * len(rank) + rank[network.target])  # an edge a pair: keys are unique
     fields: list = [None] * (3 * len(edges))  # each edge's source, target and weight, formatted in one % call
     fields[0::3] = map(quoted.__getitem__, network.source[edges].tolist())
     fields[1::3] = map(quoted.__getitem__, network.target[edges].tolist())

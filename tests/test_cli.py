@@ -385,6 +385,15 @@ class TestSynth:
         out = tmp_path / "out"
         assert invoke(["analyze", str(p), "--out", str(out)]).exit_code == 0
 
+    def test_all_zero_panel_exits_2_naming_seed_and_writes_nothing(self, tmp_path):
+        # seed 156 draws every off-diagonal judgment of a 2 x 2, 2-expert panel as 0, which analyze cannot normalize
+        p = tmp_path / "out" / "synth.json"
+        result = invoke(["synth", "--criteria", "2", "--experts", "2", "--seed", "156", "--out", str(p)])
+        assert result.exit_code == 2
+        assert result.output == "analysis error: synth: seed 156 draws an all-zero panel, which cannot be normalized\n"
+        assert not p.parent.exists()
+        assert invoke(["synth", "--criteria", "2", "--experts", "2", "--seed", "156"]).output == result.output
+
     @pytest.mark.parametrize("flag", ["--criteria", "--experts"])
     def test_count_below_two_rejected(self, flag):
         counts = {"--criteria": "3", "--experts": "3", flag: "1"}

@@ -406,6 +406,31 @@ class TestReportJsonLayout:
         if grid.size:
             assert len(chunks) == 1 + len(grid)  # still one chunk a leading row
 
+    @staticmethod
+    def widest_reprs(count):
+        """``count`` distinct floats whose reprs are 24 characters, the most a slot holds: neighbours of
+        -1.2345678901234567e-300."""
+        near = (np.array(-1.2345678901234567e-300).view(np.int64) + np.arange(-8 * count, 8 * count)).view(np.float64)
+        widest = near[[len(repr(v)) == 24 for v in near.tolist()]][:count]
+        assert len(widest) == count
+        return widest
+
+    @pytest.mark.parametrize("window", [None, 1, 7, 4096])
+    @pytest.mark.parametrize("case", ["repr-24", "int64-min", "1d", "4d", "kernel-repr-24"])
+    def test_slot_layout_edge_cases(self, case, window):
+        # each value's repr fills a 24-byte slot or leaves NUL padding that is deleted, as is the layout text's
+        grid = {
+            "repr-24": lambda: np.array([[-1.2345678901234567e-300, 0.5], [0.0, -1.2345678901234567e-300]]),
+            "int64-min": lambda: np.array([[np.iinfo(np.int64).min, 0], [7, np.iinfo(np.int64).max]]),
+            "1d": lambda: np.array([-1.2345678901234567e-300, 2.5, -0.0]),
+            "4d": lambda: np.arange(48.0).reshape(2, 3, 2, 4) / 7,
+            "kernel-repr-24": lambda: np.concatenate([self.widest_reprs(1200), np.random.default_rng(3).random(600)])
+            .reshape(3, 600),  # above _FLOAT_KERNEL_MIN values, in the table and in a window
+        }[case]()
+        chunks = list(json_grid(grid, window))
+        assert "".join(chunks) == json.dumps(grid.tolist())
+        assert len(chunks) == 1 + len(grid)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_rejects_non_finite(self, bad):
         for grid in (np.array([[0.0, bad], [1.0, 0.0]]), np.array(bad)):
