@@ -33,8 +33,9 @@ def solve_total_relation(d: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         rows, cols = d.sum(axis=1), d.sum(axis=0)
         s = min(rows.max(), cols.max())
-        t, p, r, cond = d + d @ d, d, s, np.inf
-        for _ in range(MAX_ROUNDS):
+        p = d @ d  # the first round's power, so D^2 is computed once
+        t, r, cond = d + p, s, np.inf
+        for k in range(MAX_ROUNDS):
             if r * r <= 2.0**-54:  # float64's eps / 4
                 # ||I - D|| counts |1 - d_jj| in place of each d_jj; ||I + T|| is 1 + ||T||, as T >= 0
                 delta = np.abs(1.0 - d.diagonal()) - d.diagonal()
@@ -43,7 +44,8 @@ def solve_total_relation(d: np.ndarray) -> np.ndarray:
                 break
             if not r < np.inf:
                 break
-            p = p @ p
+            if k:
+                p = p @ p
             r = r * r if s < 1.0 else min(p.sum(axis=1).max(), p.sum(axis=0).max())
             t = t + t @ p
     if not cond <= COND_LIMIT:  # NaN included

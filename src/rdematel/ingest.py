@@ -67,9 +67,10 @@ class RespondentMeta:
 class StudyBundle:
     """Study metadata and either ``panel``, integer (experts, n, n) in respondent order, or ``rough_group``.
 
-    A parsed panel is int16 for a scale maximum up to 2**15 - 1, int32 up to
-    2**31 - 1, else int64; arithmetic that can leave the scale should upcast
-    first.  ``rough_group`` is a float (n, n, 2) array of ``[lower, upper]`` pairs.
+    A parsed panel is int8 for a scale maximum up to 127, int16 up to
+    2**15 - 1, int32 up to 2**31 - 1, else int64; arithmetic that can leave
+    the scale should upcast first.  ``rough_group`` is a float (n, n, 2)
+    array of ``[lower, upper]`` pairs.
     """
 
     criteria: list[CriterionMeta]
@@ -305,8 +306,8 @@ def _validate_bundle_dict(doc: dict, maybe_bool: bool) -> StudyBundle:
             else:
                 keys[rid] = key
         errors.extend(f"matrices: no matrix for respondent {rid}" for rid in rows if rid not in keys)
-        # signed and holding -1 - maximum, so a difference of two fits; 8-bit ints sort several times slower
-        panel = np.zeros((len(rows), n, n), dtype=np.promote_types(np.min_scalar_type(-1 - scale.maximum), np.int16))
+        # the narrowest signed int holding -1 - maximum, so a difference of two judgments fits
+        panel = np.zeros((len(rows), n, n), dtype=np.min_scalar_type(-1 - scale.maximum))
         for key, grid in raw.items():
             a = _read_grid(grid, criteria, scale, maybe_bool)
             if isinstance(a, str):
@@ -505,9 +506,12 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
         first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
         distinct = ordered[first]
         del ordered
+        rank = np.cumsum(first, dtype=np.int32)  # each element's distinct value, counted from 1
+        del first
+        rank -= 1
         where = np.empty(bits.size, dtype=np.int32)
-        where[order] = np.cumsum(first, dtype=np.int32) - 1
-        del order, first
+        where[order] = rank
+        del order, rank
         reprs = _json_reprs(distinct.view(a.dtype))
         rows = (reprs[elements] for elements in where.reshape(len(a), -1))
     else:
@@ -581,7 +585,7 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     e10 = np.floor(np.log10(x, out=np.ones_like(x), where=ok)).astype(np.int64)  # may be 1 off at a power of 10
     k = np.where(ok, 17 - e10, 0)
     shift = np.where(ok, 1060 - (bits >> np.uint64(52)).astype(np.int64) + e10, 1).astype(np.uint64)  # 2 - E - k
-    b = _POW5[k]
+    b = _POW5.take(k)
     high, low = _product((frac | np.uint64(1 << 52)) << np.uint64(2), b)
     n = (high << (_64 - shift)) | (low >> shift)  # floor(x * 10**k)
     rest = low & ((_ONE << shift) - _ONE)  # x * 10**k - n = rest / 2**shift
@@ -613,10 +617,14 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low words of the 128-bit products of two uint64 arrays, from their 32-bit halves."""
+    """The high and low words of the 128-bit products of two uint64 arrays, from their 32-bit halves.
+
+    The cross terms and the low product's carry share one word: a = 4M < 2**55 and b = 5**k <= 5**22 < 2**52 (k is
+    22 only where log10 rounds down at 1e-4), so each partial product fits, and their sum is below 2**56.
+    """
     a_hi, a_lo, b_hi, b_lo = a >> _32, a & _U32, b >> _32, b & _U32
-    ll, hl, lh = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
-    return a_hi * b_hi + (hl >> _32) + (lh >> _32) + (((ll >> _32) + (hl & _U32) + (lh & _U32)) >> _32), a * b
+    mid = a_hi * b_lo + a_lo * b_hi + ((a_lo * b_lo) >> _32)
+    return a_hi * b_hi + (mid >> _32), a * b
 
 
 def _positional(sig: np.ndarray, decpt: np.ndarray) -> np.ndarray:
@@ -641,7 +649,7 @@ def _positional(sig: np.ndarray, decpt: np.ndarray) -> np.ndarray:
             word |= words[j + 1] << back
         moved = (word << np.uint64(8)) | carried  # the row one byte on, past the "."
         carried = word >> np.uint64(56)
-        out[:, j] = ((word & mask[dot]) | (moved & ~mask[dot + 1]) | _DOT_AT[j][dot]) & mask[length]
+        out[:, j] = ((word & mask.take(dot)) | (moved & ~mask.take(dot + 1)) | _DOT_AT[j].take(dot)) & mask.take(length)
     return out.view("S24").ravel()
 
 
@@ -668,11 +676,11 @@ def _digit_words(sig: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     quads, quad_zeros = _quads()
     top = sig // 10**8  # the first 9 digits
     first = top // 10**8
-    words, zeros = [np.uint64(0x30303030) | (quads[first] << _32)], []
+    words, zeros = [np.uint64(0x30303030) | (quads.take(first) << _32)], []
     for half in (top - first * 10**8, sig - top * 10**8):
         upper = half // 10**4
         lower = half - upper * 10**4
-        words.append(quads[upper] | (quads[lower] << _32))
-        lower = quad_zeros[lower]
-        zeros.append(np.where(lower == 4, 4 + quad_zeros[upper], lower))
+        words.append(quads.take(upper) | (quads.take(lower) << _32))
+        lower = quad_zeros.take(lower)
+        zeros.append(np.where(lower == 4, 4 + quad_zeros.take(upper), lower))
     return words, zeros[1] + np.where(zeros[1] == 8, zeros[0], 0)

@@ -196,15 +196,15 @@ class TestBundleParsing:
         b2 = parse_study_bundle(write_bundle(b))
         assert b2.criteria == b.criteria
         assert b2.respondents == b.respondents
-        assert b2.panel.dtype == np.int16  # the narrowest panel dtype: see test_panel_dtype_holds_the_scale
+        assert b2.panel.dtype == np.int8  # the narrowest panel dtype: see test_panel_dtype_holds_the_scale
         assert np.array_equal(b2.panel, b.panel)
 
     @pytest.mark.parametrize("top, dtype", [
-        (4, np.int16), (2**15 - 1, np.int16), (2**15, np.int32), (40000, np.int32),
+        (4, np.int8), (127, np.int8), (128, np.int16), (2**15 - 1, np.int16), (2**15, np.int32), (40000, np.int32),
         (2**31 - 1, np.int32), (2**31, np.int64), (2**62, np.int64), (2**63 - 1, np.int64),
     ])
     def test_panel_dtype_holds_the_scale(self, top, dtype):
-        # the narrowest signed int of 16 bits or more holding -1 - top: each judgment and each difference fit
+        # the narrowest signed int holding -1 - top: each judgment and each difference fit
         b = make_raw_bundle()
         b.scale = Scale(0, top)
         b.panel[1, 0, 1] = top

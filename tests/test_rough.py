@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -123,6 +125,17 @@ class TestCrispConvert:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             crisp_convert(np.empty((0, 2)))
+
+    def test_grid_peaks_below_four_and_a_half_of_its_bounds(self):
+        # nl, nu and the fraction's two terms, each the size of one bound matrix, and no temporary beside them
+        grid = np.sort(np.random.default_rng(0).random((200, 200, 2)), axis=-1)
+        tracemalloc.start()
+        try:
+            crisp_convert(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * grid[..., 0].nbytes
 
     @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=8))
     def test_point_list_preserves_order(self, vs):
