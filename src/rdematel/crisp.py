@@ -21,6 +21,7 @@ def solve_total_relation(d: np.ndarray) -> np.ndarray:
     T is the doubling product D (I + D)(I + D^2)... = D + ... + D^(2^K), summed until a norm of a
     power of D bounds the relative tail below eps / 4, which proves rho(D) < 1; then (I - D)^-1 = I + T
     gives cond(I - D).  Its products have given the same bits at every BLAS thread count tested.
+    Besides D, a round holds T, which accumulates in place, the current power and one product.
     Raises SingularMatrixError past MAX_ROUNDS rounds or if cond(I - D) > COND_LIMIT.
     """
     d = np.asarray(d, dtype=float)
@@ -47,7 +48,7 @@ def solve_total_relation(d: np.ndarray) -> np.ndarray:
             if k:
                 p = p @ p
             r = r * r if s < 1.0 else min(p.sum(axis=1).max(), p.sum(axis=0).max())
-            t = t + t @ p
+            t += t @ p
     if not cond <= COND_LIMIT:  # NaN included
         rho = float(np.abs(np.linalg.eigvals(d)).max())
         raise SingularMatrixError(

@@ -471,6 +471,10 @@ def json_chunks(value, ensure_ascii: bool = True) -> Iterator[str]:
         yield json.dumps(value, ensure_ascii=ensure_ascii)
 
 
+# Values per step of _distinct, which makes its sorted values and ranks this many at a time, never whole.
+_DEDUP_CHUNK = 8192
+
+
 def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     """Yield ``json.dumps(a.tolist())`` for a finite int or float array.
 
@@ -478,16 +482,18 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     then the closing bracket; a 0-d array is one chunk.  By default each
     distinct value is repr'd once, found by an argsort with an int32 inverse
     (a float's bit pattern keeps -0.0 apart from 0.0): a raw panel's rough
-    group repeats its values across rows.  A grid of distinct values gains
-    nothing from that table, so with a ``window`` the reprs are written in
-    order, for the leading rows that fit in ``window`` values (one row at
-    least) at a time.  ``_json_reprs`` writes reprs as 24-byte ``S24`` entries
-    (a str costs ~70).  A row is laid out in one buffer of slots, one a value:
-    24 bytes for its repr, then the text that follows it in the stdlib's own
-    text for a row of placeholders (``", "``, ``"], ["``, ``"]]"``), padded
-    with NULs to the widest such text.  Each row's reprs are copied into the
-    slots, and the buffer is decoded with its NULs deleted: no repr or layout
-    text holds one, and a 24-character repr fills its slot.
+    group repeats its values across rows.  Finding them costs 13 bytes a
+    value (``_distinct``), and the table keeps the 4-byte inverse.  A grid
+    of distinct values gains nothing from that table, so with a ``window``
+    the reprs are written in order, for the leading rows that fit in
+    ``window`` values (one row at least) at a time.  ``_json_reprs`` writes
+    reprs as 24-byte ``S24`` entries (a str costs ~70).  A row is laid out
+    in one buffer of slots, one a value: 24 bytes for its repr, then the
+    text that follows it in the stdlib's own text for a row of placeholders
+    (``", "``, ``"], ["``, ``"]]"``), padded with NULs to the widest such
+    text.  Each row's reprs are copied into the slots, and the buffer is
+    decoded with its NULs deleted: no repr or layout text holds one, and a
+    24-character repr fills its slot.
     """
     if a.ndim == 0:  # a scalar has no rows
         yield _json_reprs(a.ravel())[0].decode()
@@ -500,18 +506,7 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     buffer = bytearray(b"".join((b"\0" * 24 + after).ljust(width, b"\0") for after in row[1:]))
     slots = np.frombuffer(buffer, np.uint8).reshape(-1, width)[:, :24].view("S24")[:, 0]
     if window is None:
-        bits = a.ravel().view(f"i{a.itemsize}")
-        order = np.argsort(bits)
-        ordered = bits[order]
-        first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-        distinct = ordered[first]
-        del ordered
-        rank = np.cumsum(first, dtype=np.int32)  # each element's distinct value, counted from 1
-        del first
-        rank -= 1
-        where = np.empty(bits.size, dtype=np.int32)
-        where[order] = rank
-        del order, rank
+        distinct, where = _distinct(a.ravel().view(f"i{a.itemsize}"))
         reprs = _json_reprs(distinct.view(a.dtype))
         rows = (reprs[elements] for elements in where.reshape(len(a), -1))
     else:
@@ -524,6 +519,29 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
         yield (opening + buffer.translate(None, b"\0")).decode()
         opening = b", " + row[0]
     yield "]"
+
+
+def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a non-empty 1-d int array, ascending, and the int32 index of each element's among them.
+
+    It holds 13 bytes a value, the argsort's intp order, a first-of-run
+    mask and the index, plus the distinct values and one chunk's sorted
+    values: the sorted values and ranks are only made ``_DEDUP_CHUNK`` at
+    a time, never whole.
+    """
+    order = np.argsort(bits)
+    first = np.ones(bits.size, dtype=bool)  # whether each sorted value starts a run of equal ones
+    for start in range(0, bits.size - 1, _DEDUP_CHUNK):
+        ordered = bits[order[start:start + _DEDUP_CHUNK + 1]]  # with the next chunk's first value
+        np.not_equal(ordered[1:], ordered[:-1], out=first[start + 1:start + len(ordered)])
+    where = np.empty(bits.size, dtype=np.int32)
+    seen = -1  # the index of the last chunk's last value
+    for start in range(0, bits.size, _DEDUP_CHUNK):
+        rank = np.cumsum(first[start:start + _DEDUP_CHUNK], dtype=np.int32)
+        rank += seen
+        where[order[start:start + _DEDUP_CHUNK]] = rank
+        seen = int(rank[-1])
+    return bits[order[first]], where
 
 
 def _json_reprs(values: np.ndarray) -> np.ndarray:

@@ -75,12 +75,13 @@ def check_intervals(intervals) -> np.ndarray:
     a = np.asarray(intervals, dtype=float)
     if a.ndim == 0 or a.shape[-1] != 2:
         raise ShapeError(f"intervals need a last axis of [lower, upper], got shape {a.shape}")
-    faults = ((~np.isfinite(a).all(axis=-1), InvalidArgumentError, "has a non-finite bound: lower {}, upper {}"),
-              (a[..., 0] > a[..., 1], IntervalOrderError, "has lower {} > upper {}"))
-    for bad, error, fault in faults:
-        if bad.any():  # not argwhere's size: a single interval's mask is 0-d, and its argwhere is empty
-            entry = tuple(np.argwhere(bad)[0].tolist())
-            raise error(f"entry ({','.join(map(str, entry))}) " + fault.format(*a[entry]))
+    if not np.isfinite(a).all() or (a[..., 0] > a[..., 1]).any():  # one test each; only a fault is walked for
+        faults = ((~np.isfinite(a).all(axis=-1), InvalidArgumentError, "has a non-finite bound: lower {}, upper {}"),
+                  (a[..., 0] > a[..., 1], IntervalOrderError, "has lower {} > upper {}"))
+        for bad, error, fault in faults:
+            if bad.any():  # not argwhere's size: a single interval's mask is 0-d, and its argwhere is empty
+                entry = tuple(np.argwhere(bad)[0].tolist())
+                raise error(f"entry ({','.join(map(str, entry))}) " + fault.format(*a[entry]))
     return a
 
 
@@ -199,12 +200,14 @@ def _level_sums(counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[np.ndarray, float]:
-    """The (n, n, 2) rough group matrix divided by the scalar tau, and tau.
+def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> float:
+    """tau, the scalar by which ``rough_total_relation`` divides the (n, n, 2) rough group matrix to normalize it.
 
     ``max-upper-sum`` is the stated linear-scale rule (largest row sum of
     upper bounds); ``max-total-sum`` (largest row sum of lower plus upper
-    bounds) is the variant the reference tables actually satisfy.
+    bounds) is the variant the reference tables actually satisfy.  No
+    normalized grid is made here: each bound is divided by tau only for its
+    own closure.
     """
     with np.errstate(over="ignore"):
         rows = interval_sums(g, axis=1)
@@ -224,18 +227,26 @@ def normalize_rough(g: np.ndarray, strategy: str = TAU_MAX_TOTAL_SUM) -> tuple[n
         )
     if tau == 0.0:
         raise DegenerateInputError("normalization: all-zero rough matrix cannot be normalized")
-    return g / tau, tau
+    return tau
 
 
-def rough_total_relation(rn: np.ndarray) -> np.ndarray:
-    """Apply the total-relation closure to the lower and upper bound matrices independently."""
-    totals = []
+def rough_total_relation(g: np.ndarray, tau: float) -> np.ndarray:
+    """The rough total-relation matrix of the rough group matrix ``g`` normalized by ``tau``, as (n, n, 2) floats.
+
+    The lower and upper bounds are closed independently, one at a time:
+    each is divided by tau into a contiguous n x n matrix that lives only
+    for its own closure, and the closure's T is written into its side of
+    the one C-contiguous result.  So neither a normalized (n, n, 2) grid
+    nor a stacked copy of the two Ts is made, and each T has the bits of
+    ``solve_total_relation((g / tau)[..., side])``.
+    """
+    total = np.empty((*g.shape[:-1], 2))
     for side, bound in enumerate(("lower", "upper")):
         try:
-            totals.append(crisp_mod.solve_total_relation(rn[..., side]))
+            total[..., side] = crisp_mod.solve_total_relation(g[..., side] / tau)
         except (InvalidArgumentError, SingularMatrixError) as exc:
             raise type(exc)(f"{bound}-bound matrix: {exc}") from exc
-    return np.stack(totals, axis=-1)
+    return total
 
 
 def crisp_convert(intervals) -> np.ndarray:
@@ -330,8 +341,8 @@ def analyze_rough(
     group_matrix = rough_group_matrix(panel) if panel is not None else check_intervals(group_matrix)
     if group_matrix.shape != (n, n, 2):
         raise ShapeError(f"group matrix has shape {group_matrix.shape} but {n} criteria need ({n}, {n}, 2)")
-    normalized, tau = normalize_rough(group_matrix, tau_strategy)
-    total = rough_total_relation(normalized)
+    tau = normalize_rough(group_matrix, tau_strategy)
+    total = rough_total_relation(group_matrix, tau)
     x, y = rough_sums(total)
     prominence, relation = x + y, x - y
     omega, w, ranks = weights(prominence, relation)

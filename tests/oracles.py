@@ -9,9 +9,16 @@ Classic crisp DEMATEL is what the rough pipeline reduces to when every
 expert agrees.  It is written out here with its own closure and no input
 checks, so that a test comparing the two does not run the package's
 closure on both sides.
+
+``stacked_total_relation`` is the one exception: it runs the package's
+own closure on each bound of the whole normalized grid and stacks the two,
+so that a test can show that closing each bound in its own matrix changes
+no bit.
 """
 
 import numpy as np
+
+from rdematel.crisp import solve_total_relation
 
 
 def bounds(values, k):
@@ -38,3 +45,8 @@ def crisp_dematel(matrices):
     d = crisp_normalized(matrices)
     t = d @ np.linalg.inv(np.eye(len(d)) - d)
     return t, t.sum(axis=1), t.sum(axis=0)
+
+
+def stacked_total_relation(g, tau):
+    """The rough total-relation matrix from the whole normalized grid: each bound's closure on its view, stacked."""
+    return np.stack([solve_total_relation((g / tau)[..., k]) for k in (0, 1)], axis=-1)

@@ -170,7 +170,8 @@ class TestTotalRelation:
     def test_matches_lu_oracle_past_unit_sum_bound(self):
         # under max-upper-sum the bundled study's upper bound has s >= 1, so its series measures each power's norm;
         # an LU solve of (I - D)^T T^T = D^T is the oracle
-        rn, _ = normalize_rough(load_study_bundle().rough_group, TAU_MAX_UPPER_SUM)
+        group = load_study_bundle().rough_group
+        rn = group / normalize_rough(group, TAU_MAX_UPPER_SUM)
         upper = rn[..., 1]
         assert min(upper.sum(axis=1).max(), upper.sum(axis=0).max()) >= 1.0
         for d in (rn[..., 0], upper):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rdematel import crisp as crisp_mod
+from rdematel.cli import main as cli_main
 from rdematel.errors import (
     BundleValidationError,
     DegenerateInputError,
@@ -23,6 +24,7 @@ from rdematel.ingest import Scale, parse_study_bundle
 from rdematel.pipeline import (
     TAU_MAX_TOTAL_SUM,
     TAU_MAX_UPPER_SUM,
+    TAU_STRATEGIES,
     analyze_rough,
     classify,
     normalize_rough,
@@ -32,7 +34,7 @@ from rdematel.pipeline import (
     rough_total_relation,
     weights,
 )
-from oracles import crisp_dematel, crisp_normalized, group_cell
+from oracles import crisp_dematel, crisp_normalized, group_cell, stacked_total_relation
 
 RNG = np.random.default_rng(7121)
 
@@ -265,21 +267,22 @@ class TestNormalizeRough:
             interval_sums(np.ones(shape), axis=1)
 
     def test_paper_tau_total(self, paper_group):
-        normalized, tau = normalize_rough(paper_group, TAU_MAX_TOTAL_SUM)
+        tau = normalize_rough(paper_group, TAU_MAX_TOTAL_SUM)
+        normalized = paper_group / tau
         assert tau == pytest.approx(28.2619, abs=1e-4)
         assert normalized[0, 1, 0] == pytest.approx(0.0643, abs=5e-5)
         assert normalized[0, 1, 1] == pytest.approx(0.1153, abs=5e-5)
 
     def test_paper_tau_upper(self, paper_group):
-        normalized, tau = normalize_rough(paper_group, TAU_MAX_UPPER_SUM)
+        tau = normalize_rough(paper_group, TAU_MAX_UPPER_SUM)
+        normalized = paper_group / tau
         assert tau == pytest.approx(18.9857, abs=1e-4)
         assert normalized[0, 1, 0] == pytest.approx(0.0958, abs=5e-5)
         assert normalized[0, 1, 1] == pytest.approx(0.1717, abs=5e-5)
 
     def test_already_normalized_with_unit_tau(self):
         r = rough([[0, 0.2], [0.3, 0]], [[0, 0.5], [0.5, 0]])
-        normalized, tau = normalize_rough(r, TAU_MAX_UPPER_SUM)
-        assert np.allclose(normalized * tau, r)
+        assert normalize_rough(r, TAU_MAX_UPPER_SUM) == 0.5  # the largest row sum of upper bounds
 
     def test_unknown_strategy_rejected(self, paper_group):
         with pytest.raises(InvalidArgumentError):
@@ -299,56 +302,74 @@ class TestNormalizeRough:
 
     def test_normalized_uppers_at_most_one(self, paper_group):
         for strategy in (TAU_MAX_TOTAL_SUM, TAU_MAX_UPPER_SUM):
-            normalized, _ = normalize_rough(paper_group, strategy)
+            normalized = paper_group / normalize_rough(paper_group, strategy)
             assert normalized[..., 1].max() <= 1.0
 
 
 class TestRoughTotalRelation:
     def test_zero_matrix(self):
-        t = rough_total_relation(np.zeros((3, 3, 2)))
+        t = rough_total_relation(np.zeros((3, 3, 2)), 1.0)
         assert t.shape == (3, 3, 2) and not t.any()
 
     def test_degenerate_intervals_match_crisp(self):
         z = random_expert_panel(5, 1)[0]
         d = crisp_normalized([z])
-        t = rough_total_relation(rough(d, d))
+        t = rough_total_relation(rough(d, d), 1.0)
         t_crisp, _, _ = crisp_dematel([z])
         assert np.allclose(t[..., 0], t_crisp, atol=1e-12)
         assert np.allclose(t[..., 1], t_crisp, atol=1e-12)
 
     def test_interval_order_preserved(self, paper_group):
-        normalized, _ = normalize_rough(paper_group)
-        t = rough_total_relation(normalized)
+        t = rough_total_relation(paper_group, normalize_rough(paper_group))
         assert np.all(t[..., 0] <= t[..., 1] + 1e-12)
 
     def test_near_singular_bound_named(self):
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(SingularMatrixError, match=r"^upper-bound matrix: .*rho\(D\)"):
-            rough_total_relation(rough(0.5 * swap, (1 - 1e-10) * swap))
+            rough_total_relation(rough(0.5 * swap, (1 - 1e-10) * swap), 1.0)
 
     def test_negative_bound_named(self):
         lower = np.array([[0.0, -0.1], [0.2, 0.0]])
         with pytest.raises(InvalidArgumentError, match="^lower-bound matrix: .*non-negative"):
-            rough_total_relation(rough(lower, np.abs(lower)))
+            rough_total_relation(rough(lower, np.abs(lower)), 1.0)
 
     def test_paper_anchor(self, paper_group):
-        normalized, _ = normalize_rough(paper_group, TAU_MAX_TOTAL_SUM)
-        t = rough_total_relation(normalized)
+        t = rough_total_relation(paper_group, normalize_rough(paper_group, TAU_MAX_TOTAL_SUM))
         assert t[0, 1, 0] == pytest.approx(0.0870, abs=2e-3)
+
+    @pytest.fixture(scope="class")
+    def synth_group(self, tmp_path_factory):
+        """The rough group of ``synth --criteria 200 --experts 21 --seed 1``, whose upper bound has s >= 1 under
+        max-upper-sum, so its closure measures each power's norm, as CI's end-to-end run does."""
+        path = tmp_path_factory.mktemp("synth") / "synth.json"
+        cli_main(["synth", "--criteria", "200", "--experts", "21", "--seed", "1", "--out", str(path)])
+        return rough_group_matrix(parse_study_bundle(path.read_bytes()).panel)
+
+    @pytest.mark.parametrize("strategy", TAU_STRATEGIES)
+    def test_total_matches_stacked_closures_byte_for_byte(self, paper_group, synth_group, strategy):
+        # each bound closed in its own contiguous matrix has the bits of the normalized grid's strided bound
+        walk = rough_group_matrix(random_expert_panel(40, 3, np.random.default_rng(3)))
+        for group in (paper_group, walk, synth_group):
+            analysis = analyze_rough([f"C{i}" for i in range(len(group))], group_matrix=group, tau_strategy=strategy)
+            assert analysis.total.flags.c_contiguous
+            assert analysis.total.tobytes() == stacked_total_relation(group, analysis.tau).tobytes()
+            if group is synth_group and strategy == TAU_MAX_UPPER_SUM:
+                upper = group[..., 1] / analysis.tau
+                assert min(upper.sum(axis=1).max(), upper.sum(axis=0).max()) >= 1.0
 
 
 class TestRoughSums:
     def test_interval_sums_balance(self, paper_group):
-        normalized, _ = normalize_rough(paper_group)
-        t = rough_total_relation(normalized)
+        t = rough_total_relation(paper_group, normalize_rough(paper_group))
         x, y = interval_sums(t, axis=1), interval_sums(t, axis=0)
         assert x[:, 0].sum() == pytest.approx(y[:, 0].sum(), abs=1e-9)
         assert x[:, 1].sum() == pytest.approx(y[:, 1].sum(), abs=1e-9)
 
     def test_interval_sums_round_like_each_closed_bound_alone(self):
-        normalized, _ = normalize_rough(rough_group_matrix(random_expert_panel(40, 3)))
-        t = rough_total_relation(normalized)
-        bounds = [crisp_mod.solve_total_relation(normalized[..., k]) for k in (0, 1)]
+        group = rough_group_matrix(random_expert_panel(40, 3))
+        tau = normalize_rough(group)
+        t = rough_total_relation(group, tau)
+        bounds = [crisp_mod.solve_total_relation((group / tau)[..., k]) for k in (0, 1)]
         for axis in (0, 1):
             assert np.array_equal(interval_sums(t, axis), np.stack([b.sum(axis=axis) for b in bounds], axis=-1))
 

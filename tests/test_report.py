@@ -12,6 +12,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rdematel import ingest
 from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
 from rdematel.ingest import (
@@ -335,6 +336,21 @@ doc_shapes = hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4)  #
 few_valued_grids = grid_floats.flatmap(
     lambda v: hnp.arrays(np.float64, array_shapes, elements=st.sampled_from([0.0, -0.0, v]))
 )
+
+
+@st.composite
+def chunk_straddling_grids(draw):
+    """A 1-d or 2-d int or float grid of one value or of 8191, 8192, 8193 or 16385, about json_grid's dedup chunk
+    of 8192, drawn from a few values (-0.0 and 0.0 among a float grid's), so sorted runs cross the chunk edges."""
+    dtype = np.dtype(draw(st.sampled_from([np.float64, np.float32, np.int8, np.int16, np.int32, np.int64])))
+    size = draw(st.sampled_from([1, 8191, 8192, 8193, 16385]))
+    pool = draw(st.lists(hnp.from_dtype(dtype, allow_nan=False, allow_infinity=False), min_size=1, max_size=5))
+    values = np.array(pool + ([0.0, -0.0] if dtype.kind == "f" else []), dtype=dtype)
+    grid = values[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, len(values), size)]
+    rows = draw(st.sampled_from([r for r in (1, 3, 5, 64) if size % r == 0]))
+    return grid.reshape(rows, -1) if rows > 1 else grid
+
+
 # text that looks like JSON layout: braces, quotes, newlines, non-ASCII
 row_text = st.text(st.sampled_from('{}",: \n\u00e9\u4e2d') | st.characters(), max_size=4)
 row_values = (
@@ -406,6 +422,17 @@ class TestReportJsonLayout:
         if grid.size:
             assert len(chunks) == 1 + len(grid)  # still one chunk a leading row
 
+    @settings(max_examples=60, deadline=None)
+    @given(chunk_straddling_grids())
+    @example(np.array([7]))  # one value
+    @example(np.repeat([1.5, -0.0, 0.0], [8191, 1, 8193]))  # -0.0 sorts first, then 0.0's run crosses 8192
+    @example(np.full((5, 3277), -0.0))  # one run through both chunk edges
+    @example(np.arange(16385, dtype=np.int16).reshape(5, -1) % 8192)  # equal values 8192 apart
+    def test_dedup_table_matches_encoder_across_chunks(self, grid):
+        chunks = list(json_grid(grid))
+        assert "".join(chunks) == json.dumps(grid.tolist())
+        assert len(chunks) == 1 + len(grid)
+
     @staticmethod
     def widest_reprs(count):
         """``count`` distinct floats whose reprs are 24 characters, the most a slot holds: neighbours of
@@ -450,7 +477,8 @@ class TestReportJsonLayout:
         assert peak < 56 * grid.size
 
     def test_rough_group_table_peaks_below_20_bytes_a_value(self):
-        # the argsort's order and sorted bits, 16 bytes a value, then the int32 inverse: no int32 temporary beside it
+        # the argsort's order, a first-of-run mask and the int32 inverse, 13 bytes a value, then the float kernel's
+        # temporaries on the inverse: no int32 temporary beside it
         group = run_analysis(synth_raw_bundle(200, 21)).analysis.group_matrix
         for _ in json_grid(group):  # once untraced, so first-call set-up is not counted
             pass
@@ -462,6 +490,19 @@ class TestReportJsonLayout:
         finally:
             tracemalloc.stop()
         assert peak < 20 * group.size
+
+    def test_distinct_peaks_below_16_bytes_a_value(self):
+        # 13 bytes a value, the order, the mask and the inverse, with the distinct values and one chunk's sorted
+        # values: neither a whole sorted copy (8 bytes a value) nor a whole int32 rank array (4) is made
+        bits = run_analysis(synth_raw_bundle(200, 21)).analysis.group_matrix.ravel().view(np.int64)
+        tracemalloc.start()
+        try:
+            distinct, where = ingest._distinct(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(distinct[where], bits) and np.all(distinct[1:] > distinct[:-1])
+        assert peak < 16 * bits.size
 
     def test_report_json_peaks_below_30_bytes_a_total_value(self):
         # total is all distinct and written a window at a time; the rough group's one table holds its few distinct
