@@ -473,6 +473,9 @@ def json_chunks(value, ensure_ascii: bool = True) -> Iterator[str]:
 
 # Values per step of _distinct, which makes its sorted values and ranks this many at a time, never whole.
 _DEDUP_CHUNK = 8192
+# Values per call of the float kernel, and the window in which report.json writes its all-distinct total.  The kernel
+# holds ~64 bytes a value of its window at its peak; half the window costs ~15% more time a value in numpy calls.
+REPR_WINDOW = 8192
 
 
 def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
@@ -487,7 +490,9 @@ def json_grid(a: np.ndarray, window: int | None = None) -> Iterator[str]:
     of distinct values gains nothing from that table, so with a ``window``
     the reprs are written in order, for the leading rows that fit in
     ``window`` values (one row at least) at a time.  ``_json_reprs`` writes
-    reprs as 24-byte ``S24`` entries (a str costs ~70).  A row is laid out
+    reprs as 24-byte ``S24`` entries (a str costs ~70), ``REPR_WINDOW``
+    values at a time, each float window's kernel holding ~64 bytes a value
+    of it at its peak.  A row is laid out
     in one buffer of slots, one a value: 24 bytes for its repr, then the
     text that follows it in the stdlib's own text for a row of placeholders
     (``", "``, ``"], ["``, ``"]]"``), padded with NULs to the widest such
@@ -546,15 +551,20 @@ def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _json_reprs(values: np.ndarray) -> np.ndarray:
     """``json.dumps``'s text of each value of a finite 1-d int or float array, as an ``S24`` array: ``_float_reprs``
-    writes ``_FLOAT_KERNEL_MIN`` or more floats (as float64, what ``tolist()`` gives), ``repr`` fewer, and ints."""
+    writes ``_FLOAT_KERNEL_MIN`` or more floats (as float64, what ``tolist()`` gives), ``repr`` fewer, and ints.
+
+    The values are written ``REPR_WINDOW`` at a time: beside the table, one window holds the kernel's buffers (~64
+    bytes a value) and, for float32 values, a float64 copy, or its listed values and their strs.
+    """
     if not np.isfinite(values).all():
         raise InvalidArgumentError("JSON numbers must be finite")
     fmt = float.__repr__ if values.dtype.kind == "f" else int.__repr__
     kernel = fmt is float.__repr__ and values.size >= _FLOAT_KERNEL_MIN
     reprs = np.empty(values.size, dtype="S24")  # a float repr is at most 24 characters, an int one 20
-    for start in range(0, values.size, 4096):  # a slice at a time: a listed float costs 32 bytes, the kernel ~160
-        chunk = values[start:start + 4096]
-        reprs[start:start + 4096] = _float_reprs(chunk.astype(np.float64)) if kernel else list(map(fmt, chunk.tolist()))
+    for start in range(0, values.size, REPR_WINDOW):
+        chunk = values[start:start + REPR_WINDOW]
+        reprs[start:start + REPR_WINDOW] = (_float_reprs(chunk.astype(np.float64, copy=False)) if kernel
+                                            else list(map(fmt, chunk.tolist())))
     return reprs
 
 
@@ -564,11 +574,6 @@ _FLOAT_KERNEL_MIN = 512
 _U32, _32, _64, _ONE = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(64), np.uint64(1)
 _POW5 = np.array([5**i for i in range(23)], dtype=np.uint64)
 _POW10 = np.array([10**i for i in range(19)], dtype=np.uint64)
-# for word j of a 24-byte row and a byte count v: the mask of the row's first v bytes, and "." at byte v
-_FIRST = np.frombuffer(bytes(255 * (8 * j + b < v) for j in range(3) for v in range(25) for b in range(8)),
-                       "<u8").reshape(3, 25)
-_DOT_AT = np.frombuffer(bytes(46 * (8 * j + b == v) for j in range(3) for v in range(25) for b in range(8)),
-                        "<u8").reshape(3, 25)
 
 
 def _float_reprs(x: np.ndarray) -> np.ndarray:
@@ -586,8 +591,8 @@ def _float_reprs(x: np.ndarray) -> np.ndarray:
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """repr's digits of each x as a 17-digit int64 padded with zeros, its decpt (x = 0.digits * 10**decpt), and
-    whether the kernel covers x.
+    """repr's digits of each x as a 17-digit int64 padded with zeros, its decpt (x = 0.digits * 10**decpt) as
+    int8, and whether the kernel covers x.
 
     repr's digits are the fewest that read back as x, the closest such (Gay
     1990).  With x = M * 2**E and k = 17 - floor(log10 x), floor(x * 10**k)
@@ -596,53 +601,118 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     digits, the first within half an ulp of x is repr's.  A power of two has
     a narrower gap below it, but in [1e-4, 1e15) it is a decimal of at most
     15 digits, which its 15-digit rounding hits exactly.
+
+    Each step writes into a buffer of the window's size, in place where it
+    can: at most seven of 8 bytes a value are held at once.  A value the
+    kernel does not cover goes through the same steps on values that are
+    never read (numpy gives 0 for a shift by 64 bits or more).
     """
     bits = x.view(np.uint64)
-    frac = bits & np.uint64((1 << 52) - 1)
-    ok = (x >= 1e-4) & (x < 1e15)
-    e10 = np.floor(np.log10(x, out=np.ones_like(x), where=ok)).astype(np.int64)  # may be 1 off at a power of 10
-    k = np.where(ok, 17 - e10, 0)
-    shift = np.where(ok, 1060 - (bits >> np.uint64(52)).astype(np.int64) + e10, 1).astype(np.uint64)  # 2 - E - k
-    b = _POW5.take(k)
-    high, low = _product((frac | np.uint64(1 << 52)) << np.uint64(2), b)
-    n = (high << (_64 - shift)) | (low >> shift)  # floor(x * 10**k)
-    rest = low & ((_ONE << shift) - _ONE)  # x * 10**k - n = rest / 2**shift
-    del high, low  # each temporary costs 8 bytes a value, and the kernel's sit on top of the repr table
+    ok = x >= 1e-4
+    ok &= x < 1e15
+    logs = np.clip(x, 1e-4, 1e15)  # x where the kernel covers it
+    e10 = np.floor(np.log10(logs, out=logs), out=logs).astype(np.int8)  # may be 1 off at a power of 10
+    del logs
+    k = np.subtract(17, e10, dtype=np.intp)
+    b = _POW5.take(k, out=k.view(np.uint64), mode="clip")
+    shift = bits >> np.uint64(52)
+    exponent = shift.view(np.int64)
+    np.subtract(1060, exponent, out=exponent)
+    exponent += e10  # 2 - E - k
+    a = bits & np.uint64((1 << 52) - 1)
+    a |= np.uint64(1 << 52)
+    a <<= np.uint64(2)
+    n, rest = _product(a, b)
+    spare = _64 - shift
+    n <<= spare
+    n |= np.right_shift(rest, shift, out=spare)  # floor(x * 10**k)
+    np.left_shift(_ONE, shift, out=spare)
+    spare -= _ONE
+    rest &= spare  # x * 10**k - n = rest / 2**shift
+    del spare
     inexact = rest != 0
-    half_ulp = (b << _ONE).view(np.int64)  # (x -+ ulp/2) * 10**k = n + (rest -+ half_ulp) / 2**shift
-    ok &= (n >= _POW10[17]) & (n < _POW10[18])  # else log10 was 1 off
-    # rounded to 17 digits x always reads back (an error of 5e-17 x at most, half an ulp is more than 2**-54 x)
-    q = n // _POW10[1]
-    rem = n - q * _POW10[1]
-    sig = q + (rem > 5) + ((rem == 5) & inexact)
-    tie = (rem == 5) & ~inexact
+    b <<= _ONE
+    half_ulp = b.view(np.int64)  # (x -+ ulp/2) * 10**k = n + (rest -+ half_ulp) / 2**shift
+    ok &= n >= _POW10[17]
+    ok &= n < _POW10[18]  # else log10 was 1 off
+    # A remainder is n less its quotient's multiple (numpy divides by a scalar fast, but not so for a remainder), and
+    # a choice between two values is the first plus 0 or 1 times their difference: masked numpy calls are slower.
+    # Rounded to 17 digits x always reads back (an error of 5e-17 x at most, half an ulp is more than 2**-54 x).
+    sig = n // _POW10[1]
+    rem = sig * _POW10[1]
+    np.subtract(n, rem, out=rem)
+    up = rem > 5
+    up |= (rem == 5) & inexact
+    tie = rem == 5
+    tie &= ~inexact
+    spare = np.empty_like(rem)
+    np.copyto(spare, up)
+    sig += spare
     for p in (16, 15):
         u = _POW10[18 - p]
-        q = n // u
-        rem = n - q * u
-        twice = rem << _ONE
-        up = (twice > u) | ((twice == u) & inexact)
+        np.floor_divide(n, u, out=rem)
+        rem *= u
+        np.subtract(n, rem, out=spare)  # n % u
+        at_half = spare == u >> _ONE
+        up = spare > u >> _ONE
+        up |= at_half & inexact
+        np.copyto(rem, up)
+        rem *= u
+        rem -= spare  # up * u - n % u, from x * 10**k to the candidate in units of 10**-k
+        np.add(n, rem, out=spare)
+        spare //= _POW10[1]  # the candidate, (n // u + up) * 10**(17 - p)
         # (candidate - x * 10**k) * 2**shift, within the bounds when below half_ulp; a candidate of 16 digits
         # or fewer never sits on a bound, as a midpoint between doubles below 2**53 has 17 or more
-        inside = np.abs((((up * u - rem) << shift) - rest).view(np.int64)) < half_ulp
-        sig = np.where(inside, (q + up) * _POW10[17 - p], sig)
-        tie = np.where(inside, (twice == u) & ~inexact, tie)
+        rem <<= shift
+        rem -= rest
+        distance = rem.view(np.int64)
+        inside = np.abs(distance, out=distance) < half_ulp
+        np.copyto(rem, inside)
+        spare -= sig
+        spare *= rem
+        sig += spare
+        at_half &= ~inexact
+        tie &= ~inside
+        tie |= inside & at_half
+    del n, rest, rem, spare, b, half_ulp, shift
     carry = sig == _POW10[17]  # 99..9.5 rounded up: one digit more
-    decpt = 18 - k + carry
-    ok &= ~tie & (decpt >= -3) & (decpt <= 16)  # repr's positional range
-    decpt[~ok] = 1  # any layout will do for the values left to repr
-    return np.where(ok & ~carry, sig, _POW10[16]).view(np.int64), decpt, ok
+    decpt = e10  # 18 - k + carry, which is e10 + 1 + carry
+    decpt += 1
+    decpt += carry.view(np.int8)
+    ok &= ~tie
+    ok &= decpt >= -3
+    ok &= decpt <= 16  # repr's positional range
+    decpt *= ok.view(np.int8)
+    decpt += (~ok).view(np.int8)  # any layout will do for the values left to repr
+    keep = (ok & ~carry).astype(np.uint64)
+    sig -= _POW10[16]
+    sig *= keep
+    sig += _POW10[16]
+    return sig.view(np.int64), decpt, ok
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low words of the 128-bit products of two uint64 arrays, from their 32-bit halves.
+    """The high and low words of the 128-bit products of two uint64 arrays, from their 32-bit halves; the high
+    words are written over ``a``.
 
     The cross terms and the low product's carry share one word: a = 4M < 2**55 and b = 5**k <= 5**22 < 2**52 (k is
     22 only where log10 rounds down at 1e-4), so each partial product fits, and their sum is below 2**56.
     """
-    a_hi, a_lo, b_hi, b_lo = a >> _32, a & _U32, b >> _32, b & _U32
-    mid = a_hi * b_lo + a_lo * b_hi + ((a_lo * b_lo) >> _32)
-    return a_hi * b_hi + (mid >> _32), a * b
+    low = a * b
+    a_lo = a & _U32
+    a >>= _32  # a_hi
+    half = b & _U32  # b_lo
+    mid = a_lo * half
+    mid >>= _32
+    half *= a
+    mid += half  # a_hi b_lo + a_lo b_lo / 2**32
+    np.right_shift(b, _32, out=half)  # b_hi
+    a_lo *= half
+    mid += a_lo
+    a *= half
+    mid >>= _32
+    a += mid  # a_hi b_hi + mid / 2**32
+    return a, low
 
 
 def _positional(sig: np.ndarray, decpt: np.ndarray) -> np.ndarray:
@@ -651,54 +721,109 @@ def _positional(sig: np.ndarray, decpt: np.ndarray) -> np.ndarray:
     The digits' ASCII bytes, 3 little-endian words of a 24-byte row, are moved
     by whole bytes to start with "0" when decpt < 1, the bytes from the "." on
     one byte further, and cut after the last digit that is not a trailing
-    zero, keeping one digit after the ".".
+    zero, keeping one digit after the ".".  Every shift and mask is looked up
+    by one index a value, of decpt and the digits after the ".".  Each of
+    the three words is a contiguous row until the rows are interleaved into
+    the text; ``sig`` is overwritten.
     """
-    words, zeros = _digit_words(sig)
-    lead = np.maximum(1 - decpt, 0)  # the zeros written before the first digit
-    dot = np.maximum(decpt, 1)  # the digits before "."
-    length = dot + 1 + np.maximum(17 - zeros + lead - dot, 1)
-    move = ((7 - lead) * 8).astype(np.uint64)
-    back = _64 - move
-    out = np.empty((len(sig), 3), dtype="<u8")
-    carried = np.uint64(0)
-    for j, mask in enumerate(_FIRST):
-        word = words[j] >> move
-        if j < 2:
-            word |= words[j + 1] << back
-        moved = (word << np.uint64(8)) | carried  # the row one byte on, past the "."
-        carried = word >> np.uint64(56)
-        out[:, j] = ((word & mask.take(dot)) | (moved & ~mask.take(dot + 1)) | _DOT_AT[j].take(dot)) & mask.take(length)
-    return out.view("S24").ravel()
+    shifts, masks = _layout()
+    words = np.empty((3, len(sig)), dtype=np.uint64)
+    index = _digit_words(sig, words)  # the digits' trailing zeros
+    np.copyto(sig, decpt)
+    # the digits after the ".": 17, less the trailing zeros, less decpt (the zeros before the first digit, less the
+    # digits before the "."), one at least
+    np.subtract(17, index, out=index)
+    index -= sig
+    np.maximum(index, 1, out=index)
+    sig += 3
+    sig *= 21
+    index += sig
+    spare, word, moved = sig.view(np.uint64), np.empty_like(words[0]), np.empty_like(words[0])
+    for j, (before, after, dot) in enumerate(masks):
+        # the row from its first digit on, with its leading zeros; then the same one byte further, past the "."
+        for shifted, (right, left) in ((word, shifts[:2]), (moved, shifts[2:])):
+            np.right_shift(words[j], right.take(index, out=spare, mode="clip"), out=shifted)
+            if j < 2:
+                shifted |= np.left_shift(words[j + 1], left.take(index, out=spare, mode="clip"), out=spare)
+        word &= before.take(index, out=spare, mode="clip")
+        moved &= after.take(index, out=spare, mode="clip")
+        word |= moved
+        np.bitwise_or(word, dot.take(index, out=spare, mode="clip"), out=words[j])
+    del index, spare, word, moved, shifted
+    return np.ascontiguousarray(words.T).view("S24").ravel()
 
 
 @functools.cache
-def _quads() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII bytes of "0000".."9999" as little-endian words, and each one's trailing zeros (4 for 0).
+def _layout() -> tuple[np.ndarray, np.ndarray]:
+    """``_positional``'s tables, by (decpt + 3) * 21 + the digits after the ".".
 
-    Built on first use: building them grows the process by ~0.3 MB (the
-    first numpy calls of a kind), which one that writes no large float table
-    need not pay.
+    The shifts are the right and left ones that make a digit word from two
+    neighbouring ones: the row from its first digit on, after the zeros
+    written before it, and the same row one byte further.  The masks are,
+    for each of a row's three words, its bytes before the ".", its bytes
+    after the "." up to the text's end, and the "." itself.
+    """
+    decpt, after = np.divmod(np.arange(20 * 21), 21)
+    decpt -= 3
+    move = (7 - np.maximum(1 - decpt, 0)) * 8  # in bits: 7 bytes less the zeros before the first digit
+    shifts = np.stack([move, 64 - move, move - 8, 72 - move]).astype(np.uint64)
+    dot = np.maximum(decpt, 1)[:, None]  # the digits before "."
+    end = np.minimum(dot + 1 + after[:, None], 24)
+    byte = np.arange(24).reshape(3, 1, 8)  # each word's bytes
+    masks = np.stack([255 * (byte < dot), 255 * ((byte > dot) & (byte < end)), 46 * (byte == dot)], axis=1)
+    return shifts, np.ascontiguousarray(masks, dtype=np.uint8).view("<u8")[..., 0]
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """The ASCII bytes of "0000".."9999" as little-endian words, each with its trailing zeros (4 for 0) in its
+    upper 32 bits.
+
+    Built on first use: building the kernel's tables grows the process by
+    ~0.3 MB (the first numpy calls of a kind), which one that writes no
+    large float table need not pay.
     """
     ascii_digits = np.arange(48, 58, dtype=np.uint64)
     quads = (ascii_digits[:, None, None, None] | ascii_digits[:, None, None] << np.uint64(8)
              | ascii_digits[:, None] << np.uint64(16) | ascii_digits << np.uint64(24)).ravel()
-    zeros = np.zeros(10**4, dtype=np.intp)
     for step in (10, 100, 1000, 10**4):
-        zeros[::step] += 1
-    return quads, zeros
+        quads[::step] += np.uint64(1 << 32)
+    return quads
 
 
-def _digit_words(sig: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The 17 digits' ASCII bytes as the little-endian words "0000000d" "dddddddd" "dddddddd", and their trailing
-    zeros; the digits are looked up four at a time."""
-    quads, quad_zeros = _quads()
+def _digit_words(sig: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Write the 17 digits' ASCII bytes into the three rows of ``words``, as the little-endian words "0000000d"
+    "dddddddd" "dddddddd", and return their trailing zeros (intp).
+
+    The digits are looked up four at a time, from ``_quads``; a quad's
+    trailing zeros count where every quad after it is 0000.  The rows not
+    yet written, and ``sig``, are the scratch.
+    """
+    quads = _quads()
+    first, scratch = words[0].view(np.int64), words[1].view(np.int64)
     top = sig // 10**8  # the first 9 digits
-    first = top // 10**8
-    words, zeros = [np.uint64(0x30303030) | (quads.take(first) << _32)], []
-    for half in (top - first * 10**8, sig - top * 10**8):
-        upper = half // 10**4
-        lower = half - upper * 10**4
-        words.append(quads.take(upper) | (quads.take(lower) << _32))
-        lower = quad_zeros.take(lower)
-        zeros.append(np.where(lower == 4, 4 + quad_zeros.take(upper), lower))
-    return words, zeros[1] + np.where(zeros[1] == 8, zeros[0], 0)
+    sig -= np.multiply(top, 10**8, out=scratch)  # the last 8
+    np.floor_divide(top, 10**8, out=first)
+    top -= np.multiply(first, 10**8, out=scratch)  # digits 2 to 9
+    quads.take(first, out=words[0], mode="clip")
+    words[0] <<= _32
+    words[0] |= np.uint64(0x30303030)
+    zeros = np.empty(len(sig), dtype=np.intp)
+    seen = zeros.view(np.uint64)  # the trailing zeros of the quads looked up so far, from the last one back
+    for j, half in ((2, sig), (1, top)):
+        lower, upper, spare = half.view(np.uint64), words[j], words[1] if j == 2 else sig.view(np.uint64)
+        np.floor_divide(half, 10**4, out=upper.view(np.int64))
+        half -= np.multiply(upper.view(np.int64), 10**4, out=spare.view(np.int64))
+        quads.take(half, out=lower, mode="clip")
+        quads.take(upper.view(np.int64), out=upper, mode="clip")
+        for later, quad in enumerate((lower, upper), 2 * (2 - j)):  # the quads after this one
+            if later:
+                np.right_shift(quad, _32, out=spare)
+                spare *= seen == 4 * later
+                seen += spare
+            else:
+                np.right_shift(quad, _32, out=seen)
+        lower <<= _32
+        upper &= _U32
+        upper |= lower
+    return zeros

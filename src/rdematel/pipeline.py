@@ -97,9 +97,21 @@ def interval_sums(g: np.ndarray, axis: int) -> np.ndarray:
     return np.stack([g[..., 0].sum(axis=axis), g[..., 1].sum(axis=axis)], axis=-1)
 
 
-# Judgments per block of the count path. Its bincount index, 8 bytes a judgment, sets the path's peak: 256 KiB here,
-# where twice that would pass the walk's 16-bit sorted copy of a (30 criteria, 200 experts) panel.
-_COUNT_BLOCK = 2**15
+# Bytes per block of the count path, at about m + 8 levels bytes a cell: each judgment's comparison with a level,
+# then each level's count as a float.  A smaller block costs more numpy calls a cell where there are many levels.
+_COUNT_BLOCK = 2**18
+
+
+def _count_levels(m: int) -> int:
+    """The most levels, max - min + 1, of a panel of m experts that the count path takes; a wider one is walked.
+
+    A level costs the count path a comparison and a sum over each cell's
+    m judgments and a few n x n float steps, and the walk costs a few
+    float steps a judgment at any width.  On a grid of (criteria, experts,
+    levels), the count path was the faster up to about 16 + m / 5 levels,
+    and up to 48 at most (``BENCH_level-compare.json``).
+    """
+    return min(m, 16 + m // 5, 48)
 
 
 def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
@@ -118,14 +130,17 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     including them, and divide the sums by m.  So neither depends on expert
     order, and the two give the same bits.
 
-    An integer panel (uint64 aside) whose values span at most m levels,
-    max - min + 1 <= m as on a Likert scale, takes the count path: blocks
-    of at most 2**15 judgments, each counted per cell and value by one
-    ``np.bincount`` and summed by ``_level_sums`` over the levels, written
-    straight into the result.  It sorts nothing, and peaks at the 256 KiB
-    index plus the result.
+    An integer panel (uint64 aside) whose values span few levels,
+    max - min + 1 <= ``_count_levels(m)`` as on a Likert scale, takes the
+    count path.  A block of cells, 2**18 bytes at about m + 8 levels bytes
+    a cell, is compared with each level in turn, one byte a judgment, and
+    each cell's matches summed in the counts' own narrowest type (one byte
+    up to 255 experts); ``_level_sums`` turns the counts into the block's
+    bounds, written straight into the result.  The comparison and count
+    buffers are made once and reused by every block.  It sorts nothing,
+    and peaks at one block's buffers plus the result.
 
-    Any other panel (float, bool, or a range wider than m) takes the walk:
+    Any other panel (float, bool, or a wider range) takes the walk:
     each cell's m judgments are sorted once, so that equal judgments form
     a run, and the walk adds a run's share at its last position and 0.0
     at every other.  Its cost depends on the panel's shape alone, not on
@@ -144,13 +159,21 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     cells = panel.reshape(m, n * n)
     if n and panel.dtype.kind in "iu" and np.can_cast(panel.dtype, np.intp):
         lo, hi = int(cells.min()), int(cells.max())
-        if hi - lo < m:
+        if hi - lo < _count_levels(m):
             levels = (lo + np.arange(hi - lo + 1)).astype(float)  # each as exact as the walk's cast of a judgment
+            k = max(1, min(_COUNT_BLOCK // (m + 8 * levels.size), n * n))
+            same = np.empty((m, k), dtype=bool)
+            counts = np.empty((levels.size, k), dtype=np.min_scalar_type(m))
             group = np.empty((n * n, 2))
-            k = max(1, _COUNT_BLOCK // m)
             for start in range(0, n * n, k):
-                group[start:start + k] = _level_sums(_level_counts(cells[:, start:start + k], lo, levels.size),
-                                                     levels).T
+                block = cells[:, start:start + k]
+                width = block.shape[1]
+                hit, tally = same[:, :width], counts[:, :width]
+                for value, count in enumerate(tally, lo):
+                    np.equal(block, value, out=hit)
+                    # summed as the bool's own bytes: no cast, where a count fits in one
+                    np.add.reduce(hit.view(np.uint8), axis=0, dtype=counts.dtype, out=count)
+                group[start:start + width] = _level_sums(tally, levels).T
             group /= m
             return group.reshape(n, n, 2)
     # 8-bit ints sort about half as fast as 16-bit ones, so a 1-byte int panel sorts a 16-bit copy
@@ -170,20 +193,13 @@ def rough_group_matrix(panel: np.ndarray) -> np.ndarray:
     return np.stack(bounds, axis=-1).reshape(n, n, 2)  # C-contiguous, so a writer's ravel copies nothing
 
 
-def _level_counts(block: np.ndarray, lo: int, nlevels: int) -> np.ndarray:
-    """How many judgments each cell of an (m, k) block holds of each value lo, lo + 1, ..., as (nlevels, k) ints."""
-    k = block.shape[1]
-    index = block.astype(np.intp)  # (value - lo) * k + cell: the count's row is its value, its column its cell
-    index -= lo
-    index *= k
-    index += np.arange(k)
-    return np.bincount(index.ravel(), minlength=nlevels * k).reshape(nlevels, k)
-
-
 def _level_sums(counts: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Lower- and upper-bound sums, as (2, k) floats, of cells whose judgments are counted per value in ``counts``.
 
-    ``counts`` is (len(levels), k), ``levels`` the ascending float values.
+    ``counts`` is (len(levels), k) ints of any width, each row one level's
+    count in every cell, and ``levels`` the ascending float values.  The
+    counts are taken as floats, 8 bytes a level and cell.
+
     Each level adds its count times the mean of every judgment seen so far.
     A level that a cell does not hold adds a zero to both of its sums,
     which leaves them as they are, as the walk's positions inside a run do.

@@ -18,7 +18,7 @@ import numpy as np
 from . import network as net_mod
 from . import pipeline
 from .errors import InvalidArgumentError
-from .ingest import StudyBundle, json_chunks, json_grid
+from .ingest import REPR_WINDOW, StudyBundle, json_chunks, json_grid
 from .pipeline import AnalysisResult, RoughAnalysis
 
 PASS = "pass"
@@ -106,9 +106,9 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
     ``json.dumps(doc) + "\n"`` with each grid as its ``tolist()``.  ``ingest.json_chunks`` writes it: each grid comes
     one row at a time from ``ingest.json_grid``, which reprs every distinct value of ``rough_group`` once (a raw
     panel's rough group repeats values: a cell's bounds depend only on how many experts chose each judgment) and
-    those of ``total``, all distinct, a 4096-value window at a time, and lays each row out by copying its reprs into
-    24-byte slots between the row's NUL-padded layout text and deleting the NULs; the results and deviations tables
-    are one C-encoder call each.
+    those of ``total``, all distinct, a window of ``ingest.REPR_WINDOW`` values at a time, and lays each row out by
+    copying its reprs into 24-byte slots between the row's NUL-padded layout text and deleting the NULs; the results
+    and deviations tables are one C-encoder call each.
     """
     a = report.analysis
     doc = {
@@ -118,7 +118,7 @@ def report_json_chunks(report: AnalysisReport) -> Iterator[str]:
         # vars() lists a dataclass's fields in declaration order; dataclasses.asdict deep-copies each value
         "results": [vars(r) for r in report.results],
         "rough_group": a.group_matrix,
-        "total": json_grid(a.total, 4096),  # all distinct: reprs written 4096 values at a time, with no table
+        "total": json_grid(a.total, REPR_WINDOW),  # all distinct: reprs written a kernel window at a time, no table
         "deviations": report.deviations,
     }
     yield from json_chunks(doc)

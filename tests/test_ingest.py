@@ -944,3 +944,31 @@ class TestFloatReprs:
         ]
         assert repr(214980031455738.875) == "214980031455738.88"
         assert_reprs_match(np.concatenate([powers, fixed]))
+
+    @pytest.mark.parametrize("size", [-1, 0, 1, "2W+1"])
+    def test_window_edges(self, size):
+        # W - 1, W, W + 1 and 2W + 1 values: a window's last value, the next window's first and a one-value window,
+        # each given a value the kernel leaves to repr or one at its own edges
+        window = ingest.REPR_WINDOW
+        size = 2 * window + 1 if size == "2W+1" else window + size
+        rng = np.random.default_rng(size)
+        values = rng.random(size) * 10.0 ** rng.integers(-5, 17, size)
+        edges = [i for i in (0, window - 1, window, 2 * window) if i < size]
+        values[edges] = [-0.0, 1e-4, 9.999999999999999e-05, 1e15][:len(edges)]
+        expected = np.array([repr(v).encode() for v in values.tolist()], dtype="S24")
+        assert_reprs_match(values)
+        assert np.array_equal(ingest._json_reprs(values), expected)
+
+    def test_one_window_peaks_below_68_bytes_a_value(self):
+        # at most seven 8-byte buffers a value at once, and a few bool ones, each step written in place (~64 bytes a
+        # value); a kernel that kept one more window-sized uint64 array through its peak would hold 72 or more
+        rng = np.random.default_rng(5)
+        values = rng.random(ingest.REPR_WINDOW) * 10.0 ** rng.integers(-4, 15, ingest.REPR_WINDOW)
+        ingest._float_reprs(values)  # once untraced, so the tables built on first use are not counted
+        tracemalloc.start()
+        try:
+            ingest._float_reprs(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 68 * values.size

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rdematel import crisp as crisp_mod
+from rdematel import pipeline
 from rdematel.cli import main as cli_main
 from rdematel.errors import (
     BundleValidationError,
@@ -117,6 +118,30 @@ def int16_panels(draw):
     return draw(hnp.arrays(np.int16, (m, n, n), elements=st.integers(0, hi)))
 
 
+def level_panel(m, levels, dtype, seed=0, unanimous=True):
+    """An (m, 3, 3) ``dtype`` panel whose values span exactly ``levels`` levels, from -100 on or as low as the
+    dtype fits them: both ends in cell (0, 0), and, if ``unanimous``, one cell where all m experts agree."""
+    lo = min(max(int(np.iinfo(dtype).min), -100), int(np.iinfo(dtype).max) - levels + 1)
+    panel = np.random.default_rng(seed).integers(lo, lo + levels, size=(m, 3, 3)).astype(dtype)
+    panel[:, 0, 0] = lo
+    panel[-1, 0, 0] = lo + levels - 1
+    if unanimous:
+        panel[:, 2, 1] = lo + levels // 2
+    return panel
+
+
+@st.composite
+def level_panels(draw):
+    """A panel on as many levels as the count path takes from m experts, or one more or one fewer, or as many as
+    m, or one more or one fewer: m in {2, 21, 255, 256, 300} (counts of one byte and of two), in an int8, uint8,
+    int16 or int64 panel wide enough for the levels."""
+    m = draw(st.sampled_from([2, 21, 255, 256, 300]))
+    cap = pipeline._count_levels(m)
+    levels = draw(st.sampled_from(sorted({cap - 1, cap, cap + 1, m - 1, m, m + 1} - {0})) | st.integers(1, m + 1))
+    dtypes = [t for t in (np.int8, np.uint8, np.int16, np.int64) if levels <= 256 or np.iinfo(t).bits > 8]
+    return level_panel(m, levels, draw(st.sampled_from(dtypes)), draw(st.integers(0, 2**16)), draw(st.booleans()))
+
+
 class TestScale:
     def test_negative_scale_minimum_rejected(self):
         with pytest.raises(InvalidArgumentError, match="non-negative"):
@@ -165,8 +190,8 @@ class TestRoughGroupMatrix:
         assert rough_group_matrix(np.zeros((3, 0, 0), dtype=np.int64)).shape == (0, 0, 2)
 
     def test_peak_memory_below_one_and_a_half_panels(self):
-        # a 0..4 panel takes the count path: a bincount index of at most 2**15 judgments and the (n*n, 2) result;
-        # no panel-sized array is made
+        # a 0..4 panel takes the count path: one block's comparisons with a level (a byte a judgment), its counts
+        # and their floats, 2**18 bytes at most, and the (n*n, 2) result; no panel-sized array is made
         panel = random_expert_panel(120, 21, np.random.default_rng(0))
         tracemalloc.start()
         try:
@@ -200,15 +225,15 @@ class TestRoughGroupMatrix:
         assert peak < panel.nbytes
 
     def test_narrow_scale_panel_is_not_sorted(self, monkeypatch):
-        # 0..4 with six experts: five levels fit in m, so each cell is counted per value
+        # 0..4 with six experts: five levels fit in m, so each cell is counted per value; the walk sorts with the
+        # array's own sort method, which cannot be patched, so the count path is seen through _level_sums
         panel = random_expert_panel(6, 6, np.random.default_rng(2))
         expected = walk_oracle(panel)
-
-        def no_sort(*args, **kwargs):
-            raise AssertionError("np.sort called")
-
-        monkeypatch.setattr(np, "sort", no_sort)
+        counted = []
+        level_sums = pipeline._level_sums
+        monkeypatch.setattr(pipeline, "_level_sums", lambda *args: counted.append(1) or level_sums(*args))
         assert rough_group_matrix(panel).tobytes() == expected.tobytes()
+        assert counted
 
     @settings(max_examples=100, deadline=None)
     @given(int16_panels())
@@ -232,6 +257,48 @@ class TestRoughGroupMatrix:
         group = rough_group_matrix(panel)
         assert group.flags.c_contiguous
         assert group.tobytes() == walk_oracle(panel).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_panels())
+    # the count path's limit at 21 and 256 experts, less one, itself, and one more (walked)
+    @example(level_panel(21, 19, np.int8))
+    @example(level_panel(21, 20, np.uint8))
+    @example(level_panel(21, 21, np.int16))
+    @example(level_panel(256, 47, np.uint8))
+    @example(level_panel(256, 48, np.int8))  # counts of 256 in a unanimous cell, which a byte would wrap to 0
+    @example(level_panel(256, 49, np.int64))
+    # levels around m: 2 experts on 1, 2 and 3 levels, 255 and 256 on 254 to 257, 300 on 299 to 301
+    @example(level_panel(2, 1, np.int64))
+    @example(level_panel(2, 2, np.int8))
+    @example(level_panel(2, 3, np.uint8))
+    @example(level_panel(255, 254, np.uint8))
+    @example(level_panel(255, 256, np.int16))
+    @example(level_panel(256, 255, np.int8))
+    @example(level_panel(256, 257, np.int16))
+    @example(level_panel(300, 299, np.int16))
+    @example(level_panel(300, 300, np.int64))
+    @example(level_panel(300, 301, np.int16))
+    def test_count_path_matches_the_walk_bit_for_bit(self, panel):
+        assert rough_group_matrix(panel).tobytes() == walk_oracle(panel).tobytes()
+
+    @pytest.mark.parametrize("m", [2, 21, 255, 256, 300])
+    def test_count_path_takes_up_to_its_level_limit(self, m, monkeypatch):
+        # the limit's levels are counted (one block of 9 cells), one more level is walked
+        cap = pipeline._count_levels(m)
+        for levels, blocks in ((cap, 1), (cap + 1, 0)):
+            counted = []
+            level_sums = pipeline._level_sums
+            monkeypatch.setattr(pipeline, "_level_sums", lambda *args: counted.append(1) or level_sums(*args))
+            rough_group_matrix(level_panel(m, levels, np.int16))
+            monkeypatch.undo()
+            assert len(counted) == blocks
+
+    def test_uint64_panel_is_walked(self, monkeypatch):
+        # five levels at the top of uint64 from six experts, few enough to count, but lo + np.arange(levels) would
+        # not fit an int64
+        panel = level_panel(6, 5, np.uint8).astype(np.uint64) + np.uint64(2**64 - 5)
+        monkeypatch.setattr(pipeline, "_level_sums", None)
+        assert rough_group_matrix(panel).tobytes() == walk_oracle(panel).tobytes()
 
     def test_judgments_near_the_int64_limit_do_not_wrap(self):
         # two judgments of 2**62 sum to 2**63, one past the largest int64

@@ -371,14 +371,15 @@ json_docs = st.recursive(
 
 
 def kernel_grid(dtype):
-    """More than 4096 distinct values, so the float table crosses a slice boundary, of which most take the repr kernel
-    and some ``float.__repr__``: zeros, a subnormal, values in exponent form, negatives, 1e300; powers of two on either
-    side of 1e-4.  The float32 copy holds 3e38 in place of 1e300, the largest it can; the kernel must get its values
-    widened, as ``tolist()`` gives them."""
+    """More than ``ingest.REPR_WINDOW`` distinct values, so the float table crosses a window's edge, of which most
+    take the repr kernel and some ``float.__repr__``: zeros, a subnormal, values in exponent form, negatives, 1e300;
+    powers of two on either side of 1e-4.  The float32 copy holds 3e38 in place of 1e300, the largest it can; the
+    kernel must get its values widened, as ``tolist()`` gives them."""
     rng = np.random.default_rng(11)
     special = [0.0, -0.0, 5e-324, 1e-310, 2.0, 0.5, 1024.0, 2.0**-20, 1e-7, 3.5e-5, 9.999999999999999e-05,
                1e15, 2.5e16, -1.5, -0.3, 1e300 if dtype == np.float64 else 3e38]
-    values = np.concatenate([rng.random(4600) * 10.0 ** rng.integers(-4, 15, 4600), special])
+    size = ingest.REPR_WINDOW + 504  # with the 16 special values, four equal rows
+    values = np.concatenate([rng.random(size) * 10.0 ** rng.integers(-4, 15, size), special])
     return rng.permutation(values).reshape(2, 2, -1).astype(dtype)
 
 
