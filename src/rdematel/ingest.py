@@ -346,9 +346,13 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
 
 
 def _load_bundle_json(data: bytes | str) -> tuple[object, str]:
-    """``json.loads`` of ``data``, each grid that ``_int_grid`` reads as its array, and the text with them as ``NaN``.
+    """``json.loads`` of ``data``, each grid that ``_frame_grid`` or ``_int_grid`` reads as its array, and the text
+    with them as ``NaN``.
 
-    Each span of the bytes from a ``[[`` to the next ``]]`` that ``_int_grid`` reads is replaced by a ``NaN`` token,
+    At each ``[[`` opening a grid, ``_frame_grid`` reads a grid in ``json.dumps``'s default layout in place, and tells
+    where it ends; a span in any other layout, from the ``[[`` to the next ``]]``, goes to ``_int_grid``, which drops
+    its whitespace first.  No byte is compared with a frame twice: an opening inside a frame that failed goes straight
+    to ``_int_grid``.  Each span read is replaced by a ``NaN`` token,
     which ``parse_constant`` turns back into its array, and only the bytes left are decoded.  The result is kept only
     when every array is a value of the top-level ``matrices`` object, the one place the validator takes arrays (a span
     inside a string is never handed out, so it fails that count too).  Otherwise, and for a text with no such grid,
@@ -361,9 +365,19 @@ def _load_bundle_json(data: bytes | str) -> tuple[object, str]:
     data = data.encode("utf-8", errors) if isinstance(data, str) else data
     pieces, grids = [], []
     cut = end = len(_BOM) if data.startswith(_BOM) else 0
-    while (opening := _GRID_OPEN.search(data, end)) and (closing := _GRID_CLOSE.search(data, opening.end())):
-        start, end = opening.start(), closing.end()  # the search goes on past a span, so it stays linear
-        if (grid := _int_grid(data[start:end])) is not None:
+    compared = 0  # where the last frame compared ends: no byte is compared twice, so the loop stays linear
+    while opening := _GRID_OPEN.search(data, end):
+        start, grid = opening.start(), None
+        if start >= compared:
+            grid, compared = _frame_grid(data, start)
+        if grid is not None:
+            end = compared
+        elif closing := _GRID_CLOSE.search(data, opening.end()):
+            end = closing.end()  # the search goes on past a span, so it stays linear
+            grid = _int_grid(data[start:end])
+        else:
+            break
+        if grid is not None:
             pieces.append(data[cut:start])
             grids.append(grid)
             cut = end
@@ -384,12 +398,38 @@ def _load_bundle_json(data: bytes | str) -> tuple[object, str]:
     return json.loads(text), text
 
 
+def _frame_grid(data: bytes, start: int) -> tuple[np.ndarray | None, int]:
+    """``_int_grid``'s grid for the span of ``data`` from ``start`` if it is in ``json.dumps``'s default layout,
+    ``[[d, ..., d], ..., [d, ..., d]]``, else None; and where the bytes compared with that frame end.
+
+    The first row, ``[d, ..., d]``, is 3r bytes, so its ``]`` gives r, and the frame is 3r^2 + 2r bytes that end in
+    ``]]``.  Each grid row, with the byte before it and the one after it (``" [d, ..., d],"``, but ``"["`` before the
+    first row and ``"]"`` after the last), is one row of an (r, 3r + 2) uint8 view of ``data`` at ``start``: every
+    byte is compared with the frame (``0``..``9`` in each digit slot) with no copy of the span, and the digits are
+    taken through a strided view of the difference.  A span that does not end in ``]]`` where the frame does, or
+    that runs past ``data``'s end, compares nothing.
+    """
+    close = data.find(b"]", start)
+    r, extra = divmod(close - start, 3)
+    stop = start + r * (3 * r + 2)
+    if close < 0 or extra or data[stop - 2:stop] != b"]]":
+        return None, start
+    rows = np.frombuffer(data, np.uint8, stop - start, start).reshape(r, 3 * r + 2)
+    diff = rows - np.frombuffer(b" [" + b"0, " * (r - 1) + b"0],", np.uint8)  # a middle row's frame
+    diff[0, 0] -= ord("[") - ord(" ")
+    diff[-1, -1] -= ord("]") - ord(",")
+    slots = np.ones(3 * r + 2, np.uint8)  # a byte of the frame must be its own, a digit one of ten
+    slots[2::3] = 10
+    return (diff[:, 2::3].copy() if (diff < slots).all() else None), stop
+
+
 def _int_grid(span: bytes) -> np.ndarray | None:
     """``np.array(json.loads(span))`` as uint8 if ``span`` is a square grid of one-digit ints, else None.
 
     With JSON whitespace dropped, ``span`` must be exactly the layout of an r x r grid with one digit to a slot (no two
     digits in a row, so a wider number, or whitespace inside one, breaks it), checked through strided views of its
-    bytes.  The values are the slots' bytes - 48: a uint8 grid of 200 x 200 costs 40 KB, an int64 one 320 KB.
+    bytes.  The values are the slots' bytes - 48: a uint8 grid of 200 x 200 costs 40 KB, an int64 one 320 KB.  A
+    span in ``json.dumps``'s default layout is read by ``_frame_grid`` instead, which needs no whitespace pass.
     """
     packed = span.translate(None, _JSON_WHITESPACE)
     r = math.isqrt(len(packed) // 2)  # an r x r layout is 2r(r + 1) + 1 bytes

@@ -690,8 +690,8 @@ judgments = st.sampled_from([st.integers(0, 9), st.integers(0, 2**63 - 2) | st.s
 
 
 @st.composite
-def grid_spans(draw, grid_fault=None):
-    """The JSON text of an r x r grid of ints in 0..2**63 - 2 in one layout, or of a grid with ``grid_fault``."""
+def grid_spans(draw, grid_fault=None, layouts=tuple(sorted(LAYOUTS))):
+    """The JSON text of an r x r grid of ints in 0..2**63 - 2 in one of ``layouts``, or of a grid with ``grid_fault``."""
     r, cells = draw(st.integers(1, 5)), draw(judgments)
     grid = draw(st.lists(st.lists(cells, min_size=r, max_size=r), min_size=r, max_size=r))
     i = draw(st.integers(0, r - 1))
@@ -704,7 +704,7 @@ def grid_spans(draw, grid_fault=None):
             grid[i] = grid[i] + [1] if draw(st.booleans()) else grid[i][:-1]
     elif grid_fault == "nesting":
         grid = [grid] if draw(st.booleans()) else grid[:i] + [[[v] for v in grid[i]]] + grid[i + 1:]
-    return json.dumps(grid, **LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))])
+    return json.dumps(grid, **LAYOUTS[draw(st.sampled_from(layouts))])
 
 
 def number_fault(span: str, which: int, fault: str) -> str:
@@ -774,8 +774,9 @@ def parse_outcome(data):
 
 
 def json_loads_outcome(data):
-    """``parse_outcome(data)`` with every grid left to json.loads."""
-    with mock.patch.object(ingest, "_int_grid", return_value=None):
+    """``parse_outcome(data)`` with every grid left to json.loads: neither the frame nor the translate path reads one."""
+    with mock.patch.object(ingest, "_frame_grid", return_value=(None, 0)), \
+            mock.patch.object(ingest, "_int_grid", return_value=None):
         return parse_outcome(data)
 
 
@@ -839,12 +840,126 @@ class TestLargeBundleParse:
         assert reader.call_count == 0
         assert outcome == json_loads_outcome(text)
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_only_the_default_layout_is_read_in_place(self, layout):
+        b = make_raw_bundle(n=12, m=5)
+        text = write_bundle(b) if layout == "default" else json.dumps(bundle_doc(b), **LAYOUTS[layout]).encode()
+        with mock.patch.object(ingest, "_int_grid", wraps=ingest._int_grid) as translated:
+            doc, _ = ingest._load_bundle_json(text)
+        assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * 5
+        assert translated.call_count == (0 if layout == "default" else 5)
+
     def test_grids_are_read_as_arrays(self):
         data = json.dumps(raw_doc(), indent=2).encode()
         doc, rest = ingest._load_bundle_json(data)
         assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * 3
         assert {k: g.tolist() for k, g in doc["matrices"].items()} == json.loads(data)["matrices"]
         assert len(rest) < len(data)
+
+
+def frame_bundle(n, m, top, seed):
+    """A raw bundle document of n criteria and m experts on 0..top whose matrices are the placeholders "@R0@", ...,
+    and each grid's text in ``json.dumps``'s default layout."""
+    rng = np.random.default_rng(seed)
+    doc = {"scale": {"min": 0, "max": top}, "criteria": [{"id": f"C{i}"} for i in range(n)],
+           "respondents": [{"id": f"R{k}"} for k in range(m)], "matrices": {f"R{k}": f"@R{k}@" for k in range(m)}}
+    grids = rng.integers(0, min(top, 9), size=(m, n, n), endpoint=True)
+    grids[:, range(n), range(n)] = 0
+    return json.dumps(doc), [json.dumps(g.tolist()) for g in grids]
+
+
+def frame_seam_edit(grid: str, edit: str, at: int) -> str:
+    """``grid``, a grid's text in the default layout, with ``edit`` made at its ``at``-th seam, modulo their count."""
+    seams = [match.start() for match in re.finditer(r"\], \[", grid)] or [len(grid) - 2]
+    cells = [match.start() for match in re.finditer(", ", grid)] or [len(grid) - 2]
+    row, cell = seams[at % len(seams)], cells[at % len(cells)]
+    return {
+        "a ] one row early": grid[:row] + "]" + grid[row:],
+        "a wider separator": grid[:cell] + ",  " + grid[cell + 2:],
+        "a compact separator": grid[:cell] + "," + grid[cell + 2:],
+        "a separator's space as a digit": grid[:cell] + ",1" + grid[cell + 2:],
+        "a separator's space as a newline": grid[:cell] + ",\n" + grid[cell + 2:],
+        "a two-digit last cell": grid[:-3] + "1" + grid[-3:],
+        "no final ]": grid[:-1],
+        "a longer first row": grid.replace("]", ", 1]", 1),
+    }[edit]
+
+
+FRAME_EDITS = ["a ] one row early", "a wider separator", "a compact separator", "a separator's space as a digit",
+               "a separator's space as a newline", "a two-digit last cell", "no final ]", "a longer first row",
+               "the data ending inside the frame"]
+
+
+class TestFrameGrid:
+    """A grid in ``json.dumps``'s default layout is compared with its frame in place, with the outcome of leaving
+    every grid to json.loads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 3), st.sampled_from([4, 9, 99]), st.integers(0, 2**32))
+    def test_default_layout_matches_json_loads(self, n, m, top, seed):
+        text, grids = frame_bundle(n, m, top, seed)
+        for k, grid in enumerate(grids):
+            text = text.replace(f'"@R{k}@"', grid)
+        with mock.patch.object(ingest, "_int_grid", wraps=ingest._int_grid) as translated:
+            outcome = parse_outcome(text)
+        assert translated.call_count == 0
+        assert outcome == json_loads_outcome(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from([4, 9, 99]), st.integers(0, 2**32), st.sampled_from(FRAME_EDITS),
+           st.integers(0, 2), st.integers(0, 10**4))
+    def test_edits_at_the_seams_match_json_loads(self, n, top, seed, edit, which, at):
+        text, grids = frame_bundle(n, 3, top, seed)
+        end = None
+        for k, grid in enumerate(grids):
+            if k == which and edit == "the data ending inside the frame":
+                end = text.index(f'"@R{k}@"') + 1 + at % (len(grid) - 1)
+            elif k == which:
+                grid = frame_seam_edit(grid, edit, at)
+            text = text.replace(f'"@R{k}@"', grid)
+        text = text[:end]
+        compared = []
+
+        def frame_grid(data, start, read=ingest._frame_grid):
+            grid, stop = read(data, start)
+            compared.append((start, stop))
+            return grid, stop
+
+        with mock.patch.object(ingest, "_frame_grid", frame_grid):
+            outcome = parse_outcome(text)
+        assert outcome == json_loads_outcome(text)
+        assert all(stop <= start for (_, stop), (start, _) in zip(compared, compared[1:]))  # no byte compared twice
+
+    def test_an_opening_inside_a_compared_frame_is_not_compared_again(self):
+        # R0's first row gives r = 3, and its 33-byte frame ends in R's "]]"; the bytes between are not the frame's,
+        # so R's grid, inside the frame compared, is read by the translate path: no byte is compared twice
+        text = b'{"matrices": {"R0": [[0, 0, 0] ],"R":[[0, 1], [1, 0]]}}'
+        r0, r1 = text.index(b"[["), text.rindex(b"[[")
+        assert ingest._frame_grid(text, r0) == (None, r1 + 16)
+        with mock.patch.object(ingest, "_frame_grid", wraps=ingest._frame_grid) as framed, \
+                mock.patch.object(ingest, "_int_grid", wraps=ingest._int_grid) as translated:
+            outcome = parse_outcome(text)
+        assert [call.args[1] for call in framed.call_args_list] == [r0]
+        assert [call.args[0] for call in translated.call_args_list] == [b"[[0, 0, 0] ]", b"[[0, 1], [1, 0]]"]
+        assert outcome == json_loads_outcome(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(grid_spans() | grid_spans(layouts=("default",)),
+           st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(list('0159[], \n\t-.e"x')), st.booleans()),
+                    max_size=2),
+           st.sampled_from(["", " ", "]", ', "x": [[0, 1]]']))
+    def test_accepts_only_what_the_translate_path_reads_over_the_same_span(self, span, edits, after):
+        for at, char, replace in edits:  # a character put in, or in place of the one there; "x" deletes
+            at %= len(span) + 1
+            span = span[:at] + char.replace("x", "") + span[at + (replace or char == "x"):]
+        if not span.startswith("["):  # a span opens with the "[" that the opening pattern matched
+            return
+        data, start = f'{{"R0": {span}{after}'.encode(), len('{"R0": ')
+        grid, stop = ingest._frame_grid(data, start)
+        event("read in place" if grid is not None else "left to the translate path")
+        if grid is not None:
+            assert stop == ingest._GRID_CLOSE.search(data, start + 1).end()
+            assert np.array_equal(grid, ingest._int_grid(data[start:stop])) and grid.dtype == np.uint8
 
 
 def invalid_byte(data: bytes, where: str) -> bytes:

@@ -2,9 +2,11 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rdematel import ingest
+from rdematel import ingest, report
 from rdematel.errors import InvalidArgumentError, RDematelError
 from rdematel.fixtures import load_reference_tables, load_study_bundle
 from rdematel.ingest import (
@@ -174,7 +176,73 @@ class TestResultTables:
         assert f"{w[0]:.4f}" == "1.0000" and ranks[0] == 1
 
 
+def neighbours(values, reach=2):
+    """Each drawn value or a float up to ``reach`` steps away from it on either side."""
+    def step(pair):
+        v, k = pair
+        for _ in range(abs(k)):
+            v = float(np.nextafter(v, math.copysign(math.inf, k)))
+        return v
+    return st.tuples(values, st.integers(-reach, reach)).map(step)
+
+
+# strengths whose %.6f text a fast path can get wrong: decimal near-ties (k + 0.5) / 1e6, exact binary ties j / 128
+# for odd j (j * 7812.5 at 1e6), the carry of 0.9999995 to 1.000000, subnormals, and values about 2**52 / 1e6, from
+# where a product with 1e6 holds no halves; then any float, negative, non-finite and huge ones included
+DOT_STRENGTHS = st.one_of(
+    neighbours(st.integers(0, 10**10).map(lambda k: (k + 0.5) / 1e6)),
+    neighbours(st.integers(0, 2**30).map(lambda j: (2 * j + 1) / 128)),
+    neighbours(st.sampled_from([0.0, 5e-324, 0.9999995, 0.0070015, 2**52 / 1e6, 2**53 / 1e6]), reach=3),
+    st.floats(2**40 / 1e6, 2**54 / 1e6),
+    st.floats(0, 10),
+    st.floats(),
+)
+# ids whose quoting or encoding a byte frame could get wrong: NUL, U+00FF (whose UTF-8 holds no 0xFF byte), quotes,
+# backslashes and characters of two to four UTF-8 bytes
+DOT_IDS = st.text(st.sampled_from(["\x00", "\u00ff", '"', "\\", "a", "Z", "\u00e9", "\u4e2d", "\U0001f600"]),
+                  min_size=1, max_size=4)
+
+
+@st.composite
+def dot_networks(draw):
+    """A network of 1 to 6 arbitrary ids and any distinct (source, target) pairs, with DOT_STRENGTHS weights."""
+    ids = draw(st.lists(DOT_IDS, min_size=1, max_size=6, unique=True))
+    kept = draw(st.lists(st.booleans(), min_size=len(ids) ** 2, max_size=len(ids) ** 2))
+    pairs = [divmod(k, len(ids)) for k in np.flatnonzero(kept).tolist()]
+    strengths = draw(st.lists(DOT_STRENGTHS, min_size=len(pairs), max_size=len(pairs)))
+    return network(ids, [(ids[i], ids[j], v) for (i, j), v in zip(pairs, strengths)])
+
+
 class TestGraphDot:
+    @settings(max_examples=400, deadline=None)
+    @given(dot_networks())
+    @example(network(["a"], []))
+    @example(network(["a", "b"], [("a", "b", 0.0070015)]))
+    @example(network(["\x00", "\u00ff"], [("\u00ff", "\x00", 0.9999995), ("\x00", "\u00ff", 1e300)]))
+    def test_matches_the_oracle_for_any_ids_and_weights(self, net):
+        with mock.patch.object(report, "_DOT_FRAME_MIN", 0):  # every network laid out as a frame
+            framed = render_graph_dot(net)
+        assert framed == render_graph_dot(net) == oracle_graph_dot(net)
+
+    def test_a_decimal_near_tie_is_rounded_as_written(self):
+        # 0.0070015 is below 7001.5 millionths, but its product with 1e6 rounds up to 7001.5, which rint takes to 7002
+        assert 0.0070015 * 1e6 == 7001.5
+        with mock.patch.object(report, "_DOT_FRAME_MIN", 0):
+            dot = render_graph_dot(network(["a", "b"], [("a", "b", 0.0070015)])).decode()
+        assert '"a" -> "b" [weight=0.007001];' in dot
+
+    @pytest.mark.parametrize("more", [-1, 0])
+    def test_frame_from_its_edge_count(self, more):
+        n = 30
+        t = np.random.default_rng(3).random((n, n))
+        q = np.sort(t[~np.eye(n, dtype=bool)])[::-1][report._DOT_FRAME_MIN + more - 1]  # keeps the count asked for
+        net = extract_network(t, q, [f"C{i}" for i in range(n)])
+        assert len(net.strength) == report._DOT_FRAME_MIN + more
+        with mock.patch.object(report, "_fixed6", wraps=report._fixed6) as fixed6:
+            dot = render_graph_dot(net)
+        assert fixed6.call_count == (more == 0)
+        assert dot == oracle_graph_dot(net)
+
     def test_nodes_only(self):
         dot = render_graph_dot(network(["b", "a"], [])).decode()
         assert '"a";' in dot and '"b";' in dot
