@@ -12,7 +12,6 @@ import functools
 import io
 import itertools
 import json
-import math
 import re
 from dataclasses import dataclass, field, fields
 from typing import Iterator
@@ -25,9 +24,11 @@ from .pipeline import check_intervals
 CATEGORIES = ("internal", "external", "custom")
 ROLES = ("practitioner", "academic")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-# "[[" and two one-digit ints: every grid opens with its diagonal 0, so one digit says little of a scale above 9
-_GRID_OPEN = re.compile(rb"\[[ \t\n\r]*\[(?=[ \t\n\r]*[0-9][ \t\n\r]*,[ \t\n\r]*[0-9][ \t\n\r]*[,\]])")
-_GRID_CLOSE = re.compile(rb"\][ \t\n\r]*\]")
+# "[[" and two one-digit ints: every grid opens with its diagonal 0, so one digit says little of a scale above 9.  The
+# groups are the whitespace before the first cell and the separator after it.
+_GRID_OPEN = re.compile(rb"\[[ \t\n\r]*\[(?=([ \t\n\r]*)[0-9]([ \t\n\r]*,[ \t\n\r]*)[0-9][ \t\n\r]*[,\]])")
+# what follows a grid row's "]": the separator up to the next row's "[", or the grid's own "]"
+_GRID_SEAM = re.compile(rb"[ \t\n\r]*(?:,[ \t\n\r]*\[|\])")
 _BOM = b"\xef\xbb\xbf"
 _JSON_WHITESPACE = b" \t\n\r"
 
@@ -216,41 +217,36 @@ def _read_entries(
 ) -> list:
     """One ``meta`` per entry with a new, non-blank id; every fault found is added to ``errors``.
 
-    Each field of ``meta`` but ``enum`` must be a JSON string that UTF-8 can encode, and ``enum`` one of ``choices``.
+    Each field of ``meta`` but ``enum`` must be a JSON string that UTF-8 can encode (a JSON escape such as
+    ``"\\ud800"`` reads as a lone surrogate, which it cannot), and ``enum`` one of ``choices``.
     """
-    texts = [f.name for f in fields(meta) if f.name != enum]
+    rest = [(f.name, f.default) for f in fields(meta)][1:]  # the fields after the id, and their defaults
+    texts = ["id", *[name for name, _ in rest if name != enum]]
     read, seen = [], set()
     for idx, entry in enumerate(entries):
-        where = f"{key}[{idx}]"
         for name in texts:
             if not isinstance(text := entry.get(name, ""), str):
-                errors.append(f"{where}: {name} must be a string")
-            elif not _encodes(text):
-                errors.append(f"{where}: {name} is not valid Unicode text")
+                errors.append(f"{key}[{idx}]: {name} must be a string")
+                continue
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                errors.append(f"{key}[{idx}]: {name} is not valid Unicode text")
         eid = entry.get("id", "")
         if not isinstance(eid, str):
             continue
         eid = eid.strip()
         if not eid:
-            errors.append(f"{where}: missing id")
+            errors.append(f"{key}[{idx}]: missing id")
         elif eid in seen:
-            errors.append(f"{where}: duplicate id {eid!r}")
+            errors.append(f"{key}[{idx}]: duplicate id {eid!r}")
         else:
             seen.add(eid)
-            item = meta(**{name: entry[name] for name in [*texts, enum] if name in entry} | {"id": eid})
+            item = meta(eid, *[entry.get(name, default) for name, default in rest])
             if (value := getattr(item, enum)) not in choices:
-                errors.append(f"{where} ({eid}): unknown {enum} {value!r}")
+                errors.append(f"{key}[{idx}] ({eid}): unknown {enum} {value!r}")
             read.append(item)
     return read
-
-
-def _encodes(text: str) -> bool:
-    """Whether ``text`` can be written as UTF-8; a JSON escape such as ``"\\ud800"`` reads as a lone surrogate."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def _validate_bundle_dict(doc: dict, maybe_bool: bool) -> StudyBundle:
@@ -346,39 +342,28 @@ def parse_study_bundle(data: bytes | str) -> StudyBundle:
 
 
 def _load_bundle_json(data: bytes | str) -> tuple[object, str]:
-    """``json.loads`` of ``data``, each grid that ``_frame_grid`` or ``_int_grid`` reads as its array, and the text
-    with them as ``NaN``.
+    """``json.loads`` of ``data``, each grid that ``_frame_grid`` reads as its array, and the text with them as ``NaN``.
 
-    At each ``[[`` opening a grid, ``_frame_grid`` reads a grid in ``json.dumps``'s default layout in place, and tells
-    where it ends; a span in any other layout, from the ``[[`` to the next ``]]``, goes to ``_int_grid``, which drops
-    its whitespace first.  No byte is compared with a frame twice: an opening inside a frame that failed goes straight
-    to ``_int_grid``.  Each span read is replaced by a ``NaN`` token,
-    which ``parse_constant`` turns back into its array, and only the bytes left are decoded.  The result is kept only
-    when every array is a value of the top-level ``matrices`` object, the one place the validator takes arrays (a span
-    inside a string is never handed out, so it fails that count too).  Otherwise, and for a text with no such grid,
-    a text holding ``NaN`` or ``Infinity``, or a spliced text that does not decode or parse, the whole of ``data`` is
-    decoded and parsed, so errors name its offsets; a text that fails a check after the splice is thus parsed twice.
-    A grid holds no letters, so the spliced text holds every ``true``/``false`` token of the whole.  Text goes through
-    as its UTF-8 bytes, a lone surrogate (as a JSON escape also gives) passed.
+    At each ``[[`` opening a grid, ``_frame_grid`` reads a square grid of one-digit ints in place when each of its rows
+    is laid out as its first row is, as ``json.dumps`` writes one in any layout (default, compact or indented, with
+    ``\\n`` or ``\\r\\n`` newlines); a grid in irregular whitespace, or holding a wider number, stays in the text.  The
+    search goes on past the bytes each call looked at, so no byte is compared with a frame twice.  Each grid read is
+    replaced by a ``NaN`` token, which ``parse_constant`` turns back into its array, and only the bytes left are
+    decoded.  The result is kept only when every array is a value of the top-level ``matrices`` object, the one place
+    the validator takes arrays (a grid inside a string is never handed out, so it fails that count too).  Otherwise,
+    and for a text with no such grid, a text holding ``NaN`` or ``Infinity``, or a spliced text that does not decode or
+    parse, the whole of ``data`` is decoded and parsed, so errors name its offsets; a text that fails a check after the
+    splice is thus parsed twice.  A grid holds no letters, so the spliced text holds every ``true``/``false`` token of
+    the whole.  Text goes through as its UTF-8 bytes, a lone surrogate (as a JSON escape also gives) passed.
     """
     errors = "surrogatepass" if isinstance(data, str) else "strict"
     data = data.encode("utf-8", errors) if isinstance(data, str) else data
     pieces, grids = [], []
     cut = end = len(_BOM) if data.startswith(_BOM) else 0
-    compared = 0  # where the last frame compared ends: no byte is compared twice, so the loop stays linear
     while opening := _GRID_OPEN.search(data, end):
-        start, grid = opening.start(), None
-        if start >= compared:
-            grid, compared = _frame_grid(data, start)
+        grid, end = _frame_grid(opening)
         if grid is not None:
-            end = compared
-        elif closing := _GRID_CLOSE.search(data, opening.end()):
-            end = closing.end()  # the search goes on past a span, so it stays linear
-            grid = _int_grid(data[start:end])
-        else:
-            break
-        if grid is not None:
-            pieces.append(data[cut:start])
+            pieces.append(data[cut:opening.start()])
             grids.append(grid)
             cut = end
     pieces.append(data[cut:])
@@ -398,47 +383,46 @@ def _load_bundle_json(data: bytes | str) -> tuple[object, str]:
     return json.loads(text), text
 
 
-def _frame_grid(data: bytes, start: int) -> tuple[np.ndarray | None, int]:
-    """``_int_grid``'s grid for the span of ``data`` from ``start`` if it is in ``json.dumps``'s default layout,
-    ``[[d, ..., d], ..., [d, ..., d]]``, else None; and where the bytes compared with that frame end.
+def _frame_grid(opening: re.Match) -> tuple[np.ndarray | None, int]:
+    """``np.array(json.loads(grid))`` as uint8 for the grid that ``opening``, a ``_GRID_OPEN`` match, opens, when it is
+    a square grid of one-digit ints with each row laid out as its first row is, else None; and where the search for
+    the next grid goes on, past every byte looked at.
 
-    The first row, ``[d, ..., d]``, is 3r bytes, so its ``]`` gives r, and the frame is 3r^2 + 2r bytes that end in
-    ``]]``.  Each grid row, with the byte before it and the one after it (``" [d, ..., d],"``, but ``"["`` before the
-    first row and ``"]"`` after the last), is one row of an (r, 3r + 2) uint8 view of ``data`` at ``start``: every
-    byte is compared with the frame (``0``..``9`` in each digit slot) with no copy of the span, and the digits are
-    taken through a strided view of the difference.  A span that does not end in ``]]`` where the frame does, or
-    that runs past ``data``'s end, compares nothing.
+    The grid is ``[`` W ``[`` P d C d ... C d T ``]`` S ``[`` ... ``]`` W' ``]``: ``opening`` gives the whitespace P
+    before the first cell and the cell separator C, the first row's ``]`` gives r and the whitespace T before it, and
+    the text from that ``]`` to the next ``[`` is the row separator S; W and W' are any JSON whitespace.  Each row,
+    with the S before it, is one row of an (r, width) uint8 view of the bytes, which is compared in place with that
+    frame (``0``..``9`` in each digit slot), but for the first row's S slot, which holds bytes before the grid's first
+    row; the digits are taken through a strided view of the difference.  Nothing longer than the first row is built
+    before the r rows are known to fit in the bytes.
     """
-    close = data.find(b"]", start)
-    r, extra = divmod(close - start, 3)
-    stop = start + r * (3 * r + 2)
-    if close < 0 or extra or data[stop - 2:stop] != b"]]":
-        return None, start
-    rows = np.frombuffer(data, np.uint8, stop - start, start).reshape(r, 3 * r + 2)
-    diff = rows - np.frombuffer(b" [" + b"0, " * (r - 1) + b"0],", np.uint8)  # a middle row's frame
-    diff[0, 0] -= ord("[") - ord(" ")
-    diff[-1, -1] -= ord("]") - ord(",")
-    slots = np.ones(3 * r + 2, np.uint8)  # a byte of the frame must be its own, a digit one of ten
-    slots[2::3] = 10
-    return (diff[:, 2::3].copy() if (diff < slots).all() else None), stop
-
-
-def _int_grid(span: bytes) -> np.ndarray | None:
-    """``np.array(json.loads(span))`` as uint8 if ``span`` is a square grid of one-digit ints, else None.
-
-    With JSON whitespace dropped, ``span`` must be exactly the layout of an r x r grid with one digit to a slot (no two
-    digits in a row, so a wider number, or whitespace inside one, breaks it), checked through strided views of its
-    bytes.  The values are the slots' bytes - 48: a uint8 grid of 200 x 200 costs 40 KB, an int64 one 320 KB.  A
-    span in ``json.dumps``'s default layout is read by ``_frame_grid`` instead, which needs no whitespace pass.
-    """
-    packed = span.translate(None, _JSON_WHITESPACE)
-    r = math.isqrt(len(packed) // 2)  # an r x r layout is 2r(r + 1) + 1 bytes
-    if r < 1 or len(packed) != 2 * r * (r + 1) + 1 or packed[0] != ord("["):
-        return None
-    rows = np.frombuffer(packed, np.uint8)[1:].reshape(r, 2 * r + 2)  # "[d,...,d]" then "," (the last row "]")
-    digits = rows[:, 1 : 2 * r : 2] - 48
-    frame, ends = (np.frombuffer(b"[" * first + b"," * (r - 1) + b"]", np.uint8) for first in (1, 0))
-    return digits if (rows[:, ::2] == frame).all() and (rows[:, -1] == ends).all() and (digits < 10).all() else None
+    data, first = opening.string, opening.end() - 1  # the first row's "["
+    pad, cell = opening.groups()
+    close = data.find(b"]", first)
+    if close < 0:
+        return None, len(data)
+    seam = _GRID_SEAM.match(data, close + 1)  # a "]" there, closing a one-row grid, fails the frame's second row
+    if seam is None:
+        return None, close + 1
+    row = data[first:close]  # "[" and the first row's cells
+    tail = row[len(row.rstrip(_JSON_WHITESPACE)):]
+    r, extra = divmod(len(row) - 1 - len(pad) - len(tail) + len(cell), 1 + len(cell))
+    width = seam.end() - 1 - first  # from the first row's "[" to the second's
+    begin = close + 1 - width  # where a separator before the first row would start
+    stop = begin + r * width
+    if extra or begin < 0 or stop > len(data):
+        return None, close + 1
+    sep = data[close + 1:seam.end() - 1]
+    diff = np.frombuffer(data, np.uint8, stop - begin, begin).reshape(r, width) - np.frombuffer(
+        sep + b"[" + pad + b"0" + (cell + b"0") * (r - 1) + tail + b"]", np.uint8)
+    diff[0, :len(sep)] = 0  # no separator comes before the first row
+    slots = np.ones(width, np.uint8)  # a byte of the frame must be its own, a digit one of ten
+    digits = slice(len(sep) + len(pad) + 1, width - len(tail) - 1, 1 + len(cell))
+    slots[digits] = 10
+    end = _GRID_SEAM.match(data, stop)
+    if end and data[end.end() - 1] == ord("]") and (diff.max(axis=0) < slots).all():
+        return diff[:, digits].copy(), end.end()
+    return None, stop
 
 
 def write_bundle(bundle: StudyBundle) -> bytes:

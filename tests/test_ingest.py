@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import re
@@ -695,8 +696,8 @@ def grid_spans(draw, grid_fault=None, layouts=tuple(sorted(LAYOUTS))):
     r, cells = draw(st.integers(1, 5)), draw(judgments)
     grid = draw(st.lists(st.lists(cells, min_size=r, max_size=r), min_size=r, max_size=r))
     i = draw(st.integers(0, r - 1))
-    if grid_fault == "not square":
-        grid = [row + [0] for row in grid] if draw(st.booleans()) else grid[:-1] or [[0, 0]]
+    if grid_fault == "not square":  # a column more, a row fewer or a row more
+        grid = draw(st.sampled_from([[row + [0] for row in grid], grid[:-1] or [[0, 0]], grid + grid[:1]]))
     elif grid_fault == "ragged":  # a number moved to another row, so r * r remain, or a row one longer or shorter
         if r > 1 and draw(st.booleans()):
             grid[i - 1].append(grid[i].pop())
@@ -722,7 +723,20 @@ def number_fault(span: str, which: int, fault: str) -> str:
     }[fault]
 
 
+def frame_read(span: str, after: str = "") -> tuple[np.ndarray | None, str]:
+    """The grid ``_frame_grid`` reads at the start of ``span``, a value in an object followed by ``after``, or None;
+    and the text from the start up to where it stopped looking.  A grid read is ``int_grid_oracle``'s of that text."""
+    data, start = f'{{"R0": {span}{after}'.encode(), len('{"R0": ')
+    opening = ingest._GRID_OPEN.match(data, start)
+    grid, stop = ingest._frame_grid(opening) if opening else (None, start)
+    read = data[start:stop].decode()
+    assert grid is None or (grid.dtype == np.uint8 and np.array_equal(grid, int_grid_oracle(read)))
+    return grid, read
+
+
 class TestIntGrid:
+    """A square grid of one-digit ints, laid out row by row as its first row is, is read in place as json reads it."""
+
     def test_patterns_use_no_syntax_newer_than_python_3_10(self):
         # possessive quantifiers and atomic groups came in Python 3.11, where 3.10 fails to compile them
         for pattern in [v for v in vars(ingest).values() if isinstance(v, re.Pattern)]:
@@ -732,11 +746,11 @@ class TestIntGrid:
     @settings(max_examples=300, deadline=None)
     @given(grid_spans())
     def test_reads_a_one_digit_grid_as_json_does(self, span):
-        got, want = ingest._int_grid(span.encode()), np.array(json.loads(span))
-        if want.max() < 10:
-            assert np.array_equal(got, want) and got.dtype == np.uint8
-        else:  # a number of two or more digits
-            assert got is None
+        (grid, read), want = frame_read(span), np.array(json.loads(span))
+        if want.max() < 10 and len(want) > 1:
+            assert read == span and np.array_equal(grid, want)
+        else:  # a number of two or more digits, or a 1 x 1 grid, which opens no frame
+            assert grid is None
 
     @settings(max_examples=300, deadline=None)
     @given(grid_spans(), st.integers(0, 99), st.sampled_from(
@@ -744,24 +758,29 @@ class TestIntGrid:
     def test_refuses_a_broken_number(self, span, which, fault):
         broken = number_fault(span, which, fault)
         assert int_grid_oracle(broken) is None
-        assert ingest._int_grid(broken.encode()) is None
+        assert frame_read(broken)[0] is None
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["not square", "ragged", "nesting"]).flatmap(lambda fault: grid_spans(fault)))
     def test_refuses_a_grid_that_is_not_square(self, span):
         assert int_grid_oracle(span) is None
-        assert ingest._int_grid(span.encode()) is None
+        assert frame_read(span)[0] is None
 
     @settings(max_examples=500, deadline=None)
-    @given(grid_spans(), st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(list('0159[], \n\t-.e"x'))),
-                                  min_size=1, max_size=3))
-    def test_agrees_with_json_on_any_edit(self, span, edits):
-        for at, char in edits:
+    @given(grid_spans() | grid_spans(layouts=("default",)),
+           st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(list('0159:[], \n\t-.e"x')), st.booleans()),
+                    max_size=3),
+           st.sampled_from(["", " ", "]", ', "x": [[0, 1]]']))
+    def test_agrees_with_json_on_any_edit(self, span, edits, after):
+        for at, char, replace in edits:  # a character put in, or in place of the one there; "x" deletes
             at %= len(span) + 1
-            span = span[:at] + char + span[at:] if char != "x" else span[:at] + span[at + 1:]
-        want, got = int_grid_oracle(span), ingest._int_grid(span.encode())
-        assert (got is None) == (want is None)
-        assert got is None or np.array_equal(got, want)
+            span = span[:at] + char.replace("x", "") + span[at + (replace or char == "x"):]
+        grid, read = frame_read(span, after)  # a grid read is json's grid of the text read
+        event("read in place" if grid is not None else "left to json.loads")
+        want = int_grid_oracle(span)
+        regular = want is not None and span in [json.dumps(want.tolist(), **kw) for kw in LAYOUTS.values()]
+        if regular and len(want) > 1:  # the edits left a layout json.dumps writes, of a grid that opens a frame
+            assert read == span and grid is not None
 
 
 def parse_outcome(data):
@@ -774,10 +793,23 @@ def parse_outcome(data):
 
 
 def json_loads_outcome(data):
-    """``parse_outcome(data)`` with every grid left to json.loads: neither the frame nor the translate path reads one."""
-    with mock.patch.object(ingest, "_frame_grid", return_value=(None, 0)), \
-            mock.patch.object(ingest, "_int_grid", return_value=None):
+    """``parse_outcome(data)`` with every grid left to json.loads: the frame reads none."""
+    with mock.patch.object(ingest, "_frame_grid", lambda opening: (None, opening.end())):
         return parse_outcome(data)
+
+
+@contextlib.contextmanager
+def frame_calls():
+    """Record each call of ``_frame_grid``: where its opening starts, whether it read a grid, and where it stopped."""
+    calls = []
+
+    def frame_grid(opening, read=ingest._frame_grid):
+        grid, stop = read(opening)
+        calls.append((opening.start(), grid is not None, stop))
+        return grid, stop
+
+    with mock.patch.object(ingest, "_frame_grid", frame_grid):
+        yield calls
 
 
 def raw_doc():
@@ -835,19 +867,23 @@ class TestLargeBundleParse:
         for grid in doc["matrices"].values():  # each grid opens "[[0, 57", as on a scale above 9
             grid[0][1] = 57
         text = json.dumps(doc).encode()
-        with mock.patch.object(ingest, "_int_grid", wraps=ingest._int_grid) as reader:
+        with mock.patch.object(ingest, "_frame_grid", wraps=ingest._frame_grid) as reader:
             outcome = parse_outcome(text)
         assert reader.call_count == 0
         assert outcome == json_loads_outcome(text)
 
-    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_only_the_default_layout_is_read_in_place(self, layout):
-        b = make_raw_bundle(n=12, m=5)
-        text = write_bundle(b) if layout == "default" else json.dumps(bundle_doc(b), **LAYOUTS[layout]).encode()
-        with mock.patch.object(ingest, "_int_grid", wraps=ingest._int_grid) as translated:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.integers(2, 5), st.integers(0, 2**32), st.sampled_from([None, 0, 1, 2, 4, "\t"]),
+           st.sampled_from([",", ", ", " , "]), st.sampled_from(["\n", "\r\n"]))
+    def test_every_regular_layout_is_read_in_place(self, n, m, seed, indent, item, newline):
+        # json.dumps writes no newline but those of its layout: one in a string is the escape "\n"
+        doc = bundle_doc(make_raw_bundle(n=n, m=m, seed=seed))
+        text = json.dumps(doc, indent=indent, separators=(item, ": ")).replace("\n", newline)
+        with frame_calls() as calls:
             doc, _ = ingest._load_bundle_json(text)
-        assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * 5
-        assert translated.call_count == (0 if layout == "default" else 5)
+        assert [read for _, read, _ in calls] == [True] * m
+        assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * m
+        assert parse_outcome(text) == json_loads_outcome(text)
 
     def test_grids_are_read_as_arrays(self):
         data = json.dumps(raw_doc(), indent=2).encode()
@@ -875,6 +911,7 @@ def frame_seam_edit(grid: str, edit: str, at: int) -> str:
     row, cell = seams[at % len(seams)], cells[at % len(cells)]
     return {
         "a ] one row early": grid[:row] + "]" + grid[row:],
+        "no row separator": grid[:row + 1] + grid[row + 3:],
         "a wider separator": grid[:cell] + ",  " + grid[cell + 2:],
         "a compact separator": grid[:cell] + "," + grid[cell + 2:],
         "a separator's space as a digit": grid[:cell] + ",1" + grid[cell + 2:],
@@ -885,13 +922,13 @@ def frame_seam_edit(grid: str, edit: str, at: int) -> str:
     }[edit]
 
 
-FRAME_EDITS = ["a ] one row early", "a wider separator", "a compact separator", "a separator's space as a digit",
-               "a separator's space as a newline", "a two-digit last cell", "no final ]", "a longer first row",
-               "the data ending inside the frame"]
+FRAME_EDITS = ["a ] one row early", "no row separator", "a wider separator", "a compact separator",
+               "a separator's space as a digit", "a separator's space as a newline", "a two-digit last cell",
+               "no final ]", "a longer first row", "the data ending inside the frame"]
 
 
 class TestFrameGrid:
-    """A grid in ``json.dumps``'s default layout is compared with its frame in place, with the outcome of leaving
+    """A grid laid out row by row as its first row is compared with its frame in place, with the outcome of leaving
     every grid to json.loads."""
 
     @settings(max_examples=60, deadline=None)
@@ -900,9 +937,9 @@ class TestFrameGrid:
         text, grids = frame_bundle(n, m, top, seed)
         for k, grid in enumerate(grids):
             text = text.replace(f'"@R{k}@"', grid)
-        with mock.patch.object(ingest, "_int_grid", wraps=ingest._int_grid) as translated:
+        with frame_calls() as calls:
             outcome = parse_outcome(text)
-        assert translated.call_count == 0
+        assert [read for _, read, _ in calls] == [True] * m
         assert outcome == json_loads_outcome(text)
 
     @settings(max_examples=300, deadline=None)
@@ -918,48 +955,36 @@ class TestFrameGrid:
                 grid = frame_seam_edit(grid, edit, at)
             text = text.replace(f'"@R{k}@"', grid)
         text = text[:end]
-        compared = []
-
-        def frame_grid(data, start, read=ingest._frame_grid):
-            grid, stop = read(data, start)
-            compared.append((start, stop))
-            return grid, stop
-
-        with mock.patch.object(ingest, "_frame_grid", frame_grid):
+        with frame_calls() as calls:
             outcome = parse_outcome(text)
         assert outcome == json_loads_outcome(text)
-        assert all(stop <= start for (_, stop), (start, _) in zip(compared, compared[1:]))  # no byte compared twice
+        assert all(stop <= start for (_, _, stop), (start, _, _) in zip(calls, calls[1:]))  # no byte compared twice
 
     def test_an_opening_inside_a_compared_frame_is_not_compared_again(self):
-        # R0's first row gives r = 3, and its 33-byte frame ends in R's "]]"; the bytes between are not the frame's,
-        # so R's grid, inside the frame compared, is read by the translate path: no byte is compared twice
-        text = b'{"matrices": {"R0": [[0, 0, 0] ],"R":[[0, 1], [1, 0]]}}'
-        r0, r1 = text.index(b"[["), text.rindex(b"[[")
-        assert ingest._frame_grid(text, r0) == (None, r1 + 16)
-        with mock.patch.object(ingest, "_frame_grid", wraps=ingest._frame_grid) as framed, \
-                mock.patch.object(ingest, "_int_grid", wraps=ingest._int_grid) as translated:
+        # R0's first row gives r = 3, so its frame is three 11-byte rows, the second of which holds the "[[" of a
+        # grid nested in R0; that row is not the frame's, and the nested grid, inside the bytes compared, is left to
+        # json.loads: no byte is compared twice
+        text = b'{"matrices": {"R0": [[0, 0, 0], [[0, 1], [1, 0]], [0, 0, 0]]}}'
+        r0 = text.index(b"[[")
+        with frame_calls() as calls:
             outcome = parse_outcome(text)
-        assert [call.args[1] for call in framed.call_args_list] == [r0]
-        assert [call.args[0] for call in translated.call_args_list] == [b"[[0, 0, 0] ]", b"[[0, 1], [1, 0]]"]
+        assert calls == [(r0, False, r0 + 32)] and text.index(b"[[", r0 + 1) < r0 + 32
         assert outcome == json_loads_outcome(text)
 
-    @settings(max_examples=500, deadline=None)
-    @given(grid_spans() | grid_spans(layouts=("default",)),
-           st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(list('0159[], \n\t-.e"x')), st.booleans()),
-                    max_size=2),
-           st.sampled_from(["", " ", "]", ', "x": [[0, 1]]']))
-    def test_accepts_only_what_the_translate_path_reads_over_the_same_span(self, span, edits, after):
-        for at, char, replace in edits:  # a character put in, or in place of the one there; "x" deletes
-            at %= len(span) + 1
-            span = span[:at] + char.replace("x", "") + span[at + (replace or char == "x"):]
-        if not span.startswith("["):  # a span opens with the "[" that the opening pattern matched
-            return
-        data, start = f'{{"R0": {span}{after}'.encode(), len('{"R0": ')
-        grid, stop = ingest._frame_grid(data, start)
-        event("read in place" if grid is not None else "left to the translate path")
-        if grid is not None:
-            assert stop == ingest._GRID_CLOSE.search(data, start + 1).end()
-            assert np.array_equal(grid, ingest._int_grid(data[start:stop])) and grid.dtype == np.uint8
+    @pytest.mark.parametrize("after", [b"", b", ["])
+    def test_a_long_first_row_alone_builds_no_frame(self, after):
+        # the first row gives r = 10**5, whose 3 * 10**10-byte frame cannot fit in the data: nothing longer than the
+        # first row is built
+        data = b'{"R0": [[' + b"0, " * (10**5 - 1) + b"0]" + after
+        opening = ingest._GRID_OPEN.search(data)
+        tracemalloc.start()
+        try:
+            grid, stop = ingest._frame_grid(opening)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid is None and stop == data.index(b"]") + 1
+        assert peak < 1.1 * len(data)
 
 
 def invalid_byte(data: bytes, where: str) -> bytes:
