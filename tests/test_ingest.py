@@ -685,6 +685,20 @@ def int_grid_oracle(span: str):
     return np.array(grid)
 
 
+def translate_grid(span: bytes) -> np.ndarray | None:
+    """The translate path: the uint8 grid of one-digit ints ``span`` holds once every JSON whitespace byte is deleted,
+    when what is left is exactly ``[[d,...,d],...,[d,...,d]]`` for some r, checked through strided views; else None."""
+    packed = span.translate(None, b" \t\n\r")
+    r = math.isqrt(len(packed) // 2)  # an r x r grid packs to 2r(r + 1) + 1 bytes
+    if r < 1 or len(packed) != 2 * r * (r + 1) + 1 or packed[:1] != b"[":
+        return None
+    rows = np.frombuffer(packed, np.uint8)[1:].reshape(r, 2 * r + 2)  # "[d,...,d]" then "," (the last row "]")
+    digits = rows[:, 1:2 * r:2] - 48
+    frame = np.frombuffer(b"[" + b"," * (r - 1) + b"]", np.uint8)
+    ends = np.frombuffer(b"," * (r - 1) + b"]", np.uint8)
+    return digits if (rows[:, ::2] == frame).all() and (rows[:, -1] == ends).all() and (digits < 10).all() else None
+
+
 LAYOUTS = {"compact": {"separators": (",", ":")}, "default": {}, "indent=2": {"indent": 2}}
 # one digit each, as on a Likert scale, or any width up to 2**63 - 2, which the reader leaves to json.loads
 judgments = st.sampled_from([st.integers(0, 9), st.integers(0, 2**63 - 2) | st.sampled_from([10**18, 2**63 - 2])])
@@ -885,6 +899,26 @@ class TestLargeBundleParse:
         assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * m
         assert parse_outcome(text) == json_loads_outcome(text)
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_only_the_default_layout_is_read_in_place(self, layout):
+        # a grid's default layout is its first row's: each grid of a bundle in any json.dumps layout keeps it and is
+        # read in place, and the last grid with its last row re-laid out with another cell separator is left to
+        # json.loads, with the same outcome
+        b = make_raw_bundle(n=12, m=5)
+        text = write_bundle(b) if layout == "default" else json.dumps(bundle_doc(b), **LAYOUTS[layout]).encode()
+        with frame_calls() as calls:
+            doc, _ = ingest._load_bundle_json(text)
+        assert [read for _, read, _ in calls] == [True] * 5
+        assert [type(g) for g in doc["matrices"].values()] == [np.ndarray] * 5
+        start, _, stop = calls[-1]
+        last_row = text.rindex(b"[", start, stop)
+        relaid = re.sub(rb",[ \t\n\r]*", b"," if layout == "default" else b", ", text[last_row:stop])
+        edited = text[:last_row] + relaid + text[stop:]
+        with frame_calls() as calls:
+            outcome = parse_outcome(edited)
+        assert [read for _, read, _ in calls] == [True] * 4 + [False]
+        assert outcome == json_loads_outcome(edited) == parse_outcome(text)
+
     def test_grids_are_read_as_arrays(self):
         data = json.dumps(raw_doc(), indent=2).encode()
         doc, rest = ingest._load_bundle_json(data)
@@ -985,6 +1019,20 @@ class TestFrameGrid:
             tracemalloc.stop()
         assert grid is None and stop == data.index(b"]") + 1
         assert peak < 1.1 * len(data)
+
+    @settings(max_examples=500, deadline=None)
+    @given(grid_spans() | grid_spans(layouts=("default",)),
+           st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(list('0159:[], \n\t-.e"x')), st.booleans()),
+                    max_size=2),
+           st.sampled_from(["", " ", "]", ', "x": [[0, 1]]']))
+    def test_accepts_only_what_the_translate_path_reads_over_the_same_span(self, span, edits, after):
+        for at, char, replace in edits:  # a character put in, or in place of the one there; "x" deletes
+            at %= len(span) + 1
+            span = span[:at] + char.replace("x", "") + span[at + (replace or char == "x"):]
+        grid, read = frame_read(span, after)
+        event("read in place" if grid is not None else "left to json.loads")
+        if grid is not None:  # the whitespace-deleting reader gives the same grid for the text the frame read
+            assert read.endswith("]") and np.array_equal(grid, translate_grid(read.encode()))
 
 
 def invalid_byte(data: bytes, where: str) -> bytes:
